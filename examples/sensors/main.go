@@ -30,17 +30,16 @@ func main() {
 	dep := mdqa.NewDimension(ds)
 	dep.MustAddMember("Region", "North")
 	dep.MustAddMember("Region", "South")
-	for station, region := range map[string]string{
-		"ST1": "North", "ST2": "North", "ST3": "South",
-	} {
-		dep.MustAddMember("Station", station)
-		dep.MustAddRollup(station, region)
+	// Members are added in a fixed order (not by ranging over a map),
+	// so the streamed answers below come out in the same order on
+	// every run.
+	for _, sr := range [][2]string{{"ST1", "North"}, {"ST2", "North"}, {"ST3", "South"}} {
+		dep.MustAddMember("Station", sr[0])
+		dep.MustAddRollup(sr[0], sr[1])
 	}
-	for sensor, station := range map[string]string{
-		"s1": "ST1", "s2": "ST1", "s3": "ST2", "s4": "ST3",
-	} {
-		dep.MustAddMember("Sensor", "Sensor-"+sensor)
-		dep.MustAddRollup("Sensor-"+sensor, station)
+	for _, ss := range [][2]string{{"s1", "ST1"}, {"s2", "ST1"}, {"s3", "ST2"}, {"s4", "ST3"}} {
+		dep.MustAddMember("Sensor", "Sensor-"+ss[0])
+		dep.MustAddRollup("Sensor-"+ss[0], ss[1])
 	}
 
 	// Time dimension: Day -> Month.

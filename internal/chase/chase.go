@@ -194,12 +194,16 @@ func validateRules(prog *datalog.Program) error {
 }
 
 // freshCounter returns a counter for null labels guaranteed not to
-// collide with nulls already present in the instance.
+// collide with nulls already present in the instance's rows (the
+// interner may also remember nulls an EGD merged away; those do not
+// count, so numbering depends on the stored tuples alone).
 func freshCounter(db *storage.Instance, prefix string) *datalog.Counter {
+	in := db.Interner()
 	max := -1
 	for _, name := range db.RelationNames() {
-		for _, tup := range db.Relation(name).Tuples() {
-			for _, t := range tup {
+		for _, row := range db.Relation(name).Rows() {
+			for _, id := range row {
+				t := in.TermOf(id)
 				if t.IsNull() && strings.HasPrefix(t.Name, prefix) {
 					if k, err := strconv.Atoi(t.Name[len(prefix):]); err == nil && k > max {
 						max = k

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/datalog"
+	"repro/internal/storage"
 )
 
 // Derivation explains why an atom is in a chased instance: either it
@@ -92,14 +93,16 @@ func (r *Result) DerivationChain(prog *datalog.Program, atom datalog.Atom, maxDe
 				continue
 			}
 			// Unify the atom with a head atom, then search a body
-			// homomorphism consistent with it.
+			// homomorphism consistent with it. The fact is ground, so
+			// the unifier seeds the plan with ground bindings only.
+			plan := storage.CompileQueryPlan(r.Instance, tgd.Body)
 			for _, h := range tgd.Head {
 				s, okU := unifyHeadWithFact(h, a)
 				if !okU {
 					continue
 				}
 				found := false
-				r.Instance.MatchConjunction(tgd.Body, s, func(ext datalog.Subst) bool {
+				plan.Run(r.Instance, s, func(ext datalog.Subst) bool {
 					for _, b := range tgd.Body {
 						walk(ext.ApplyAtom(b), depth-1)
 					}

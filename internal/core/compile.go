@@ -52,11 +52,8 @@ func (o *Ontology) Compile(opts CompileOptions) (*Compiled, error) {
 		if _, err := db.CreateRelation(name, rel.StorageSchema().Attrs...); err != nil {
 			return nil, err
 		}
-		src := o.data.Relation(name)
-		for _, tup := range src.Tuples() {
-			if _, err := db.Insert(name, tup...); err != nil {
-				return nil, err
-			}
+		if err := db.CopyRelation(o.data.Relation(name)); err != nil {
+			return nil, err
 		}
 	}
 

@@ -129,26 +129,26 @@ func HashInt32s(row []int32) uint64 {
 	return h
 }
 
-// Arena carves copies of small rows out of chunked backing arrays,
-// one allocation per chunk instead of one per row. The zero value is
-// ready to use. Used for interned tuple rows, term-view tuples and
-// chase trigger snapshots.
-type Arena[T any] struct {
-	buf []T
+// Int32Arena carves copies of small int32 rows out of chunked backing
+// arrays, one allocation per chunk instead of one per row. The zero
+// value is ready to use. Used for interned tuple rows, staged batch
+// rows and chase trigger snapshots.
+type Int32Arena struct {
+	buf []int32
 }
 
 // arenaChunkRows is the chunk size in rows (times the row length).
 const arenaChunkRows = 256
 
 // Copy stores a copy of src and returns the capped view.
-func (a *Arena[T]) Copy(src []T) []T {
+func (a *Int32Arena) Copy(src []int32) []int32 {
 	n := len(src)
 	if cap(a.buf)-len(a.buf) < n {
 		chunk := arenaChunkRows * n
 		if chunk < n {
 			chunk = n
 		}
-		a.buf = make([]T, 0, chunk)
+		a.buf = make([]int32, 0, chunk)
 	}
 	start := len(a.buf)
 	a.buf = append(a.buf, src...)
@@ -157,7 +157,4 @@ func (a *Arena[T]) Copy(src []T) []T {
 
 // Reset drops the arena's current chunk so retired rows can be
 // collected once their owners drop them.
-func (a *Arena[T]) Reset() { a.buf = nil }
-
-// Int32Arena is the arena for interned rows and register snapshots.
-type Int32Arena = Arena[int32]
+func (a *Int32Arena) Reset() { a.buf = nil }

@@ -262,10 +262,11 @@ func WireInstance(db *storage.Instance) map[string][][]string {
 	out := map[string][][]string{}
 	for _, name := range db.RelationNames() {
 		var tuples [][]string
-		for _, tup := range db.Relation(name).Tuples() {
-			row := make([]string, len(tup))
-			for i, t := range tup {
-				row[i] = t.Name
+		rel := db.Relation(name)
+		for _, ids := range rel.Rows() {
+			row := make([]string, len(ids))
+			for i, id := range ids {
+				row[i] = rel.Interner().TermOf(id).Name
 			}
 			tuples = append(tuples, row)
 		}

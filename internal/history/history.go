@@ -82,7 +82,7 @@ type Version struct {
 	// measure at this version.
 	Scores map[string]Score `json:"scores,omitempty"`
 	// Rows is the contextual instance's total tuple count at this
-	// version, the basis of the ring's byte accounting.
+	// version.
 	Rows int `json:"rows,omitempty"`
 }
 
@@ -95,8 +95,9 @@ type Entry struct {
 	// Violations is the cumulative violation list at this version
 	// (Version.Violations is its length).
 	Viol []qerr.Violation
-	// bytes is the estimated marginal memory this entry retains beyond
-	// its predecessor (interner fork + new tuple rows).
+	// bytes is the estimated memory only this entry holds: its
+	// interner fork, plus every relation its successor no longer
+	// shares (see storage.Instance.ExclusiveBytes).
 	bytes int64
 }
 
@@ -122,30 +123,25 @@ func New(depth int, maxBytes int64) *Ring {
 	return &Ring{depth: depth, maxBytes: maxBytes}
 }
 
-// estimateBytes prices one retained snapshot: the forked interner
-// (every snapshot forks the full term table) plus the rows added since
-// the previous version (tuple cells are int32; arena rows are shared
-// copy-on-write with the live instance, so only growth is marginal).
-func estimateBytes(inst *storage.Instance, rows, prevRows int) int64 {
-	const termCost = 32 // interned term: string header + kind + table slot
-	const cellCost = 4  // one int32 tuple cell
-	b := int64(inst.Interner().Len()) * termCost
-	if grown := rows - prevRows; grown > 0 {
-		b += int64(grown) * 3 * cellCost // ~3 columns per contextual row
-	}
-	return b
-}
-
 // Record appends the next version. The entry's Version.Seq must be
 // NextSeq(); metadata is kept forever, the instance joins the retained
 // suffix and the oldest retained entries beyond the depth/byte bounds
 // are released (the newest entry always survives).
+//
+// The newest snapshot shares its relations with the live instance, so
+// it is priced by its interner fork alone. Once e succeeds it, the
+// previous entry is re-priced by what only it holds: every relation a
+// write copied between the two snapshots. Storage shared along the
+// chain is charged once, to the newest entry holding it, which is
+// exactly what evicting oldest-first frees.
 func (r *Ring) Record(e *Entry) {
-	prevRows := 0
-	if n := len(r.metas); n > 0 {
-		prevRows = r.metas[n-1].Rows
+	if n := len(r.entries); n > 0 {
+		prev := r.entries[n-1]
+		r.bytes -= prev.bytes
+		prev.bytes = prev.Inst.ExclusiveBytes(e.Inst)
+		r.bytes += prev.bytes
 	}
-	e.bytes = estimateBytes(e.Inst, e.Rows, prevRows)
+	e.bytes = e.Inst.ExclusiveBytes(nil)
 	r.metas = append(r.metas, e.Version)
 	r.entries = append(r.entries, e)
 	r.bytes += e.bytes
@@ -178,11 +174,7 @@ func (r *Ring) Seed(metas []Version, e *Entry) {
 		// let the restored state supply what the header lacks.
 		e.Version = r.metas[n-1]
 	}
-	prevRows := 0
-	if n := len(r.metas); n > 1 {
-		prevRows = r.metas[n-2].Rows
-	}
-	e.bytes = estimateBytes(e.Inst, e.Rows, prevRows)
+	e.bytes = e.Inst.ExclusiveBytes(nil)
 	r.entries = append(r.entries[:0], e)
 	r.bytes = e.bytes
 }

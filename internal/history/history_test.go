@@ -2,9 +2,11 @@ package history
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/datalog"
 	"repro/internal/qerr"
 	"repro/internal/storage"
 )
@@ -142,5 +144,50 @@ func TestRingSeed(t *testing.T) {
 	r2.Seed(nil, entry(5, t0()))
 	if got := r2.NextSeq(); got != 6 {
 		t.Fatalf("NextSeq after bare seed = %d, want 6", got)
+	}
+}
+
+// growingRing records versions of a live instance holding one
+// 2000-row relation, inserting write rows into it before each
+// snapshot after the first, under an 8-deep ring with the given byte
+// budget.
+func growingRing(t *testing.T, budget int64, versions, write int) *Ring {
+	t.Helper()
+	live := storage.NewInstance()
+	for i := 0; i < 2000; i++ {
+		live.MustInsert("G", datalog.C(fmt.Sprintf("g%d", i%50)), datalog.C(fmt.Sprintf("h%d", i/50)))
+	}
+	r := New(8, budget)
+	for seq := 0; seq < versions; seq++ {
+		for i := 0; seq > 0 && i < write; i++ {
+			live.MustInsert("G", datalog.C(fmt.Sprintf("new%d-%d", seq, i)), datalog.C("h0"))
+		}
+		r.Record(&Entry{
+			Version: Version{Seq: uint64(seq), Time: t0(), Rows: live.TotalTuples()},
+			Inst:    live.Snapshot(),
+		})
+	}
+	return r
+}
+
+func TestRingBudgetCountsCopiedRelations(t *testing.T) {
+	// Each write after a snapshot copies the 2000-row relation (about
+	// 180 KB of rows and indexes), and the older snapshot is left the
+	// only holder of the old copy. A 256 KiB budget holds one such copy
+	// beside the newest version, never two.
+	r := growingRing(t, 256<<10, 8, 1)
+	oldest, _ := r.OldestRetained()
+	latest, _ := r.LatestSeq()
+	if retained := latest - oldest + 1; retained != 2 {
+		t.Fatalf("retained %d versions (%d..%d) under a budget below two relation copies, want 2", retained, oldest, latest)
+	}
+}
+
+func TestRingBudgetSkipsSharedStorage(t *testing.T) {
+	// Versions with no write in between share the relation's storage,
+	// so the same budget retains all of them.
+	r := growingRing(t, 256<<10, 8, 0)
+	if oldest, _ := r.OldestRetained(); oldest != 0 {
+		t.Fatalf("oldest retained = %d, want 0: unchanged versions must not be charged a copy each", oldest)
 	}
 }

@@ -118,7 +118,7 @@ func (p *prover) prove(goals []datalog.Atom, s datalog.Subst, depth int) ([]*Pro
 	// Extensional resolution.
 	var result []*ProofNode
 	found := false
-	p.db.MatchAtom(g, datalog.NewSubst(), func(theta datalog.Subst) bool {
+	storage.CompileQueryPlan(p.db, []datalog.Atom{g}).Run(p.db, datalog.NewSubst(), func(theta datalog.Subst) bool {
 		sub, ok := p.prove(theta.ApplyAtoms(rest), s.Compose(theta), depth)
 		if !ok {
 			return true

@@ -152,7 +152,7 @@ func (r *resolver) resolve(goals []datalog.Atom, s datalog.Subst, depth int, onS
 	exhausted := true
 
 	// Option 1: match the goal against an extensional fact.
-	r.db.MatchAtom(g, datalog.NewSubst(), func(theta datalog.Subst) bool {
+	storage.CompileQueryPlan(r.db, []datalog.Atom{g}).Run(r.db, datalog.NewSubst(), func(theta datalog.Subst) bool {
 		if !r.resolve(theta.ApplyAtoms(rest), s.Compose(theta), depth, onSuccess) {
 			exhausted = false
 			return false

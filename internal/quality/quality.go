@@ -638,12 +638,7 @@ func (s *Session) scoresLocked(inst *storage.Instance) map[string]history.Score 
 		}
 		m := Measure{Original: orig.Len()}
 		if vrel != nil {
-			m.Quality = vrel.Len()
-			for _, tup := range vrel.Tuples() {
-				if orig.Schema().Arity() == len(tup) && orig.Contains(tup) {
-					m.Intersection++
-				}
-			}
+			m = measure(orig, vrel)
 		}
 		scores[rel] = history.Score{Original: m.Original, Quality: m.Quality, Intersection: m.Intersection}
 	}
@@ -866,8 +861,9 @@ func (s *Session) assembleLocked(final *storage.Instance, violations []chase.Vio
 			// insertion order varies with the engine's parallelism
 			// degree, and the materialized version relations are public
 			// output — they must not differ across machines.
-			for _, tup := range vrel.SortedTuples() {
-				if _, err := renamed.Insert(tup); err != nil {
+			buf := make([]datalog.Term, 0, vrel.Schema().Arity())
+			for _, row := range vrel.SortedRows() {
+				if _, err := renamed.Insert(vrel.Interner().Terms(row, buf[:0])); err != nil {
 					return nil, err
 				}
 			}
@@ -912,11 +908,17 @@ func (c *Context) Assess(ctx context.Context, d *storage.Instance) (*Assessment,
 	return s.Assessment()
 }
 
-// measure computes |D|, |D^q| and their positional intersection.
+// measure computes |D|, |D^q| and their positional intersection,
+// decoding the version's rows into one reused buffer.
 func measure(orig, version *storage.Relation) Measure {
 	m := Measure{Original: orig.Len(), Quality: version.Len()}
-	for _, tup := range version.Tuples() {
-		if orig.Schema().Arity() == len(tup) && orig.Contains(tup) {
+	if orig.Schema().Arity() != version.Schema().Arity() {
+		return m
+	}
+	in := version.Interner()
+	buf := make([]datalog.Term, 0, version.Schema().Arity())
+	for _, row := range version.Rows() {
+		if orig.Contains(in.Terms(row, buf[:0])) {
 			m.Intersection++
 		}
 	}

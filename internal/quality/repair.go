@@ -197,14 +197,9 @@ func projectRelations(work *storage.Instance, o *core.Ontology) *storage.Instanc
 		if rel == nil {
 			continue
 		}
-		if _, err := out.CreateRelation(name, rel.Schema().Attrs...); err != nil {
-			continue
-		}
-		for _, tup := range rel.Tuples() {
-			// Tuples are well-formed by construction.
-			if _, err := out.Insert(name, tup...); err != nil {
-				panic("quality: project insert failed: " + err.Error())
-			}
+		// Tuples are well-formed by construction.
+		if err := out.CopyRelation(rel); err != nil {
+			panic("quality: project copy failed: " + err.Error())
 		}
 	}
 	return out

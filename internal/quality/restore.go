@@ -131,13 +131,8 @@ func restoredSnapshot(st persist.SessionState, b source.Binding) (*source.Snapsh
 		return nil, nil
 	}
 	inst := storage.NewInstance()
-	if _, err := inst.CreateRelation(relName, rel.Schema().Attrs...); err != nil {
+	if err := inst.CopyRelation(rel); err != nil {
 		return nil, err
-	}
-	for _, tup := range rel.Tuples() {
-		if _, err := inst.Insert(relName, tup...); err != nil {
-			return nil, err
-		}
 	}
 	return &source.Snapshot{Inst: inst, Version: st.SourceVersions[b.Name]}, nil
 }

@@ -201,8 +201,9 @@ func (s *Server) renderAssessment(ctx context.Context, lc *loadedContext, a *mdq
 			return out, err
 		}
 		wr := WireRelation{Attrs: v.Schema().Attrs, Tuples: [][]string{}}
-		for _, tup := range v.SortedTuples() {
-			wr.Tuples = append(wr.Tuples, termStrings(tup))
+		buf := make([]mdqa.Term, 0, v.Schema().Arity())
+		for _, row := range v.SortedRows() {
+			wr.Tuples = append(wr.Tuples, termStrings(v.Interner().Terms(row, buf[:0])))
 		}
 		out.version = wr
 		if m, ok := a.Measures()[rel]; ok {

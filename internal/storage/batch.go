@@ -51,7 +51,7 @@ func (b *Batch) Reset() {
 // InsertBatch merges a slice of staged rows into the relation under
 // the single-writer contract: rows are deduplicated against the
 // existing hash buckets (and each other) exactly as row-at-a-time
-// InsertRow would, stored through the same arenas, and indexed
+// InsertRow would, stored through the same arena, and indexed
 // incrementally — the merged relation is indistinguishable from one
 // built by sequential inserts in the same order. onNew, when non-nil,
 // receives the arena-stored copy of every row that was actually new

@@ -208,6 +208,29 @@ func (db *Instance) Snapshot() *Instance {
 // Frozen reports whether the instance is an immutable snapshot.
 func (db *Instance) Frozen() bool { return db.frozen }
 
+// ExclusiveBytes estimates the memory snapshot db holds that the newer
+// snapshot next does not: db's own structures and forked interner,
+// plus the rows and indexes of every relation next no longer shares.
+// A nil next prices db's own structures alone — the newest snapshot
+// shares all its relations with the live instance until the next
+// write.
+func (db *Instance) ExclusiveBytes(next *Instance) int64 {
+	const instCost = 256 // instance header, relation map and name list
+	const relCost = 192  // relation header, map slot and stats copy
+	const termCost = 64  // one forked interned term: table slot + map entry
+	b := instCost + int64(len(db.order))*relCost + int64(db.in.Len())*termCost
+	if next == nil {
+		return b
+	}
+	for _, name := range db.order {
+		rel, nrel := db.relations[name], next.relations[name]
+		if nrel == nil || !rel.sharesStorage(nrel) {
+			b += rel.bytes()
+		}
+	}
+	return b
+}
+
 // CloneDetached returns a deep copy with its own forked interner: the
 // clone can intern new symbols (invented nulls, derived constants)
 // without touching the parent's interner. The chase and eval engines
@@ -241,92 +264,32 @@ func (db *Instance) ReplaceTerms(repl map[datalog.Term]datalog.Term) int {
 	return n
 }
 
-// MatchAtom finds all extensions of s that map pattern into a fact of
-// the instance, invoking fn for each; fn returning false stops the
-// enumeration early. It reports whether enumeration ran to completion.
-func (db *Instance) MatchAtom(pattern datalog.Atom, s datalog.Subst, fn func(datalog.Subst) bool) bool {
-	rel := db.relations[pattern.Pred]
-	if rel == nil || rel.Schema().Arity() != len(pattern.Args) {
-		return true
-	}
-	for _, idx := range rel.matchCandidates(pattern, s) {
-		fact := datalog.Atom{Pred: pattern.Pred, Args: rel.tuples[idx]}
-		if ext, ok := datalog.Match(pattern, fact, s); ok {
-			if !fn(ext) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// MatchConjunction enumerates the homomorphisms of the positive
-// conjunction body into the instance, extending s. Atoms are matched in
-// a greedy order: at each step the atom with the most arguments already
-// ground under the current substitution is chosen, which lets the
-// per-position indexes prune effectively. fn returning false stops
-// enumeration; the return value reports whether enumeration completed.
-func (db *Instance) MatchConjunction(body []datalog.Atom, s datalog.Subst, fn func(datalog.Subst) bool) bool {
-	remaining := make([]datalog.Atom, len(body))
-	copy(remaining, body)
-	return db.matchRest(remaining, s, fn)
-}
-
-func (db *Instance) matchRest(remaining []datalog.Atom, s datalog.Subst, fn func(datalog.Subst) bool) bool {
-	if len(remaining) == 0 {
-		return fn(s)
-	}
-	// Pick the atom with the highest number of ground arguments under s.
-	best, bestScore, bestSize := 0, -1, 0
-	for i, a := range remaining {
-		score := 0
-		for _, t := range a.Args {
-			if s.Apply(t).IsGround() {
-				score++
-			}
-		}
-		size := 0
-		if rel := db.relations[a.Pred]; rel != nil {
-			size = rel.Len()
-		}
-		// Prefer smaller relations on ties to shrink the branching early.
-		if score > bestScore || (score == bestScore && size < bestSize) {
-			best, bestScore, bestSize = i, score, size
-		}
-	}
-	chosen := remaining[best]
-	rest := make([]datalog.Atom, 0, len(remaining)-1)
-	rest = append(rest, remaining[:best]...)
-	rest = append(rest, remaining[best+1:]...)
-	return db.MatchAtom(chosen, s, func(ext datalog.Subst) bool {
-		return db.matchRest(rest, ext, fn)
-	})
-}
-
-// HasMatch reports whether the conjunction has at least one
-// homomorphism into the instance extending s.
-func (db *Instance) HasMatch(body []datalog.Atom, s datalog.Subst) bool {
-	found := false
-	db.MatchConjunction(body, s, func(datalog.Subst) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
 // Merge copies every tuple of src into dst, creating relations as
 // needed (attribute names are taken from src when the relation is
 // new). It errors on arity conflicts.
 func Merge(dst, src *Instance) error {
-	for _, name := range src.RelationNames() {
-		rel := src.Relation(name)
-		if _, err := dst.CreateRelation(name, rel.Schema().Attrs...); err != nil {
+	for _, name := range src.order {
+		if err := dst.CopyRelation(src.relations[name]); err != nil {
 			return err
 		}
-		for _, tup := range rel.Tuples() {
-			if _, err := dst.Insert(name, tup...); err != nil {
-				return err
-			}
+	}
+	return nil
+}
+
+// CopyRelation inserts every tuple of src into db's relation of the
+// same name, creating it under src's attribute names when absent. Rows
+// are decoded through src's interner into one reused buffer and
+// re-interned into db's, so src may belong to any instance. It errors
+// on an arity conflict.
+func (db *Instance) CopyRelation(src *Relation) error {
+	dst, err := db.CreateRelation(src.Name(), src.schema.Attrs...)
+	if err != nil {
+		return err
+	}
+	buf := make([]datalog.Term, 0, src.schema.Arity())
+	for _, row := range src.rows {
+		if _, err := dst.Insert(src.in.Terms(row, buf[:0])); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -336,12 +299,14 @@ func Merge(dst, src *Instance) error {
 // across all relations of db.
 func (db *Instance) Diff(other *Instance) []datalog.Atom {
 	var out []datalog.Atom
+	var buf []datalog.Term
 	for _, name := range db.order {
 		rel := db.relations[name]
 		orel := other.relations[name]
-		for _, tup := range rel.Tuples() {
-			if orel == nil || !orel.Contains(tup) {
-				out = append(out, datalog.Atom{Pred: name, Args: datalog.CloneTerms(tup)})
+		for _, row := range rel.rows {
+			buf = rel.in.Terms(row, buf[:0])
+			if orel == nil || !orel.Contains(buf) {
+				out = append(out, datalog.Atom{Pred: name, Args: datalog.CloneTerms(buf)})
 			}
 		}
 	}

@@ -90,11 +90,17 @@ func TestInstanceDeleteAtom(t *testing.T) {
 	}
 }
 
+// match runs the conjunction through a read-only compiled plan, the
+// way top-down QA and derivation explanations query an instance.
+func match(db *Instance, body []dl.Atom, s dl.Subst, fn func(dl.Subst) bool) bool {
+	return CompileQueryPlan(db, body).Run(db, s, fn)
+}
+
 func TestInstanceMatchAtom(t *testing.T) {
 	db := hospitalInstance(t)
 	var wards []string
 	pat := dl.A("PatientWard", dl.V("w"), dl.V("d"), dl.C("Tom Waits"))
-	db.MatchAtom(pat, dl.NewSubst(), func(s dl.Subst) bool {
+	match(db, []dl.Atom{pat}, dl.NewSubst(), func(s dl.Subst) bool {
 		wards = append(wards, s.Apply(dl.V("w")).Name)
 		return true
 	})
@@ -103,7 +109,7 @@ func TestInstanceMatchAtom(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	completed := db.MatchAtom(pat, dl.NewSubst(), func(dl.Subst) bool {
+	completed := match(db, []dl.Atom{pat}, dl.NewSubst(), func(dl.Subst) bool {
 		count++
 		return false
 	})
@@ -111,7 +117,7 @@ func TestInstanceMatchAtom(t *testing.T) {
 		t.Errorf("early stop: completed=%v count=%d", completed, count)
 	}
 	// Unknown predicate: no matches, completes.
-	if !db.MatchAtom(dl.A("Nope", dl.V("x")), dl.NewSubst(), func(dl.Subst) bool { return true }) {
+	if !match(db, []dl.Atom{dl.A("Nope", dl.V("x"))}, dl.NewSubst(), func(dl.Subst) bool { return true }) {
 		t.Error("unknown predicate must complete with no matches")
 	}
 }
@@ -124,7 +130,7 @@ func TestInstanceMatchConjunction(t *testing.T) {
 		dl.A("UnitWard", dl.V("u"), dl.V("w")),
 	}
 	units := map[string]int{}
-	db.MatchConjunction(body, dl.NewSubst(), func(s dl.Subst) bool {
+	match(db, body, dl.NewSubst(), func(s dl.Subst) bool {
 		units[s.Apply(dl.V("u")).Name]++
 		return true
 	})
@@ -142,7 +148,7 @@ func TestInstanceMatchConjunctionBindsThrough(t *testing.T) {
 		dl.A("PatientWard", dl.V("w"), dl.V("d"), dl.V("p")),
 	}
 	n := 0
-	db.MatchConjunction(body, s, func(dl.Subst) bool {
+	match(db, body, s, func(dl.Subst) bool {
 		n++
 		return true
 	})
@@ -153,12 +159,14 @@ func TestInstanceMatchConjunctionBindsThrough(t *testing.T) {
 
 func TestInstanceHasMatch(t *testing.T) {
 	db := hospitalInstance(t)
-	yes := []dl.Atom{dl.A("UnitWard", dl.C("Intensive"), dl.V("w"))}
-	if !db.HasMatch(yes, dl.NewSubst()) {
+	hasMatch := func(body []dl.Atom) bool {
+		// Stopping at the first match leaves enumeration incomplete.
+		return !match(db, body, dl.NewSubst(), func(dl.Subst) bool { return false })
+	}
+	if !hasMatch([]dl.Atom{dl.A("UnitWard", dl.C("Intensive"), dl.V("w"))}) {
 		t.Error("expected a match")
 	}
-	no := []dl.Atom{dl.A("UnitWard", dl.C("ICU9"), dl.V("w"))}
-	if db.HasMatch(no, dl.NewSubst()) {
+	if hasMatch([]dl.Atom{dl.A("UnitWard", dl.C("ICU9"), dl.V("w"))}) {
 		t.Error("expected no match")
 	}
 }

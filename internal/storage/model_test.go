@@ -1,0 +1,258 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	dl "repro/internal/datalog"
+)
+
+// relModel is the reference a Relation is checked against: its tuples
+// in first-insertion order, kept as plain term slices.
+type relModel [][]dl.Term
+
+func sameTuple(a, b []dl.Term) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func (m relModel) index(tup []dl.Term) int {
+	for i, have := range m {
+		if sameTuple(have, tup) {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m relModel) insert(tup []dl.Term) (relModel, bool) {
+	if m.index(tup) >= 0 {
+		return m, false
+	}
+	return append(m, dl.CloneTerms(tup)), true
+}
+
+func (m relModel) clone() relModel {
+	out := make(relModel, len(m))
+	for i, tup := range m {
+		out[i] = dl.CloneTerms(tup)
+	}
+	return out
+}
+
+// modelResolve follows repl from t to its final term; a chain that
+// runs into a cycle ends at the cycle's Term.Compare-least member.
+func modelResolve(repl map[dl.Term]dl.Term, t dl.Term) dl.Term {
+	var path []dl.Term
+	for cur := t; ; {
+		next, ok := repl[cur]
+		if !ok || next == cur {
+			return cur
+		}
+		for i, seen := range path {
+			if seen == cur {
+				least := cur
+				for _, c := range path[i:] {
+					if c.Compare(least) < 0 {
+						least = c
+					}
+				}
+				return least
+			}
+		}
+		path = append(path, cur)
+		cur = next
+	}
+}
+
+// view is an earlier state that must never change: a snapshot or a
+// clone of the live relation, with the model it was taken at.
+type view struct {
+	what string
+	rel  *Relation
+	want relModel
+}
+
+// checkRel compares r with the model: Tuples (order included), Len,
+// Contains and ContainsRow on every member, and Contains on a tuple
+// outside the model.
+func checkRel(r *Relation, want relModel, alphabet []dl.Term) error {
+	got := r.Tuples()
+	if len(got) != len(want) || r.Len() != len(want) {
+		return fmt.Errorf("len: Tuples %d, Len %d, model %d", len(got), r.Len(), len(want))
+	}
+	for i := range want {
+		if !sameTuple(got[i], want[i]) {
+			return fmt.Errorf("tuple %d: got %v, model %v", i, got[i], want[i])
+		}
+		if !r.Contains(want[i]) {
+			return fmt.Errorf("Contains(%v) false for a model tuple", want[i])
+		}
+		ids := make([]int32, len(want[i]))
+		for j, term := range want[i] {
+			id, ok := r.Interner().Lookup(term)
+			if !ok {
+				return fmt.Errorf("model term %v not interned", term)
+			}
+			ids[j] = id
+		}
+		if !r.ContainsRow(ids) {
+			return fmt.Errorf("ContainsRow false for model tuple %v", want[i])
+		}
+	}
+	for _, a := range alphabet {
+		for _, b := range alphabet {
+			probe := []dl.Term{a, b}
+			if want.index(probe) < 0 && r.Contains(probe) {
+				return fmt.Errorf("Contains(%v) true for a tuple outside the model", probe)
+			}
+		}
+	}
+	return nil
+}
+
+// TestModelRelationOps drives random sequences of every mutation —
+// Insert, InsertRow, InsertBatch, ReplaceTerms (with chains and
+// cycles), Delete — interleaved with Clone and Snapshot, and checks
+// the live relation and every earlier clone and snapshot against a
+// plain tuple-list model after each step.
+func TestModelRelationOps(t *testing.T) {
+	alphabet := []dl.Term{dl.C("a"), dl.C("b"), dl.C("c"), dl.C("d"), dl.N("n0"), dl.N("n1"), dl.N("n2")}
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pick := func() dl.Term { return alphabet[rng.Intn(len(alphabet))] }
+		tuple := func() []dl.Term { return []dl.Term{pick(), pick()} }
+
+		db := NewInstance()
+		live, err := db.CreateRelation("R", "x", "y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var model relModel
+		var views []view
+		for step := 0; step < 60; step++ {
+			var op string
+			switch k := rng.Intn(9); k {
+			case 0, 1:
+				tup := tuple()
+				op = fmt.Sprintf("Insert%v", tup)
+				isNew, err := live.Insert(tup)
+				var want bool
+				model, want = model.insert(tup)
+				if err != nil || isNew != want {
+					t.Fatalf("seed %d step %d %s: new=%v err=%v, model new=%v", seed, step, op, isNew, err, want)
+				}
+			case 2:
+				tup := tuple()
+				op = fmt.Sprintf("InsertRow%v", tup)
+				isNew, err := live.InsertRow(db.Interner().IDs(tup, nil))
+				var want bool
+				model, want = model.insert(tup)
+				if err != nil || isNew != want {
+					t.Fatalf("seed %d step %d %s: new=%v err=%v, model new=%v", seed, step, op, isNew, err, want)
+				}
+			case 3:
+				var rows [][]int32
+				wantAdded := 0
+				for i := rng.Intn(5); i >= 0; i-- {
+					tup := tuple()
+					rows = append(rows, db.Interner().IDs(tup, nil))
+					var isNew bool
+					if model, isNew = model.insert(tup); isNew {
+						wantAdded++
+					}
+				}
+				op = fmt.Sprintf("InsertBatch(%d rows)", len(rows))
+				if added, err := live.InsertBatch(rows, nil); err != nil || added != wantAdded {
+					t.Fatalf("seed %d step %d %s: added=%d err=%v, model added=%d", seed, step, op, added, err, wantAdded)
+				}
+			case 4, 5:
+				// Random edges over the alphabet produce chains and,
+				// often, cycles; a term outside the alphabet exercises
+				// targets the interner has not seen yet.
+				repl := map[dl.Term]dl.Term{}
+				for i := rng.Intn(3); i >= 0; i-- {
+					to := pick()
+					if rng.Intn(4) == 0 {
+						to = dl.C(fmt.Sprintf("fresh%d", step))
+					}
+					repl[pick()] = to
+				}
+				op = fmt.Sprintf("ReplaceTerms%v", repl)
+				wantChanged := 0
+				var next relModel
+				for _, tup := range model {
+					out := make([]dl.Term, len(tup))
+					for i, term := range tup {
+						out[i] = modelResolve(repl, term)
+					}
+					if !sameTuple(out, tup) {
+						wantChanged++
+					}
+					next, _ = next.insert(out)
+				}
+				model = next
+				if changed := live.ReplaceTerms(repl); changed != wantChanged {
+					t.Fatalf("seed %d step %d %s: changed=%d, model changed=%d", seed, step, op, changed, wantChanged)
+				}
+			case 6:
+				tup := tuple()
+				if len(model) > 0 && rng.Intn(3) > 0 {
+					tup = dl.CloneTerms(model[rng.Intn(len(model))])
+				}
+				op = fmt.Sprintf("Delete%v", tup)
+				want := model.index(tup)
+				if want >= 0 {
+					model = append(model[:want:want], model[want+1:]...)
+				}
+				if got := live.Delete(tup); got != (want >= 0) {
+					t.Fatalf("seed %d step %d %s: deleted=%v, model had it=%v", seed, step, op, got, want >= 0)
+				}
+			case 7:
+				op = "Clone"
+				views = append(views, view{what: fmt.Sprintf("clone@%d", step), rel: live.Clone(), want: model.clone()})
+			case 8:
+				op = "Snapshot"
+				views = append(views, view{what: fmt.Sprintf("snapshot@%d", step), rel: db.Snapshot().Relation("R"), want: model.clone()})
+			}
+			if err := checkRel(live, model, alphabet); err != nil {
+				t.Fatalf("seed %d step %d after %s: live: %v", seed, step, op, err)
+			}
+			for _, v := range views {
+				if err := checkRel(v.rel, v.want, alphabet); err != nil {
+					t.Fatalf("seed %d step %d after %s: %s changed: %v", seed, step, op, v.what, err)
+				}
+			}
+		}
+	}
+}
+
+func TestTuplesAreCallerOwned(t *testing.T) {
+	// Tuples and SortedTuples hand out decoded copies: writing to them
+	// must not reach the stored rows.
+	r := measurementsRel(t)
+	orig := dl.CloneTerms(r.Tuples()[0])
+	r.Tuples()[0][0] = dl.C("mutated")
+	r.SortedTuples()[0][1] = dl.C("mutated")
+	if got := r.Tuples()[0]; !sameTuple(got, orig) {
+		t.Fatalf("first tuple = %v after writing to a Tuples result, want %v", got, orig)
+	}
+	if !r.Contains(orig) || r.Contains([]dl.Term{dl.C("mutated"), orig[1], orig[2]}) {
+		t.Fatal("writing to a Tuples result changed membership")
+	}
+	for _, tup := range r.SortedTuples() {
+		for _, term := range tup {
+			if term == dl.C("mutated") {
+				t.Fatalf("SortedTuples sees a write to an earlier result: %v", tup)
+			}
+		}
+	}
+}

@@ -18,15 +18,13 @@ import (
 // statically per atom).
 //
 // A plan is compiled against an instance (whose interner supplies the
-// ids for the plan's constants and whose relation sizes break ordering
-// ties) and may be executed against that instance or any instance
+// ids for the plan's constants and whose relation statistics order the
+// atoms) and may be executed against that instance or any instance
 // sharing its interner — in particular every Clone, which is how the
-// chase and eval engines reuse one plan across rounds. Executing
-// against an instance with a different interner transparently falls
-// back to the legacy Subst-based matcher.
+// chase and eval engines reuse one plan across rounds. Compiled plans
+// are the one way the system matches a conjunction.
 type Plan struct {
-	in   *datalog.Interner
-	body []datalog.Atom // original conjunction, for fallback and display
+	in *datalog.Interner
 	// vars assigns register slots: slot i holds the binding of vars[i]
 	// (datalog.NoID when unbound).
 	vars  []datalog.Term
@@ -78,9 +76,7 @@ const unknownID int32 = -2
 // remaining atom with the smallest estimated candidate count under the
 // bindings accumulated so far, reading the relations' live statistics
 // (row counts, per-position distinct counts and max-bucket sizes — see
-// atomCost). The legacy static ordering remains reachable through
-// CompilePlanStatic so tests can pin the two orderings to identical
-// match sets.
+// atomCost).
 //
 // CompilePlan interns the conjunction's constants, so ids stay stable
 // while the instance grows — the right mode for the chase and eval
@@ -89,15 +85,7 @@ const unknownID int32 = -2
 // fixed instance the caller does not own, use CompileQueryPlan, which
 // leaves the interner untouched.
 func CompilePlan(db *Instance, body []datalog.Atom, bound ...datalog.Term) *Plan {
-	return compilePlan(db, body, bound, true, false)
-}
-
-// CompilePlanStatic compiles with the pre-cost-model ordering (most
-// ground arguments first, smaller relation breaking ties), kept as the
-// reference ordering for property tests: cost-ordered and
-// static-ordered plans must enumerate identical match sets.
-func CompilePlanStatic(db *Instance, body []datalog.Atom, bound ...datalog.Term) *Plan {
-	return compilePlan(db, body, bound, true, true)
+	return compilePlan(db, body, bound, true)
 }
 
 // CompileQueryPlan compiles a read-only join plan: constants the
@@ -107,13 +95,12 @@ func CompilePlanStatic(db *Instance, body []datalog.Atom, bound ...datalog.Term)
 // for fixed instances; do not use it when facts will be inserted
 // between compilation and execution.
 func CompileQueryPlan(db *Instance, body []datalog.Atom, bound ...datalog.Term) *Plan {
-	return compilePlan(db, body, bound, false, false)
+	return compilePlan(db, body, bound, false)
 }
 
-func compilePlan(db *Instance, body []datalog.Atom, bound []datalog.Term, intern, static bool) *Plan {
+func compilePlan(db *Instance, body []datalog.Atom, bound []datalog.Term, intern bool) *Plan {
 	p := &Plan{
 		in:    db.in,
-		body:  datalog.CloneAtoms(body),
 		slots: map[string]int{},
 	}
 	for _, a := range body {
@@ -135,36 +122,22 @@ func compilePlan(db *Instance, body []datalog.Atom, bound []datalog.Term, intern
 	}
 
 	// Greedy ordering simulation: each step picks the cheapest remaining
-	// atom under the slots bound so far. Both orderings are fully
+	// atom under the slots bound so far. The ordering is fully
 	// deterministic (strict comparisons, remaining kept in source
 	// order), which the parallel engines' byte-identity depends on.
 	remaining := make([]datalog.Atom, len(body))
 	copy(remaining, body)
 	for len(remaining) > 0 {
 		best := 0
-		if static {
-			bestScore, bestSize := -1, 0
-			for i, a := range remaining {
-				score := p.groundCount(a, boundSlots)
-				size := 0
-				if rel := db.relations[a.Pred]; rel != nil {
-					size = rel.Len()
-				}
-				if score > bestScore || (score == bestScore && size < bestSize) {
-					best, bestScore, bestSize = i, score, size
-				}
-			}
-		} else {
-			bestCost, bestGround := math.Inf(1), -1
-			for i, a := range remaining {
-				cost := p.atomCost(db, a, boundSlots)
-				// Ties (common on empty prepare-time instances, where
-				// every cost is 0) fall back to most-ground-first, then
-				// source order.
-				ground := p.groundCount(a, boundSlots)
-				if cost < bestCost || (cost == bestCost && ground > bestGround) {
-					best, bestCost, bestGround = i, cost, ground
-				}
+		bestCost, bestGround := math.Inf(1), -1
+		for i, a := range remaining {
+			cost := p.atomCost(db, a, boundSlots)
+			// Ties (common on empty prepare-time instances, where every
+			// cost is 0) fall back to most-ground-first, then source
+			// order.
+			ground := p.groundCount(a, boundSlots)
+			if cost < bestCost || (cost == bestCost && ground > bestGround) {
+				best, bestCost, bestGround = i, cost, ground
 			}
 		}
 		chosen := remaining[best]
@@ -352,8 +325,7 @@ func (p *Plan) ResetRegs(regs []int32) {
 //
 // db must share the plan's interner (true for the compile instance and
 // all its clones); Execute panics otherwise, since raw register values
-// would be meaningless. Use Run for the checked, Subst-based entry
-// point.
+// would be meaningless. Run is the Subst-based entry point.
 //
 // Execute only reads db: any number of goroutines may execute plans
 // (each with its own register bank) against one instance concurrently,
@@ -548,16 +520,16 @@ func (p *Plan) tryRow(db *Instance, pa *planAtom, ai int, row []int32, regs []in
 }
 
 // Run enumerates the conjunction's homomorphisms extending the initial
-// substitution, invoking fn with a Subst per match — the thin adapter
-// that keeps compiled plans source-compatible with the legacy
-// MatchConjunction API. It falls back to the legacy matcher when db
-// does not share the plan's interner or when init binds a plan
-// variable to a non-ground term (variable renamings are outside the
-// register representation).
+// substitution, invoking fn with a Subst per match — the Subst-based
+// adapter over Execute for callers that work with terms (top-down QA,
+// derivation explanations, tests). fn returning false stops
+// enumeration; Run reports whether enumeration ran to completion.
+//
+// Preconditions: db shares the plan's interner (Execute panics
+// otherwise), and init binds plan variables only to ground terms —
+// variable renamings are outside the register representation, so Run
+// panics on them.
 func (p *Plan) Run(db *Instance, init datalog.Subst, fn func(datalog.Subst) bool) bool {
-	if db.in != p.in {
-		return db.MatchConjunction(p.body, init, fn)
-	}
 	regs := p.NewRegs()
 	for i, v := range p.vars {
 		t := init.Apply(v)
@@ -565,7 +537,7 @@ func (p *Plan) Run(db *Instance, init datalog.Subst, fn func(datalog.Subst) bool
 			continue // unbound
 		}
 		if !t.IsGround() {
-			return db.MatchConjunction(p.body, init, fn)
+			panic(fmt.Sprintf("storage: Plan.Run seed %s -> %s is not ground", v, t))
 		}
 		if id, ok := p.in.Lookup(t); ok {
 			regs[i] = id

@@ -36,12 +36,31 @@ func collectRun(p *Plan, db *Instance, init dl.Subst, vars []dl.Term) []string {
 	return out
 }
 
-// collectLegacy gathers the same answers via MatchConjunction.
-func collectLegacy(db *Instance, body []dl.Atom, init dl.Subst, vars []dl.Term) []string {
+// naiveMatch is the reference matcher compiled plans are checked
+// against: a nested loop over every tuple of each body atom's
+// relation, in source order, extending s with datalog.Match. No
+// indexes, no reordering, no interned rows.
+func naiveMatch(db *Instance, body []dl.Atom, s dl.Subst, fn func(dl.Subst)) {
+	if len(body) == 0 {
+		fn(s)
+		return
+	}
+	rel := db.Relation(body[0].Pred)
+	if rel == nil {
+		return
+	}
+	for _, tup := range rel.Tuples() {
+		if ext, ok := dl.Match(body[0], dl.Atom{Pred: body[0].Pred, Args: tup}, s); ok {
+			naiveMatch(db, body[1:], ext, fn)
+		}
+	}
+}
+
+// collectNaive gathers the same answers via the naive oracle.
+func collectNaive(db *Instance, body []dl.Atom, init dl.Subst, vars []dl.Term) []string {
 	var out []string
-	db.MatchConjunction(body, init, func(s dl.Subst) bool {
+	naiveMatch(db, body, init, func(s dl.Subst) {
 		out = append(out, s.Key(vars))
-		return true
 	})
 	sort.Strings(out)
 	return out
@@ -56,9 +75,9 @@ func TestPlanJoinMatchesLegacy(t *testing.T) {
 	vars := dl.VarsOfAtoms(body)
 	p := CompilePlan(db, body)
 	got := collectRun(p, db, dl.NewSubst(), vars)
-	want := collectLegacy(db, body, dl.NewSubst(), vars)
+	want := collectNaive(db, body, dl.NewSubst(), vars)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("plan answers %v\nlegacy answers %v", got, want)
+		t.Errorf("plan answers %v\noracle answers %v", got, want)
 	}
 	if len(got) == 0 {
 		t.Fatal("expected some matches")
@@ -99,7 +118,7 @@ func TestPlanMissingRelation(t *testing.T) {
 	if got := collectRun(p, db, dl.NewSubst(), []dl.Term{dl.V("x")}); len(got) != 0 {
 		t.Errorf("missing relation matched %d rows", len(got))
 	}
-	// Arity mismatch likewise matches nothing, like the legacy matcher.
+	// Arity mismatch likewise matches nothing, like the naive oracle.
 	p2 := CompilePlan(db, []dl.Atom{dl.A("R0", dl.V("x"))})
 	if got := collectRun(p2, db, dl.NewSubst(), []dl.Term{dl.V("x")}); len(got) != 0 {
 		t.Errorf("arity mismatch matched %d rows", len(got))
@@ -118,15 +137,15 @@ func TestPlanBoundSeeding(t *testing.T) {
 	// Compile with p declared bound; seeded via Run's init.
 	p := CompilePlan(db, body, dl.V("p"))
 	got := collectRun(p, db, init, vars)
-	want := collectLegacy(db, body, init, vars)
+	want := collectNaive(db, body, init, vars)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("seeded plan %v\nlegacy %v", got, want)
+		t.Errorf("seeded plan %v\noracle %v", got, want)
 	}
 	// Seeding a slot the plan did not declare bound must still filter.
 	p2 := CompilePlan(db, body)
 	got2 := collectRun(p2, db, init, vars)
 	if !reflect.DeepEqual(got2, want) {
-		t.Errorf("undeclared seed %v\nlegacy %v", got2, want)
+		t.Errorf("undeclared seed %v\noracle %v", got2, want)
 	}
 }
 
@@ -176,19 +195,6 @@ func TestPlanSmallerRelationTieBreak(t *testing.T) {
 	}
 }
 
-func TestPlanForeignInternerFallsBack(t *testing.T) {
-	db := planTestInstance(t)
-	other := planTestInstance(t) // different interner, same data
-	body := []dl.Atom{dl.A("R0", dl.V("c"), dl.V("x"))}
-	vars := dl.VarsOfAtoms(body)
-	p := CompilePlan(db, body)
-	got := collectRun(p, other, dl.NewSubst(), vars)
-	want := collectLegacy(other, body, dl.NewSubst(), vars)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("fallback answers %v, want %v", got, want)
-	}
-}
-
 func TestCompileQueryPlanLeavesInstanceUnmodified(t *testing.T) {
 	db := planTestInstance(t)
 	before := db.Interner().Len()
@@ -210,13 +216,13 @@ func TestCompileQueryPlanLeavesInstanceUnmodified(t *testing.T) {
 	if after := db.Interner().Len(); after != before {
 		t.Errorf("read-only compile/run grew interner: %d -> %d", before, after)
 	}
-	// Known constants still match identically to the legacy matcher.
+	// Known constants still match identically to the naive oracle.
 	body2 := []dl.Atom{dl.A("R0", dl.V("c"), dl.C("a"))}
 	p2 := CompileQueryPlan(db, body2)
 	got := collectRun(p2, db, dl.NewSubst(), []dl.Term{dl.V("c")})
-	want := collectLegacy(db, body2, dl.NewSubst(), []dl.Term{dl.V("c")})
+	want := collectNaive(db, body2, dl.NewSubst(), []dl.Term{dl.V("c")})
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("query plan %v, legacy %v", got, want)
+		t.Errorf("query plan %v, oracle %v", got, want)
 	}
 }
 
@@ -246,7 +252,7 @@ func TestCloneDetachedIsolatesInterner(t *testing.T) {
 	}
 }
 
-// ---- property test: compiled plans ≡ legacy matcher ----
+// ---- property test: compiled plans ≡ naive oracle ----
 
 // conjValue generates a random instance plus a random 1–3 atom
 // conjunction over it, with shared variables and constants.
@@ -304,24 +310,7 @@ func TestQuickPlanMatchesLegacyMatcher(t *testing.T) {
 		vars := dl.VarsOfAtoms(cv.Body)
 		p := CompilePlan(cv.DB, cv.Body)
 		got := collectRun(p, cv.DB, cv.Init, vars)
-		want := collectLegacy(cv.DB, cv.Body, cv.Init, vars)
-		return reflect.DeepEqual(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickCostOrderingMatchesStatic(t *testing.T) {
-	// The cost-based greedy ordering must change only the join order,
-	// never the match set: on random conjunctions the cost-ordered and
-	// statically-ordered plans agree answer for answer.
-	f := func(cv conjValue) bool {
-		vars := dl.VarsOfAtoms(cv.Body)
-		cost := CompilePlan(cv.DB, cv.Body)
-		static := CompilePlanStatic(cv.DB, cv.Body)
-		got := collectRun(cost, cv.DB, cv.Init, vars)
-		want := collectRun(static, cv.DB, cv.Init, vars)
+		want := collectNaive(cv.DB, cv.Body, cv.Init, vars)
 		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -349,16 +338,9 @@ func TestCostOrderingPrefersSelectiveConstant(t *testing.T) {
 	if p.atoms[0].pred != "Needle" {
 		t.Errorf("plan order %s: want Needle first (1-row constant bucket)", p)
 	}
-	// Static ordering keeps source order here (equal ground counts).
-	ps := CompilePlanStatic(db, body)
-	if ps.atoms[0].pred != "Needle" {
-		// Static tie-break is ground-count first: Needle has one ground
-		// arg vs Hay's zero, so both orderings agree on this body.
-		t.Errorf("static plan order %s: want Needle first (more ground args)", ps)
-	}
 	vars := dl.VarsOfAtoms(body)
-	if got, want := collectRun(p, db, dl.NewSubst(), vars), collectRun(ps, db, dl.NewSubst(), vars); !reflect.DeepEqual(got, want) {
-		t.Errorf("cost answers %v, static answers %v", got, want)
+	if got, want := collectRun(p, db, dl.NewSubst(), vars), collectNaive(db, body, dl.NewSubst(), vars); !reflect.DeepEqual(got, want) {
+		t.Errorf("cost answers %v, oracle answers %v", got, want)
 	}
 }
 
@@ -371,7 +353,7 @@ func TestQuickPlanMatchesLegacyOnClones(t *testing.T) {
 		clone.MustInsert("P", dl.C("fresh1"), dl.C("fresh2"))
 		vars := dl.VarsOfAtoms(cv.Body)
 		got := collectRun(p, clone, cv.Init, vars)
-		want := collectLegacy(clone, cv.Body, cv.Init, vars)
+		want := collectNaive(clone, cv.Body, cv.Init, vars)
 		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

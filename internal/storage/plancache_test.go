@@ -84,7 +84,7 @@ func TestPlanCacheStaleEntryDropped(t *testing.T) {
 	snap := db.Snapshot()
 	p := pc.QueryPlan(snap, body)
 	got := collectRun(p, snap, dl.NewSubst(), vars)
-	want := collectLegacy(snap, body, dl.NewSubst(), vars)
+	want := collectNaive(snap, body, dl.NewSubst(), vars)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("post-growth answers %v, want %v", got, want)
 	}

@@ -97,8 +97,8 @@ func TestQuickDeleteRemoves(t *testing.T) {
 }
 
 func TestQuickMatchAtomAgreesWithScan(t *testing.T) {
-	// The indexed MatchAtom must return exactly the tuples a brute
-	// force scan+Match finds.
+	// An indexed single-atom plan must return exactly the tuples a
+	// brute force scan+Match finds.
 	f := func(tv tuplesValue, pv uint8) bool {
 		db := NewInstance()
 		for _, tup := range tv.Tuples {
@@ -120,7 +120,7 @@ func TestQuickMatchAtomAgreesWithScan(t *testing.T) {
 		pattern := dl.Atom{Pred: "R", Args: args}
 
 		indexed := map[string]int{}
-		db.MatchAtom(pattern, dl.NewSubst(), func(s dl.Subst) bool {
+		CompileQueryPlan(db, []dl.Atom{pattern}).Run(db, dl.NewSubst(), func(s dl.Subst) bool {
 			indexed[s.ApplyAtom(pattern).Key()]++
 			return true
 		})

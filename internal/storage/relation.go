@@ -1,14 +1,14 @@
 // Package storage implements the in-memory relational substrate the
 // ontologies run on: named relations of ground tuples (constants and
-// labeled nulls), per-position hash indexes, homomorphism search for
+// labeled nulls), per-position hash indexes, compiled join plans for
 // conjunctions, and utilities for diffing and pretty-printing that the
 // experiment harness uses to regenerate the paper's tables.
 //
-// Tuples are stored twice: as []datalog.Term (the public API) and as
-// interned []int32 rows (the evaluation hot path). The two views are
-// kept in lockstep; dedup, index probes and join execution all work on
-// the integer rows, so no string keys are built on insert, lookup or
-// match.
+// A tuple is stored once, as a row of interned term ids ([]int32) from
+// the instance's interner. Dedup, index probes and join execution all
+// work on the integer rows, so no string keys are built on insert,
+// lookup or match; terms are decoded through the interner only at the
+// edges (Tuples, SortedTuples, formatting, persistence).
 package storage
 
 import (
@@ -40,18 +40,16 @@ func (s Schema) String() string {
 type Relation struct {
 	schema Schema
 	in     *datalog.Interner
-	tuples [][]datalog.Term // term view, same order as rows
-	rows   [][]int32        // interned view
+	rows   [][]int32 // interned tuples, insertion order
 	// buckets maps a row hash to the indices of rows with that hash;
 	// candidates are confirmed by integer comparison, so dedup never
 	// builds a string key.
 	buckets map[uint64][]int
 	indexes []map[int32][]int // position -> term id -> tuple indices
-	// Chunked arenas back the per-tuple row and term slices, so bulk
-	// loads and chase/eval insert storms cost one allocation per chunk
-	// instead of two per tuple.
-	rowArena  datalog.Int32Arena
-	termArena datalog.Arena[datalog.Term]
+	// A chunked arena backs the rows, so bulk loads and chase/eval
+	// insert storms cost one allocation per chunk instead of one per
+	// tuple. Stored rows are never written again: rebuilds re-carve.
+	rowArena datalog.Int32Arena
 	// postArena backs the bucket and index posting lists the same way:
 	// full lists regrow into chunk-carved segments instead of fresh
 	// heap slices, eliminating the per-position growth allocations that
@@ -89,19 +87,45 @@ func (r *Relation) ensureOwned() {
 		return
 	}
 	c := r.Clone()
-	r.tuples, r.rows, r.buckets, r.indexes = c.tuples, c.rows, c.buckets, c.indexes
+	r.rows, r.buckets, r.indexes = c.rows, c.buckets, c.indexes
 	// Old arena chunks stay referenced by the snapshot's rows; fresh
 	// chunks keep the writer's new tuples fully private. The clone's
 	// posting lists are capacity-capped, so the first append to any of
 	// them re-carves from the fresh posting arena.
 	r.rowArena = datalog.Int32Arena{}
-	r.termArena = datalog.Arena[datalog.Term]{}
 	r.postArena = postingArena{}
 	r.shared = false
 }
 
 // Frozen reports whether the relation is an immutable snapshot.
 func (r *Relation) Frozen() bool { return r.frozen }
+
+// bytes estimates the memory held by the relation's storage: each
+// row's slice header and cells, one posting entry per row in the
+// row-hash buckets and in every position index, and one map entry per
+// distinct bucket or index key. It is O(arity).
+func (r *Relation) bytes() int64 {
+	const sliceHdr, intSize = 24, 8
+	n, arity := int64(len(r.rows)), int64(r.schema.Arity())
+	b := n * (sliceHdr + 4*arity)               // rows
+	b += n * intSize * (1 + arity)              // posting entries
+	b += int64(len(r.buckets)) * (8 + sliceHdr) // bucket keys + list headers
+	for _, idx := range r.indexes {
+		b += int64(len(idx)) * (4 + sliceHdr)
+	}
+	return b
+}
+
+// sharesStorage reports whether r and o hold the same row storage: a
+// snapshot and the relation it was taken from, or two snapshots taken
+// with no write to the live relation in between. The first write
+// after a snapshot copies the storage, which ends the sharing.
+func (r *Relation) sharesStorage(o *Relation) bool {
+	if len(r.rows) != len(o.rows) {
+		return false
+	}
+	return len(r.rows) == 0 || &r.rows[0] == &o.rows[0]
+}
 
 // snapshot returns a frozen view sharing this relation's storage, and
 // flips the live relation into copy-on-write mode. in is the forked
@@ -111,7 +135,6 @@ func (r *Relation) snapshot(in *datalog.Interner) *Relation {
 	return &Relation{
 		schema:  r.schema,
 		in:      in,
-		tuples:  r.tuples,
 		rows:    r.rows,
 		buckets: r.buckets,
 		indexes: r.indexes,
@@ -151,7 +174,7 @@ func (r *Relation) Schema() Schema { return r.schema }
 func (r *Relation) Name() string { return r.schema.Name }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return len(r.rows) }
 
 // Interner returns the interner backing this relation's rows.
 func (r *Relation) Interner() *datalog.Interner { return r.in }
@@ -175,14 +198,13 @@ func (r *Relation) lookupRow(ids []int32) (int, bool) {
 	return 0, false
 }
 
-// appendRow stores an already-deduplicated row and its term view.
-// Posting lists grow through the posting arena (chunk-carved segments
-// instead of per-list heap growth), and the per-position max-bucket
-// statistic is maintained in the same pass.
-func (r *Relation) appendRow(ids []int32, terms []datalog.Term) {
+// appendRow stores an already-deduplicated, arena-carved row. Posting
+// lists grow through the posting arena (chunk-carved segments instead
+// of per-list heap growth), and the per-position max-bucket statistic
+// is maintained in the same pass.
+func (r *Relation) appendRow(ids []int32) {
 	idx := len(r.rows)
 	r.rows = append(r.rows, ids)
-	r.tuples = append(r.tuples, terms)
 	h := datalog.HashInt32s(ids)
 	r.buckets[h] = r.postArena.grow(r.buckets[h], idx)
 	for pos, id := range ids {
@@ -272,7 +294,7 @@ func (r *Relation) Insert(tuple []datalog.Term) (bool, error) {
 		return false, nil
 	}
 	r.ensureOwned()
-	r.appendRow(r.rowArena.Copy(ids), r.termArena.Copy(tuple))
+	r.appendRow(r.rowArena.Copy(ids))
 	return true, nil
 }
 
@@ -308,9 +330,7 @@ func (r *Relation) insertRowStored(ids []int32) ([]int32, bool, error) {
 	}
 	r.ensureOwned()
 	stored := r.rowArena.Copy(ids)
-	var tbuf [16]datalog.Term
-	terms := r.in.Terms(stored, tbuf[:0])
-	r.appendRow(stored, r.termArena.Copy(terms))
+	r.appendRow(stored)
 	return stored, true, nil
 }
 
@@ -372,60 +392,80 @@ func (r *Relation) Delete(tuple []datalog.Term) bool {
 	if !ok {
 		return false
 	}
-	r.ensureOwned()
-	r.tuples = append(r.tuples[:idx], r.tuples[idx+1:]...)
-	r.rebuild()
+	rest := make([][]int32, 0, len(r.rows)-1)
+	rest = append(append(rest, r.rows[:idx]...), r.rows[idx+1:]...)
+	r.rebuild(rest, nil)
 	return true
 }
 
-// rebuild reconstructs rows, buckets and index maps from the term
-// tuples, deduplicating in place while preserving first occurrence
-// order.
-func (r *Relation) rebuild() {
-	tuples := r.tuples
-	r.tuples = r.tuples[:0] // in-place compaction: write index never passes read index
-	r.rows = r.rows[:0]
-	r.rowArena.Reset()  // rows are re-carved; let old chunks be collected
-	r.postArena.Reset() // posting lists likewise
-	r.buckets = make(map[uint64][]int, len(tuples))
-	for i := range r.indexes {
-		r.indexes[i] = map[int32][]int{}
-		r.maxBucket[i] = 0
-	}
+// rebuild replaces the relation's storage with rows — rewritten
+// through remap when non-nil — re-carved into a fresh arena and
+// deduplicated in first-occurrence order, with buckets, indexes and
+// statistics rebuilt from scratch. It never writes into the storage it
+// replaces, so any snapshot sharing that storage keeps its view and
+// copy-on-write ends here.
+func (r *Relation) rebuild(rows [][]int32, remap map[int32]int32) {
+	fresh := newRelation(r.schema, r.in)
+	fresh.buckets = make(map[uint64][]int, len(rows))
 	var buf [16]int32
-	for _, tup := range tuples {
-		ids := r.in.IDs(tup, buf[:0])
-		if _, dup := r.lookupRow(ids); dup {
-			continue
+	for _, row := range rows {
+		ids := append(buf[:0], row...)
+		for i, id := range ids {
+			if to, ok := remap[id]; ok {
+				ids[i] = to
+			}
 		}
-		r.appendRow(r.rowArena.Copy(ids), tup)
+		if _, dup := fresh.lookupRow(ids); !dup {
+			fresh.appendRow(fresh.rowArena.Copy(ids))
+		}
 	}
+	*r = *fresh
 }
 
-// Tuples returns the tuples in insertion order. The slice and its
-// elements are owned by the relation; callers must not modify them.
-func (r *Relation) Tuples() [][]datalog.Term { return r.tuples }
+// Tuples decodes the tuples in insertion order. Every call returns
+// fresh slices the caller owns, carved from one backing array; per-row
+// hot paths walk Rows and decode through the interner instead.
+func (r *Relation) Tuples() [][]datalog.Term { return r.decode(r.rows) }
+
+// decode maps rows back to terms through the relation's interner.
+func (r *Relation) decode(rows [][]int32) [][]datalog.Term {
+	arity := r.schema.Arity()
+	flat := make([]datalog.Term, 0, len(rows)*arity)
+	out := make([][]datalog.Term, len(rows))
+	for i, row := range rows {
+		start := len(flat)
+		flat = r.in.Terms(row, flat)
+		out[i] = flat[start:len(flat):len(flat)]
+	}
+	return out
+}
 
 // Rows returns the interned rows in insertion order. The slice and its
 // elements are owned by the relation; callers must not modify them.
 func (r *Relation) Rows() [][]int32 { return r.rows }
 
-// SortedTuples returns a copy of the tuples sorted lexicographically,
-// for deterministic display.
-func (r *Relation) SortedTuples() [][]datalog.Term {
-	out := make([][]datalog.Term, len(r.tuples))
-	copy(out, r.tuples)
+// SortedRows returns the rows ordered lexicographically by term
+// (Term.Compare), for deterministic output. The outer slice is fresh;
+// the rows themselves are owned by the relation.
+func (r *Relation) SortedRows() [][]int32 {
+	out := append([][]int32(nil), r.rows...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if c := a[k].Compare(b[k]); c != 0 {
-				return c < 0
+		for k := range a {
+			if a[k] == b[k] {
+				continue
 			}
+			return r.in.TermOf(a[k]).Compare(r.in.TermOf(b[k])) < 0
 		}
-		return len(a) < len(b)
+		return false
 	})
 	return out
 }
+
+// SortedTuples decodes the tuples sorted lexicographically, for
+// deterministic display. Like Tuples, the result belongs to the
+// caller.
+func (r *Relation) SortedTuples() [][]datalog.Term { return r.decode(r.SortedRows()) }
 
 // ReplaceTerm rewrites every occurrence of old with new, deduplicating
 // the result. It returns the number of tuples modified. It is the
@@ -447,27 +487,33 @@ func (r *Relation) ReplaceTerms(repl map[datalog.Term]datalog.Term) int {
 	if len(repl) == 0 {
 		return 0
 	}
-	// Resolve chains up front so each term lookup is a single map hit.
+	// Resolve chains up front so each id lookup is a single map hit.
 	// Cyclic requests ({a->b, b->a}) are treated as merge classes: every
 	// member of a cycle maps to the cycle's Compare-least term, so the
 	// result is a deterministic merge rather than a parity-dependent
-	// rotation.
-	resolved := make(map[datalog.Term]datalog.Term, len(repl))
+	// rotation. A term the interner has never seen occurs in no row.
+	targets := make(map[int32]datalog.Term, len(repl))
 	for old := range repl {
-		if to := resolveReplacement(repl, old); to != old {
-			resolved[old] = to
+		if id, ok := r.in.Lookup(old); ok {
+			if to := resolveReplacement(repl, old); to != old {
+				targets[id] = to
+			}
 		}
 	}
-	if len(resolved) == 0 {
+	if len(targets) == 0 {
 		return 0
 	}
-	r.ensureOwned()
+	// Replacement targets are interned on first use, in row order, so
+	// the interner only learns terms some row actually takes on.
+	remap := make(map[int32]int32, len(targets))
 	changed := 0
-	for _, tup := range r.tuples {
+	for _, row := range r.rows {
 		touched := false
-		for i, t := range tup {
-			if to, ok := resolved[t]; ok {
-				tup[i] = to
+		for _, id := range row {
+			if to, ok := targets[id]; ok {
+				if _, done := remap[id]; !done {
+					remap[id] = r.in.ID(to)
+				}
 				touched = true
 			}
 		}
@@ -476,7 +522,7 @@ func (r *Relation) ReplaceTerms(repl map[datalog.Term]datalog.Term) int {
 		}
 	}
 	if changed > 0 {
-		r.rebuild()
+		r.rebuild(r.rows, remap)
 	}
 	return changed
 }
@@ -508,15 +554,14 @@ func resolveReplacement(repl map[datalog.Term]datalog.Term, old datalog.Term) da
 	}
 }
 
-// Clone returns a deep copy of the relation in O(rows): tuple storage,
-// hash buckets and indexes are bulk-copied instead of re-inserted. The
+// Clone returns a deep copy of the relation in O(rows): rows, hash
+// buckets and indexes are bulk-copied instead of re-inserted. The
 // clone shares the interner (interning is append-only, so sharing is
 // safe and keeps term ids compatible across clones).
 func (r *Relation) Clone() *Relation {
 	out := &Relation{
 		schema:  r.schema,
 		in:      r.in,
-		tuples:  make([][]datalog.Term, len(r.tuples)),
 		rows:    make([][]int32, len(r.rows)),
 		buckets: make(map[uint64][]int, len(r.buckets)),
 		indexes: make([]map[int32][]int, len(r.indexes)),
@@ -525,18 +570,12 @@ func (r *Relation) Clone() *Relation {
 		maxBucket: append([]int(nil), r.maxBucket...),
 	}
 	arity := r.schema.Arity()
-	// Flat backing arrays: two allocations cover every tuple copy.
+	// One flat backing array covers every row copy.
 	flatIDs := make([]int32, len(r.rows)*arity)
-	flatTerms := make([]datalog.Term, len(r.tuples)*arity)
 	for i, row := range r.rows {
 		dst := flatIDs[i*arity : (i+1)*arity : (i+1)*arity]
 		copy(dst, row)
 		out.rows[i] = dst
-	}
-	for i, tup := range r.tuples {
-		dst := flatTerms[i*arity : (i+1)*arity : (i+1)*arity]
-		copy(dst, tup)
-		out.tuples[i] = dst
 	}
 	// Bucket and index posting lists sum to exactly one entry per row
 	// (per position), so a single flat backing array serves each map.
@@ -557,36 +596,4 @@ func (r *Relation) Clone() *Relation {
 		out.indexes[pos] = m
 	}
 	return out
-}
-
-// matchCandidates returns the indices of tuples that can possibly match
-// the pattern atom under the substitution: it picks the ground argument
-// position with the smallest index bucket, or all tuples when no
-// argument is ground.
-func (r *Relation) matchCandidates(pattern datalog.Atom, s datalog.Subst) []int {
-	best := -1
-	var bestBucket []int
-	for pos, t := range pattern.Args {
-		rt := s.Apply(t)
-		if !rt.IsGround() {
-			continue
-		}
-		id, known := r.in.Lookup(rt)
-		var bucket []int
-		if known {
-			bucket = r.indexes[pos][id]
-		}
-		if best == -1 || len(bucket) < len(bestBucket) {
-			best = pos
-			bestBucket = bucket
-		}
-	}
-	if best == -1 {
-		all := make([]int, len(r.tuples))
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	return bestBucket
 }

@@ -26,6 +26,30 @@ func measurementsRel(t *testing.T) *Relation {
 	return r
 }
 
+// planCandidates compiles pat as a one-atom read-only plan over r
+// (with the variables s binds declared bound and seeded) and returns
+// how many rows the executor will walk: the smallest index bucket
+// among the ground positions, or every row when none is ground.
+func planCandidates(r *Relation, pat dl.Atom, s dl.Subst) int {
+	db := &Instance{relations: map[string]*Relation{r.Name(): r}, order: []string{r.Name()}, in: r.in}
+	var bound []dl.Term
+	for _, v := range dl.VarsOfAtoms([]dl.Atom{pat}) {
+		if s.Apply(v) != v {
+			bound = append(bound, v)
+		}
+	}
+	p := CompileQueryPlan(db, []dl.Atom{pat}, bound...)
+	regs := p.NewRegs()
+	for _, v := range bound {
+		regs[p.Slot(v)], _ = r.in.Lookup(s.Apply(v))
+	}
+	bucket, ok := p.candidates(r, &p.atoms[0], regs)
+	if !ok {
+		return r.Len()
+	}
+	return len(bucket)
+}
+
 func TestRelationInsertDedup(t *testing.T) {
 	r := measurementsRel(t)
 	if r.Len() != 6 {
@@ -76,13 +100,8 @@ func TestRelationContainsAndDelete(t *testing.T) {
 		t.Errorf("Len = %d, want 5", r.Len())
 	}
 	// Index must still work after delete-triggered rebuild.
-	found := 0
 	pat := dl.A("Measurements", dl.V("t"), dl.C("Lou Reed"), dl.V("v"))
-	for _, idx := range r.matchCandidates(pat, dl.NewSubst()) {
-		_ = idx
-		found++
-	}
-	if found != 2 {
+	if found := planCandidates(r, pat, dl.NewSubst()); found != 2 {
 		t.Errorf("index candidates for Lou Reed = %d, want 2", found)
 	}
 }
@@ -164,17 +183,17 @@ func TestMatchCandidatesUsesSmallestBucket(t *testing.T) {
 	r := measurementsRel(t)
 	// Patient = Lou Reed has 2 tuples; with no constants, all 6.
 	pat := dl.A("Measurements", dl.V("t"), dl.C("Lou Reed"), dl.V("v"))
-	if got := len(r.matchCandidates(pat, dl.NewSubst())); got != 2 {
+	if got := planCandidates(r, pat, dl.NewSubst()); got != 2 {
 		t.Errorf("candidates = %d, want 2 (index on Patient)", got)
 	}
 	open := dl.A("Measurements", dl.V("t"), dl.V("p"), dl.V("v"))
-	if got := len(r.matchCandidates(open, dl.NewSubst())); got != 6 {
+	if got := planCandidates(r, open, dl.NewSubst()); got != 6 {
 		t.Errorf("candidates = %d, want 6 (full scan)", got)
 	}
 	// Bound variable in substitution counts as ground.
 	s := dl.NewSubst()
 	s.Bind("p", dl.C("Tom Waits"))
-	if got := len(r.matchCandidates(open, s)); got != 4 {
+	if got := planCandidates(r, open, s); got != 4 {
 		t.Errorf("candidates = %d, want 4 (index via binding)", got)
 	}
 }

@@ -108,7 +108,8 @@ func TestSnapshotReadsAndClones(t *testing.T) {
 
 	// Reads on the snapshot work: match, contains, query plans.
 	found := 0
-	snap.MatchAtom(datalog.A("R", datalog.V("a"), datalog.V("b")), datalog.NewSubst(), func(datalog.Subst) bool {
+	all := CompileQueryPlan(snap, []datalog.Atom{datalog.A("R", datalog.V("a"), datalog.V("b"))})
+	all.Run(snap, datalog.NewSubst(), func(datalog.Subst) bool {
 		found++
 		return true
 	})

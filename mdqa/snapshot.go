@@ -64,8 +64,8 @@ func (s *Snapshot) NumTuples(rel string) (int, error) {
 // insertion order, so output built from a stream (golden CLI files,
 // reports) is stable across engine parallelism degrees. The error is
 // ErrUnknownRelation when the relation does not exist in the
-// snapshot. The yielded slices are owned by the snapshot: copy before
-// retaining.
+// snapshot. The yielded slice is reused for the next tuple: copy
+// before retaining.
 func (s *Snapshot) Tuples(rel string) (iter.Seq[[]Term], error) {
 	r := s.inst.Relation(rel)
 	if r == nil {
@@ -94,11 +94,13 @@ func (s *Snapshot) VersionTuples(rel string) (iter.Seq[[]Term], error) {
 	return streamSorted(r), nil
 }
 
-// streamSorted yields a relation's tuples in sorted order.
+// streamSorted yields a relation's tuples in sorted order, decoding
+// each row into one reused buffer.
 func streamSorted(r *storage.Relation) iter.Seq[[]Term] {
 	return func(yield func([]Term) bool) {
-		for _, tup := range r.SortedTuples() {
-			if !yield(tup) {
+		buf := make([]Term, 0, r.Schema().Arity())
+		for _, row := range r.SortedRows() {
+			if !yield(r.Interner().Terms(row, buf[:0])) {
 				return
 			}
 		}
