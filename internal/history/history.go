@@ -96,8 +96,8 @@ type Entry struct {
 	// (Version.Violations is its length).
 	Viol []qerr.Violation
 	// bytes is the estimated memory only this entry holds: its
-	// interner fork, plus every relation its successor no longer
-	// shares (see storage.Instance.ExclusiveBytes).
+	// interner fork, plus whatever of each relation its successor no
+	// longer shares (see storage.Instance.ExclusiveBytes).
 	bytes int64
 }
 
@@ -130,10 +130,11 @@ func New(depth int, maxBytes int64) *Ring {
 //
 // The newest snapshot shares its relations with the live instance, so
 // it is priced by its interner fork alone. Once e succeeds it, the
-// previous entry is re-priced by what only it holds: every relation a
-// write copied between the two snapshots. Storage shared along the
-// chain is charged once, to the newest entry holding it, which is
-// exactly what evicting oldest-first frees.
+// previous entry is re-priced by what only it holds: the slot tables
+// and key maps a write copied between the two snapshots, and the rows
+// and posting lists of any relation e no longer shares as a prefix.
+// Storage shared along the chain is charged once, to the newest entry
+// holding it, which is exactly what evicting oldest-first frees.
 func (r *Ring) Record(e *Entry) {
 	if n := len(r.entries); n > 0 {
 		prev := r.entries[n-1]

@@ -171,11 +171,12 @@ func growingRing(t *testing.T, budget int64, versions, write int) *Ring {
 }
 
 func TestRingBudgetCountsCopiedRelations(t *testing.T) {
-	// Each write after a snapshot copies the 2000-row relation (about
-	// 180 KB of rows and indexes), and the older snapshot is left the
-	// only holder of the old copy. A 256 KiB budget holds one such copy
-	// beside the newest version, never two.
-	r := growingRing(t, 256<<10, 8, 1)
+	// Each write after a snapshot copies the 2000-row relation's slot
+	// table and key maps (about 19 KB; rows and posting lists stay
+	// shared), and the older snapshot is left the only holder of the
+	// old copy. A 36 KiB budget holds one such copy beside the newest
+	// version, never two.
+	r := growingRing(t, 36<<10, 8, 1)
 	oldest, _ := r.OldestRetained()
 	latest, _ := r.LatestSeq()
 	if retained := latest - oldest + 1; retained != 2 {

@@ -50,7 +50,7 @@ func (b *Batch) Reset() {
 
 // InsertBatch merges a slice of staged rows into the relation under
 // the single-writer contract: rows are deduplicated against the
-// existing hash buckets (and each other) exactly as row-at-a-time
+// existing slot table (and each other) exactly as row-at-a-time
 // InsertRow would, stored through the same arena, and indexed
 // incrementally — the merged relation is indistinguishable from one
 // built by sequential inserts in the same order. onNew, when non-nil,

@@ -180,13 +180,15 @@ func (db *Instance) Clone() *Instance {
 }
 
 // Snapshot returns a frozen, immutable view of the instance that
-// shares tuple storage with the live relations (copy-on-write: the
-// first mutation of a live relation after a snapshot copies its
-// storage, so the snapshot's view never changes). The snapshot gets a
-// forked interner, so concurrent readers of the snapshot never race
-// with a writer interning new terms into the live instance. Taking a
-// snapshot is O(relations + interned terms), independent of the number
-// of tuples.
+// shares tuple storage with the live relations. The writer keeps
+// appending rows and posting entries into that storage past the
+// lengths the snapshot captured, where the snapshot never reads; the
+// first mutation of a live relation after a snapshot copies only its
+// slot table and key maps, so the snapshot's view never changes (see
+// Relation). The snapshot gets a forked interner, so concurrent
+// readers of the snapshot never race with a writer interning new
+// terms into the live instance. Taking a snapshot is O(relations +
+// interned terms), independent of the number of tuples.
 //
 // Concurrency contract: Snapshot must be called from the (single)
 // writer goroutine — or with the writer quiescent — after which the
@@ -210,10 +212,12 @@ func (db *Instance) Frozen() bool { return db.frozen }
 
 // ExclusiveBytes estimates the memory snapshot db holds that the newer
 // snapshot next does not: db's own structures and forked interner,
-// plus the rows and indexes of every relation next no longer shares.
-// A nil next prices db's own structures alone — the newest snapshot
-// shares all its relations with the live instance until the next
-// write.
+// plus, per relation, the slot table and key maps a write between the
+// two copied, and the rows and posting lists next no longer shares as
+// a prefix (after a rebuild, or an append that reallocated the
+// row-header array). A nil next prices db's own structures alone — the
+// newest snapshot shares all its relations with the live instance
+// until the next write.
 func (db *Instance) ExclusiveBytes(next *Instance) int64 {
 	const instCost = 256 // instance header, relation map and name list
 	const relCost = 192  // relation header, map slot and stats copy
@@ -223,10 +227,7 @@ func (db *Instance) ExclusiveBytes(next *Instance) int64 {
 		return b
 	}
 	for _, name := range db.order {
-		rel, nrel := db.relations[name], next.relations[name]
-		if nrel == nil || !rel.sharesStorage(nrel) {
-			b += rel.bytes()
-		}
+		b += db.relations[name].exclusiveBytes(next.relations[name])
 	}
 	return b
 }

@@ -73,12 +73,20 @@ func modelResolve(repl map[dl.Term]dl.Term, t dl.Term) dl.Term {
 	}
 }
 
-// view is an earlier state that must never change: a snapshot or a
-// clone of the live relation, with the model it was taken at.
+// view is an earlier state that must never change: a frozen snapshot,
+// with the model it was taken at.
 type view struct {
 	what string
 	rel  *Relation
 	want relModel
+}
+
+// writer is a relation the test mutates — the live one or a clone —
+// with the model it must match.
+type writer struct {
+	what  string
+	rel   *Relation
+	model relModel
 }
 
 // checkRel compares r with the model: Tuples (order included), Len,
@@ -121,9 +129,13 @@ func checkRel(r *Relation, want relModel, alphabet []dl.Term) error {
 
 // TestModelRelationOps drives random sequences of every mutation —
 // Insert, InsertRow, InsertBatch, ReplaceTerms (with chains and
-// cycles), Delete — interleaved with Clone and Snapshot, and checks
-// the live relation and every earlier clone and snapshot against a
-// plain tuple-list model after each step.
+// cycles), Delete — interleaved with Clone and Snapshot. Each mutation
+// hits a randomly chosen writable relation: the live one or a clone of
+// the live relation, of another clone or of an earlier snapshot. After
+// each step every writable relation is checked against its own
+// plain tuple-list model and every snapshot against the model it was
+// taken at, so a clone or writer appending into storage another
+// relation reads or appends into shows up as a changed view.
 func TestModelRelationOps(t *testing.T) {
 	alphabet := []dl.Term{dl.C("a"), dl.C("b"), dl.C("c"), dl.C("d"), dl.N("n0"), dl.N("n1"), dl.N("n2")}
 	for seed := int64(0); seed < 100; seed++ {
@@ -132,30 +144,32 @@ func TestModelRelationOps(t *testing.T) {
 		tuple := func() []dl.Term { return []dl.Term{pick(), pick()} }
 
 		db := NewInstance()
-		live, err := db.CreateRelation("R", "x", "y")
+		rel, err := db.CreateRelation("R", "x", "y")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var model relModel
+		live := &writer{what: "live", rel: rel}
+		writers := []*writer{live}
 		var views []view
 		for step := 0; step < 60; step++ {
+			w := writers[rng.Intn(len(writers))]
 			var op string
 			switch k := rng.Intn(9); k {
 			case 0, 1:
 				tup := tuple()
-				op = fmt.Sprintf("Insert%v", tup)
-				isNew, err := live.Insert(tup)
+				op = fmt.Sprintf("%s.Insert%v", w.what, tup)
+				isNew, err := w.rel.Insert(tup)
 				var want bool
-				model, want = model.insert(tup)
+				w.model, want = w.model.insert(tup)
 				if err != nil || isNew != want {
 					t.Fatalf("seed %d step %d %s: new=%v err=%v, model new=%v", seed, step, op, isNew, err, want)
 				}
 			case 2:
 				tup := tuple()
-				op = fmt.Sprintf("InsertRow%v", tup)
-				isNew, err := live.InsertRow(db.Interner().IDs(tup, nil))
+				op = fmt.Sprintf("%s.InsertRow%v", w.what, tup)
+				isNew, err := w.rel.InsertRow(w.rel.Interner().IDs(tup, nil))
 				var want bool
-				model, want = model.insert(tup)
+				w.model, want = w.model.insert(tup)
 				if err != nil || isNew != want {
 					t.Fatalf("seed %d step %d %s: new=%v err=%v, model new=%v", seed, step, op, isNew, err, want)
 				}
@@ -164,14 +178,14 @@ func TestModelRelationOps(t *testing.T) {
 				wantAdded := 0
 				for i := rng.Intn(5); i >= 0; i-- {
 					tup := tuple()
-					rows = append(rows, db.Interner().IDs(tup, nil))
+					rows = append(rows, w.rel.Interner().IDs(tup, nil))
 					var isNew bool
-					if model, isNew = model.insert(tup); isNew {
+					if w.model, isNew = w.model.insert(tup); isNew {
 						wantAdded++
 					}
 				}
-				op = fmt.Sprintf("InsertBatch(%d rows)", len(rows))
-				if added, err := live.InsertBatch(rows, nil); err != nil || added != wantAdded {
+				op = fmt.Sprintf("%s.InsertBatch(%d rows)", w.what, len(rows))
+				if added, err := w.rel.InsertBatch(rows, nil); err != nil || added != wantAdded {
 					t.Fatalf("seed %d step %d %s: added=%d err=%v, model added=%d", seed, step, op, added, err, wantAdded)
 				}
 			case 4, 5:
@@ -186,10 +200,10 @@ func TestModelRelationOps(t *testing.T) {
 					}
 					repl[pick()] = to
 				}
-				op = fmt.Sprintf("ReplaceTerms%v", repl)
+				op = fmt.Sprintf("%s.ReplaceTerms%v", w.what, repl)
 				wantChanged := 0
 				var next relModel
-				for _, tup := range model {
+				for _, tup := range w.model {
 					out := make([]dl.Term, len(tup))
 					for i, term := range tup {
 						out[i] = modelResolve(repl, term)
@@ -199,32 +213,51 @@ func TestModelRelationOps(t *testing.T) {
 					}
 					next, _ = next.insert(out)
 				}
-				model = next
-				if changed := live.ReplaceTerms(repl); changed != wantChanged {
+				w.model = next
+				if changed := w.rel.ReplaceTerms(repl); changed != wantChanged {
 					t.Fatalf("seed %d step %d %s: changed=%d, model changed=%d", seed, step, op, changed, wantChanged)
 				}
 			case 6:
 				tup := tuple()
-				if len(model) > 0 && rng.Intn(3) > 0 {
-					tup = dl.CloneTerms(model[rng.Intn(len(model))])
+				if len(w.model) > 0 && rng.Intn(3) > 0 {
+					tup = dl.CloneTerms(w.model[rng.Intn(len(w.model))])
 				}
-				op = fmt.Sprintf("Delete%v", tup)
-				want := model.index(tup)
+				op = fmt.Sprintf("%s.Delete%v", w.what, tup)
+				want := w.model.index(tup)
 				if want >= 0 {
-					model = append(model[:want:want], model[want+1:]...)
+					w.model = append(w.model[:want:want], w.model[want+1:]...)
 				}
-				if got := live.Delete(tup); got != (want >= 0) {
+				if got := w.rel.Delete(tup); got != (want >= 0) {
 					t.Fatalf("seed %d step %d %s: deleted=%v, model had it=%v", seed, step, op, got, want >= 0)
 				}
 			case 7:
-				op = "Clone"
-				views = append(views, view{what: fmt.Sprintf("clone@%d", step), rel: live.Clone(), want: model.clone()})
+				// Clone a writer or an earlier snapshot. A snapshot's
+				// clone gets its own interner fork, as
+				// Instance.CloneDetached does, so writing to it never
+				// interns into the frozen snapshot's interner.
+				what := fmt.Sprintf("clone@%d", step)
+				src, model, from := w.rel, w.model, w.what
+				if i := rng.Intn(len(views) + 1); i < len(views) {
+					src, model, from = views[i].rel, views[i].want, views[i].what
+				}
+				op = fmt.Sprintf("%s = Clone(%s)", what, from)
+				c := src.Clone()
+				if src.Frozen() {
+					c.in = c.in.Fork()
+				}
+				writers = append(writers, &writer{what: what, rel: c, model: model.clone()})
 			case 8:
-				op = "Snapshot"
-				views = append(views, view{what: fmt.Sprintf("snapshot@%d", step), rel: db.Snapshot().Relation("R"), want: model.clone()})
+				op = fmt.Sprintf("Snapshot(%s)", w.what)
+				snap := db.Snapshot().Relation("R")
+				if w != live {
+					snap = w.rel.snapshot(w.rel.in.Fork())
+				}
+				views = append(views, view{what: fmt.Sprintf("snapshot@%d of %s", step, w.what), rel: snap, want: w.model.clone()})
 			}
-			if err := checkRel(live, model, alphabet); err != nil {
-				t.Fatalf("seed %d step %d after %s: live: %v", seed, step, op, err)
+			for _, w := range writers {
+				if err := checkRel(w.rel, w.model, alphabet); err != nil {
+					t.Fatalf("seed %d step %d after %s: %s: %v", seed, step, op, w.what, err)
+				}
 			}
 			for _, v := range views {
 				if err := checkRel(v.rel, v.want, alphabet); err != nil {

@@ -51,7 +51,7 @@ type planAtom struct {
 	groundPos []int
 	// allGround marks an atom whose every position is ground at compile
 	// time: it binds nothing, so executing it is a pure membership test
-	// and the executor probes the relation's row-hash bucket in O(1)
+	// and the executor probes the relation's dedup slot table in O(1)
 	// instead of scanning a posting list. (Declared-bound slots the
 	// caller leaves unseeded fall back to the scan path at run time.)
 	allGround bool
@@ -386,7 +386,7 @@ func (p *Plan) ExecuteShard(db *Instance, regs []int32, shard, nshards int, fn f
 }
 
 // probeGround resolves a fully-ground atom as an O(1) membership test
-// against the relation's row-hash buckets: rows are deduplicated on
+// against the relation's dedup slot table: rows are deduplicated on
 // insert, so the probe row matches at most once and the continuation
 // is identical to scanning a posting list — just without touching it.
 // This is the run-time half of constant pushdown, and it is what makes

@@ -9,10 +9,17 @@
 // work on the integer rows, so no string keys are built on insert,
 // lookup or match; terms are decoded through the interner only at the
 // edges (Tuples, SortedTuples, formatting, persistence).
+//
+// Snapshots share rows and posting lists with the live relation they
+// were taken from; the first write after a snapshot copies only the
+// dedup slot table and the per-position key maps (see Relation).
 package storage
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,23 +44,38 @@ func (s Schema) String() string {
 
 // Relation is a set of ground tuples under a schema, with hash indexes
 // on every position maintained incrementally. Tuples are deduplicated.
+//
+// Storage is shared between a live relation and its snapshots under
+// one invariant: every backing array — the row-header array, row arena
+// chunks and posting segments — has exactly one appender, the live
+// relation that carved it. A frozen snapshot holds slice headers
+// captured when it was taken and reads rows and posting lists only
+// below those lengths, so the writer's appends past them are invisible
+// to it and do not race with its readers. What the writer updates in
+// place rather than appends to — the slot table and the key maps — it
+// copies on its first write after a snapshot (ensureOwned). A deep
+// Clone never appends into storage it did not carve: its rows and
+// posting lists are fresh and capacity-capped. rebuild (Delete,
+// ReplaceTerms) re-carves everything into fresh storage.
 type Relation struct {
 	schema Schema
 	in     *datalog.Interner
 	rows   [][]int32 // interned tuples, insertion order
-	// buckets maps a row hash to the indices of rows with that hash;
-	// candidates are confirmed by integer comparison, so dedup never
-	// builds a string key.
-	buckets map[uint64][]int
+	// slots is the dedup table: open addressing over row indices,
+	// probed linearly from the row hash, where 0 marks an empty slot
+	// and i+1 names row i. Its length is a power of two at least twice
+	// the row count. It holds no pointers, so the collector never
+	// scans it and one copy duplicates it.
+	slots   []int32
 	indexes []map[int32][]int // position -> term id -> tuple indices
 	// A chunked arena backs the rows, so bulk loads and chase/eval
 	// insert storms cost one allocation per chunk instead of one per
 	// tuple. Stored rows are never written again: rebuilds re-carve.
 	rowArena datalog.Int32Arena
-	// postArena backs the bucket and index posting lists the same way:
-	// full lists regrow into chunk-carved segments instead of fresh
-	// heap slices, eliminating the per-position growth allocations that
-	// dominate insert storms.
+	// postArena backs the index posting lists the same way: full lists
+	// regrow into chunk-carved segments instead of fresh heap slices,
+	// eliminating the per-position growth allocations that dominate
+	// insert storms.
 	postArena postingArena
 	// maxBucket[pos] is the length of the largest posting list of
 	// indexes[pos] — the most-frequent-value bucket size, maintained
@@ -65,10 +87,10 @@ type Relation struct {
 	// method fails. Snapshots share tuple storage with the live
 	// relation they were taken from (see Instance.Snapshot).
 	frozen bool
-	// shared marks a live relation whose storage is shared with at
-	// least one snapshot: the first mutation after a snapshot replaces
-	// the shared storage with a private copy (copy-on-write), so the
-	// snapshot's view never changes.
+	// shared marks a live relation whose slot table and key maps are
+	// shared with at least one snapshot: the first mutation after a
+	// snapshot copies them (copy-on-write), so the snapshot's view
+	// never changes.
 	shared bool
 }
 
@@ -79,64 +101,82 @@ func errFrozen(name string) error {
 }
 
 // ensureOwned implements the copy-on-write step: if the relation's
-// storage is shared with a snapshot, replace it with a private deep
-// copy before the first mutation. Slices and maps the snapshot holds
-// are never touched again by this relation afterwards.
+// slot table and key maps are shared with a snapshot, replace them
+// with private copies before the first mutation. The copied maps hold
+// the same posting-list headers, and rows, the row arena and the
+// posting arena stay shared too: the writer only appends to them,
+// past every length a snapshot captured.
 func (r *Relation) ensureOwned() {
 	if !r.shared {
 		return
 	}
-	c := r.Clone()
-	r.rows, r.buckets, r.indexes = c.rows, c.buckets, c.indexes
-	// Old arena chunks stay referenced by the snapshot's rows; fresh
-	// chunks keep the writer's new tuples fully private. The clone's
-	// posting lists are capacity-capped, so the first append to any of
-	// them re-carves from the fresh posting arena.
-	r.rowArena = datalog.Int32Arena{}
-	r.postArena = postingArena{}
+	r.slots = slices.Clone(r.slots)
+	indexes := make([]map[int32][]int, len(r.indexes))
+	for pos, idx := range r.indexes {
+		indexes[pos] = maps.Clone(idx)
+	}
+	r.indexes = indexes
 	r.shared = false
 }
 
 // Frozen reports whether the relation is an immutable snapshot.
 func (r *Relation) Frozen() bool { return r.frozen }
 
-// bytes estimates the memory held by the relation's storage: each
-// row's slice header and cells, one posting entry per row in the
-// row-hash buckets and in every position index, and one map entry per
-// distinct bucket or index key. It is O(arity).
-func (r *Relation) bytes() int64 {
-	const sliceHdr, intSize = 24, 8
-	n, arity := int64(len(r.rows)), int64(r.schema.Arity())
-	b := n * (sliceHdr + 4*arity)               // rows
-	b += n * intSize * (1 + arity)              // posting entries
-	b += int64(len(r.buckets)) * (8 + sliceHdr) // bucket keys + list headers
+// keyBytes estimates the structures the first write after a snapshot
+// copies: the slot table and one entry per distinct key of every
+// position's index map. It is O(arity).
+func (r *Relation) keyBytes() int64 {
+	const sliceHdr = 24
+	b := 4 * int64(len(r.slots))
 	for _, idx := range r.indexes {
 		b += int64(len(idx)) * (4 + sliceHdr)
 	}
 	return b
 }
 
-// sharesStorage reports whether r and o hold the same row storage: a
-// snapshot and the relation it was taken from, or two snapshots taken
-// with no write to the live relation in between. The first write
-// after a snapshot copies the storage, which ends the sharing.
-func (r *Relation) sharesStorage(o *Relation) bool {
-	if len(r.rows) != len(o.rows) {
-		return false
-	}
-	return len(r.rows) == 0 || &r.rows[0] == &o.rows[0]
+// rowBytes estimates the storage snapshots share as a prefix: each
+// row's slice header and cells, and one posting entry per row in every
+// position index.
+func (r *Relation) rowBytes() int64 {
+	const sliceHdr, intSize = 24, 8
+	n, arity := int64(len(r.rows)), int64(r.schema.Arity())
+	return n * (sliceHdr + 4*arity + intSize*arity)
 }
 
-// snapshot returns a frozen view sharing this relation's storage, and
-// flips the live relation into copy-on-write mode. in is the forked
-// interner the snapshot resolves terms against.
+// exclusiveBytes estimates the memory snapshot r holds that next, a
+// later snapshot of the same relation, does not (nil: r is the only
+// holder). next shares r's rows and posting lists while r's row
+// headers are a prefix of next's: appends keep that true until one
+// reallocates the row-header array, and a rebuild ends it. next shares
+// r's slot table and key maps until a write between the two copies
+// them.
+func (r *Relation) exclusiveBytes(next *Relation) int64 {
+	if next == nil || !isPrefix(r.rows, next.rows) {
+		return r.keyBytes() + r.rowBytes()
+	}
+	if len(r.slots) != len(next.slots) || !isPrefix(r.slots, next.slots) {
+		return r.keyBytes()
+	}
+	return 0
+}
+
+// isPrefix reports whether a is a prefix view of b's backing array.
+func isPrefix[T any](a, b []T) bool {
+	return len(a) <= len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// snapshot returns a frozen view sharing all of this relation's
+// storage, and flips the live relation into copy-on-write mode: its
+// next write copies the slot table and key maps, and its appends land
+// past the lengths the view captured. in is the forked interner the
+// snapshot resolves terms against.
 func (r *Relation) snapshot(in *datalog.Interner) *Relation {
 	r.shared = true
 	return &Relation{
 		schema:  r.schema,
 		in:      in,
 		rows:    r.rows,
-		buckets: r.buckets,
+		slots:   r.slots,
 		indexes: r.indexes,
 		// The stats slice is copied: the writer keeps updating its own
 		// in place, and the snapshot's stats must stay consistent with
@@ -154,11 +194,7 @@ func NewRelation(schema Schema) *Relation {
 }
 
 func newRelation(schema Schema, in *datalog.Interner) *Relation {
-	r := &Relation{
-		schema:  schema,
-		in:      in,
-		buckets: map[uint64][]int{},
-	}
+	r := &Relation{schema: schema, in: in}
 	r.indexes = make([]map[int32][]int, schema.Arity())
 	for i := range r.indexes {
 		r.indexes[i] = map[int32][]int{}
@@ -190,23 +226,59 @@ func rowsEqual(a, b []int32) bool {
 
 // lookupRow returns the index of the row equal to ids, if present.
 func (r *Relation) lookupRow(ids []int32) (int, bool) {
-	for _, idx := range r.buckets[datalog.HashInt32s(ids)] {
-		if rowsEqual(r.rows[idx], ids) {
-			return idx, true
+	if len(r.slots) == 0 {
+		return 0, false
+	}
+	mask := len(r.slots) - 1
+	for i := slotOf(datalog.HashInt32s(ids), len(r.slots)); ; i = (i + 1) & mask {
+		s := r.slots[i]
+		if s == 0 {
+			return 0, false
+		}
+		if rowsEqual(r.rows[s-1], ids) {
+			return int(s - 1), true
 		}
 	}
-	return 0, false
 }
 
-// appendRow stores an already-deduplicated, arena-carved row. Posting
-// lists grow through the posting arena (chunk-carved segments instead
-// of per-list heap growth), and the per-position max-bucket statistic
-// is maintained in the same pass.
+// slotOf maps a row hash to its home slot in a table of n slots (a
+// power of two) by Fibonacci hashing, so every hash bit reaches the
+// slot index.
+func slotOf(h uint64, n int) int {
+	return int((h * 0x9e3779b97f4a7c15) >> (64 - bits.TrailingZeros(uint(n))))
+}
+
+// addSlot records row idx in slots, which must have a free slot.
+func addSlot(slots []int32, row []int32, idx int) {
+	mask := len(slots) - 1
+	i := slotOf(datalog.HashInt32s(row), len(slots))
+	for slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	slots[i] = int32(idx + 1)
+}
+
+// minSlots is the size of a relation's first slot table.
+const minSlots = 8
+
+// appendRow stores an already-deduplicated, arena-carved row. It keeps
+// the slot table at most half full, rebuilding it from rows at double
+// the size when it would not be. Posting lists grow through the
+// posting arena (chunk-carved segments instead of per-list heap
+// growth), and the per-position max-bucket statistic is maintained in
+// the same pass.
 func (r *Relation) appendRow(ids []int32) {
+	r.ensureOwned()
 	idx := len(r.rows)
 	r.rows = append(r.rows, ids)
-	h := datalog.HashInt32s(ids)
-	r.buckets[h] = r.postArena.grow(r.buckets[h], idx)
+	if 2*len(r.rows) > len(r.slots) {
+		slots := make([]int32, max(minSlots, 2*len(r.slots)))
+		for i, row := range r.rows[:idx] {
+			addSlot(slots, row, i)
+		}
+		r.slots = slots
+	}
+	addSlot(r.slots, ids, idx)
 	for pos, id := range ids {
 		lst := r.postArena.grow(r.indexes[pos][id], idx)
 		r.indexes[pos][id] = lst
@@ -293,7 +365,6 @@ func (r *Relation) Insert(tuple []datalog.Term) (bool, error) {
 	if _, dup := r.lookupRow(ids); dup {
 		return false, nil
 	}
-	r.ensureOwned()
 	r.appendRow(r.rowArena.Copy(ids))
 	return true, nil
 }
@@ -328,7 +399,6 @@ func (r *Relation) insertRowStored(ids []int32) ([]int32, bool, error) {
 	if _, dup := r.lookupRow(ids); dup {
 		return nil, false, nil
 	}
-	r.ensureOwned()
 	stored := r.rowArena.Copy(ids)
 	r.appendRow(stored)
 	return stored, true, nil
@@ -400,13 +470,12 @@ func (r *Relation) Delete(tuple []datalog.Term) bool {
 
 // rebuild replaces the relation's storage with rows — rewritten
 // through remap when non-nil — re-carved into a fresh arena and
-// deduplicated in first-occurrence order, with buckets, indexes and
-// statistics rebuilt from scratch. It never writes into the storage it
-// replaces, so any snapshot sharing that storage keeps its view and
-// copy-on-write ends here.
+// deduplicated in first-occurrence order, with the slot table, indexes
+// and statistics rebuilt from scratch. It never writes into the
+// storage it replaces, so any snapshot sharing that storage keeps its
+// view and copy-on-write ends here.
 func (r *Relation) rebuild(rows [][]int32, remap map[int32]int32) {
 	fresh := newRelation(r.schema, r.in)
-	fresh.buckets = make(map[uint64][]int, len(rows))
 	var buf [16]int32
 	for _, row := range rows {
 		ids := append(buf[:0], row...)
@@ -554,16 +623,16 @@ func resolveReplacement(repl map[datalog.Term]datalog.Term, old datalog.Term) da
 	}
 }
 
-// Clone returns a deep copy of the relation in O(rows): rows, hash
-// buckets and indexes are bulk-copied instead of re-inserted. The
-// clone shares the interner (interning is append-only, so sharing is
-// safe and keeps term ids compatible across clones).
+// Clone returns a deep copy of the relation in O(rows): rows, the slot
+// table and indexes are bulk-copied instead of re-inserted. The clone
+// shares the interner (interning is append-only, so sharing is safe
+// and keeps term ids compatible across clones).
 func (r *Relation) Clone() *Relation {
 	out := &Relation{
 		schema:  r.schema,
 		in:      r.in,
 		rows:    make([][]int32, len(r.rows)),
-		buckets: make(map[uint64][]int, len(r.buckets)),
+		slots:   slices.Clone(r.slots),
 		indexes: make([]map[int32][]int, len(r.indexes)),
 		// Stats are copied so the clone's planner sees the same picture;
 		// its appendRow keeps them current independently afterwards.
@@ -577,14 +646,8 @@ func (r *Relation) Clone() *Relation {
 		copy(dst, row)
 		out.rows[i] = dst
 	}
-	// Bucket and index posting lists sum to exactly one entry per row
-	// (per position), so a single flat backing array serves each map.
-	flatBuckets := make([]int, 0, len(r.rows))
-	for h, idxs := range r.buckets {
-		start := len(flatBuckets)
-		flatBuckets = append(flatBuckets, idxs...)
-		out.buckets[h] = flatBuckets[start:len(flatBuckets):len(flatBuckets)]
-	}
+	// Index posting lists sum to exactly one entry per row per
+	// position, so a single flat backing array serves each map.
 	for pos, index := range r.indexes {
 		m := make(map[int32][]int, len(index))
 		flat := make([]int, 0, len(r.rows))

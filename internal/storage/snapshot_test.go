@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/datalog"
@@ -169,4 +171,158 @@ func TestPlanRetarget(t *testing.T) {
 		}()
 		plan.Retarget(other.Interner())
 	}()
+}
+
+// TestSnapshotReadsDuringInPlaceAppends is the race test for shared
+// row and posting storage: the writer takes snapshots at several
+// lengths, then keeps inserting while one reader per snapshot
+// re-reads it. The inserts append into posting lists with spare
+// capacity, add new keys at both positions and grow the slot table
+// twice, all past the lengths the snapshots captured. Run it under
+// -race.
+func TestSnapshotReadsDuringInPlaceAppends(t *testing.T) {
+	db := NewInstance()
+	live, err := db.CreateRelation("R", "k", "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Row i is (k(i%10), v(i/10)) for i < 400, then (x(i), y(i)): rows
+	// past 100 reuse the ten k keys (lists of 10 entries, capacity 16),
+	// add v keys, and finally add keys at both positions. Every term is
+	// interned up front so readers can probe rows the writer has not
+	// inserted yet.
+	in := db.Interner()
+	var rows [][]int32
+	for i := 0; i < 400; i++ {
+		rows = append(rows, []int32{in.ID(datalog.C(fmt.Sprintf("k%d", i%10))), in.ID(datalog.C(fmt.Sprintf("v%d", i/10)))})
+	}
+	for i := 400; i < 500; i++ {
+		rows = append(rows, []int32{in.ID(datalog.C(fmt.Sprintf("x%d", i))), in.ID(datalog.C(fmt.Sprintf("y%d", i)))})
+	}
+	insert := func(rows [][]int32) {
+		for _, row := range rows {
+			if isNew, err := live.InsertRow(row); err != nil || !isNew {
+				t.Fatalf("insert %v: new=%v err=%v", row, isNew, err)
+			}
+		}
+	}
+
+	// frozen is one snapshot with what it held when it was taken.
+	type frozen struct {
+		inst    *Instance
+		held    int
+		plan    *Plan
+		matches []int32 // v ids of the k3 rows, in posting-list order
+		sorted  [][]datalog.Term
+	}
+	k3 := datalog.A("R", datalog.C("k3"), datalog.V("v"))
+	var snaps []frozen
+	for _, held := range []int{40, 75, 100} {
+		insert(rows[live.Len():held])
+		snap := db.Snapshot()
+		f := frozen{inst: snap, held: held, sorted: live.SortedTuples()}
+		f.plan = CompileQueryPlan(snap, []datalog.Atom{k3})
+		for _, row := range rows[:held] {
+			if row[0] == in.ID(datalog.C("k3")) {
+				f.matches = append(f.matches, row[1])
+			}
+		}
+		snaps = append(snaps, f)
+	}
+	if got := len(live.slots); got != 256 {
+		t.Fatalf("slot table has %d slots before the appends, want 256 (the appends must grow it twice)", got)
+	}
+
+	check := func(f frozen) error {
+		rel := f.inst.Relation("R")
+		if rel.Len() != f.held {
+			return fmt.Errorf("Len = %d, want %d", rel.Len(), f.held)
+		}
+		for i, row := range rows {
+			if got := rel.ContainsRow(row); got != (i < f.held) {
+				return fmt.Errorf("ContainsRow(row %d) = %v", i, got)
+			}
+		}
+		var matches []int32
+		v := f.plan.Slot(datalog.V("v"))
+		f.plan.Execute(f.inst, f.plan.NewRegs(), func(regs []int32) bool {
+			matches = append(matches, regs[v])
+			return true
+		})
+		if fmt.Sprint(matches) != fmt.Sprint(f.matches) {
+			return fmt.Errorf("plan %v matched %v, want %v", k3, matches, f.matches)
+		}
+		if got := rel.SortedTuples(); fmt.Sprint(got) != fmt.Sprint(f.sorted) {
+			return fmt.Errorf("SortedTuples = %v, want %v", got, f.sorted)
+		}
+		return nil
+	}
+
+	var ready, readers sync.WaitGroup
+	done := make(chan struct{})
+	for _, f := range snaps {
+		ready.Add(1)
+		readers.Add(1)
+		go func(f frozen) {
+			defer readers.Done()
+			first := true
+			for {
+				err := check(f)
+				if first {
+					ready.Done()
+					first = false
+				}
+				if err != nil {
+					t.Errorf("snapshot at %d rows: %v", f.held, err)
+					return
+				}
+				select {
+				case <-done:
+					if err := check(f); err != nil {
+						t.Errorf("snapshot at %d rows after the appends: %v", f.held, err)
+					}
+					return
+				default:
+				}
+			}
+		}(f)
+	}
+	ready.Wait()
+	insert(rows[live.Len():])
+	close(done)
+	readers.Wait()
+	if got := len(live.slots); got != 1024 {
+		t.Fatalf("slot table has %d slots after the appends, want 1024", got)
+	}
+}
+
+// BenchmarkSnapshotThenInsert prices the first write after a snapshot:
+// each op snapshots the instance, then inserts one new row into a
+// two-column relation of n rows over n/100 × 100 keys, the shape of
+// the guideline relation RightTherm (800 × 100 at n = 80000).
+func BenchmarkSnapshotThenInsert(b *testing.B) {
+	for _, n := range []int{2000, 80000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			db := NewInstance()
+			rel, err := db.CreateRelation("RightTherm", "a", "b")
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if _, err := rel.Insert([]datalog.Term{datalog.C(fmt.Sprintf("a%d", i/100)), datalog.C(fmt.Sprintf("b%d", i%100))}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			row := []datalog.Term{datalog.C(""), datalog.C("b0")}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db.Snapshot()
+				row[0] = datalog.C(fmt.Sprintf("new%d", i))
+				if isNew, err := rel.Insert(row); err != nil || !isNew {
+					b.Fatalf("insert %v: new=%v err=%v", row, isNew, err)
+				}
+			}
+		})
+	}
 }
