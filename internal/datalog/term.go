@@ -109,8 +109,28 @@ func needsQuote(s string) bool {
 }
 
 func isNumeric(s string) bool {
-	_, err := strconv.ParseFloat(s, 64)
-	return err == nil
+	_, ok := parseNumeric(s)
+	return ok
+}
+
+// parseNumeric parses s as a float64 exactly as strconv.ParseFloat
+// does, reporting failure instead of an error. Names that cannot start
+// a float literal are screened out first, because every rejection
+// ParseFloat reports allocates: after an optional sign, a literal
+// starts with a digit, '.', or "inf" or "nan" in any case.
+func parseNumeric(s string) (float64, bool) {
+	t := s
+	if len(t) > 0 && (t[0] == '+' || t[0] == '-') {
+		t = t[1:]
+	}
+	switch {
+	case len(t) > 0 && (t[0] >= '0' && t[0] <= '9' || t[0] == '.'):
+	case len(t) >= 3 && (strings.EqualFold(t[:3], "inf") || strings.EqualFold(t[:3], "nan")):
+	default:
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
 }
 
 // Compare orders terms: first by kind (consts < vars < nulls), then by
@@ -132,9 +152,12 @@ func (t Term) Compare(u Term) int {
 }
 
 func compareNumeric(a, b string) (int, bool) {
-	fa, errA := strconv.ParseFloat(a, 64)
-	fb, errB := strconv.ParseFloat(b, 64)
-	if errA != nil || errB != nil {
+	fa, ok := parseNumeric(a)
+	if !ok {
+		return 0, false
+	}
+	fb, ok := parseNumeric(b)
+	if !ok {
 		return 0, false
 	}
 	switch {

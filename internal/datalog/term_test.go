@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -86,6 +87,79 @@ func TestTermCompareAntisymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refCompareNumeric is compareNumeric's definition: both names parse
+// with strconv.ParseFloat, and compare as floats.
+func refCompareNumeric(a, b string) (int, bool) {
+	fa, errA := strconv.ParseFloat(a, 64)
+	fb, errB := strconv.ParseFloat(b, 64)
+	if errA != nil || errB != nil {
+		return 0, false
+	}
+	switch {
+	case fa < fb:
+		return -1, true
+	case fa > fb:
+		return 1, true
+	default:
+		return 0, true
+	}
+}
+
+func TestCompareNumericMatchesParseFloat(t *testing.T) {
+	names := []string{
+		"0", "2", "10", "-3", "+4", "1.5", "1.50", ".5", "-.5", "5.", "1e3", "1E-2", "1e400", "-1e400",
+		"inf", "+Inf", "-INF", "infinity", "-Infinity", "infinite", "NaN", "nan", "-nan", "+NaN", "nano",
+		"0x1p-2", "0X1P4", "0x10", "-0x1.8p1", "0b101", "1_000", "0x_1p0", "_1",
+		"a", "W1", "Tom", "Intensive", "Nurse", "-x", "+", "-", ".", "", "Sep/5-12:10", "37.5C", "1.2.3", " 1", "1 ",
+	}
+	for _, a := range names {
+		if _, err := strconv.ParseFloat(a, 64); isNumeric(a) != (err == nil) {
+			t.Errorf("isNumeric(%q) = %v, ParseFloat error %v", a, isNumeric(a), err)
+		}
+		for _, b := range names {
+			gc, gok := compareNumeric(a, b)
+			wc, wok := refCompareNumeric(a, b)
+			if gc != wc || gok != wok {
+				t.Errorf("compareNumeric(%q, %q) = %d, %v; ParseFloat gives %d, %v", a, b, gc, gok, wc, wok)
+			}
+		}
+	}
+	// Random names over the characters float literals are made of.
+	const alphabet = "0123456789.+-_eEpPxXiInNfFaAtyb "
+	f := func(seedA, seedB []uint8) bool {
+		name := func(seed []uint8) string {
+			out := make([]byte, len(seed)%8)
+			for i := range out {
+				out[i] = alphabet[int(seed[i])%len(alphabet)]
+			}
+			return string(out)
+		}
+		a, b := name(seedA), name(seedB)
+		gc, gok := compareNumeric(a, b)
+		wc, wok := refCompareNumeric(a, b)
+		return gc == wc && gok == wok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCompareNonNumericAllocs pins the screen in front of
+// strconv.ParseFloat: comparing two constants that cannot be numbers
+// allocates nothing.
+func TestCompareNonNumericAllocs(t *testing.T) {
+	for _, pair := range [][2]Term{
+		{C("Tom"), C("W1")},
+		{C("Intensive"), C("Nurse")},
+		{C("-x"), C("Sep/5-12:10")},
+		{C("37.5"), C("Standard")},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { pair[0].Compare(pair[1]) }); allocs != 0 {
+			t.Errorf("Compare(%v, %v) allocates %.0f objects, want 0", pair[0], pair[1], allocs)
+		}
 	}
 }
 

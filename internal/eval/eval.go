@@ -116,56 +116,87 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// Stratify partitions the rules into strata such that negation never
-// crosses within a stratum: the stratum of a head predicate is at
-// least the stratum of every positive body predicate, and strictly
-// greater than the stratum of every negated predicate. It returns an
-// error when the program has recursion through negation.
+// Stratify partitions the rules into strata, one per strongly
+// connected component of the predicate dependency graph, in dependency
+// order: every stratum comes after the strata deriving the predicates
+// its rules read, positively or under negation. The graph's nodes are
+// head predicates, with an edge from a rule's head to every head
+// predicate its body reads. Components are found with Tarjan's
+// algorithm, visiting predicates in order of first appearance as a
+// head, and rules keep source order within a stratum, so the result is
+// deterministic. It returns an error when the program has recursion
+// through negation: a negated atom over a predicate of its own
+// component.
 func (p *Program) Stratify() ([][]*Rule, error) {
-	stratum := map[string]int{}
-	idb := map[string]bool{}
+	node := map[string]int{}
 	for _, r := range p.Rules {
-		idb[r.Head.Pred] = true
+		if _, ok := node[r.Head.Pred]; !ok {
+			node[r.Head.Pred] = len(node)
+		}
 	}
-	// Iterate the constraints to a fixpoint; n*|rules| iterations
-	// suffice for a stratifiable program, one more pass detects cycles.
-	limit := len(p.Rules)*len(idb) + len(p.Rules) + 1
-	for i := 0; i < limit; i++ {
-		changed := false
-		for _, r := range p.Rules {
-			h := stratum[r.Head.Pred]
-			for _, b := range r.Body {
-				if idb[b.Pred] && stratum[b.Pred] > h {
-					h = stratum[b.Pred]
+	deps := make([][]int, len(node))
+	for _, r := range p.Rules {
+		h := node[r.Head.Pred]
+		for _, atoms := range [][]datalog.Atom{r.Body, r.Negated} {
+			for _, a := range atoms {
+				if d, ok := node[a.Pred]; ok {
+					deps[h] = append(deps[h], d)
 				}
 			}
-			for _, n := range r.Negated {
-				if idb[n.Pred] && stratum[n.Pred]+1 > h {
-					h = stratum[n.Pred] + 1
-				}
+		}
+	}
+
+	// Tarjan's algorithm emits a component only after every component
+	// it reaches, so emission order is dependency order.
+	comp := make([]int, len(node)) // node -> component, in emission order
+	index := make([]int, len(node))
+	low := make([]int, len(node))
+	onStack := make([]bool, len(node))
+	var stack []int
+	next, ncomp := 1, 0 // index 0 marks an unvisited node
+	var visit func(v int)
+	visit = func(v int) {
+		index[v], low[v] = next, next
+		next++
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, w := range deps[v] {
+			if index[w] == 0 {
+				visit(w)
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
-			if h > len(idb) {
+		}
+		if low[v] != index[v] {
+			return
+		}
+		for {
+			w := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			onStack[w] = false
+			comp[w] = ncomp
+			if w == v {
+				break
+			}
+		}
+		ncomp++
+	}
+	for v := range deps {
+		if index[v] == 0 {
+			visit(v)
+		}
+	}
+
+	out := make([][]*Rule, ncomp)
+	for _, r := range p.Rules {
+		c := comp[node[r.Head.Pred]]
+		for _, n := range r.Negated {
+			if d, ok := node[n.Pred]; ok && comp[d] == c {
 				return nil, fmt.Errorf("eval: recursion through negation involving %s", r.Head.Pred)
 			}
-			if h != stratum[r.Head.Pred] {
-				stratum[r.Head.Pred] = h
-				changed = true
-			}
 		}
-		if !changed {
-			break
-		}
-	}
-	max := 0
-	for _, s := range stratum {
-		if s > max {
-			max = s
-		}
-	}
-	out := make([][]*Rule, max+1)
-	for _, r := range p.Rules {
-		s := stratum[r.Head.Pred]
-		out[s] = append(out[s], r)
+		out[c] = append(out[c], r)
 	}
 	return out, nil
 }
@@ -286,7 +317,7 @@ func (cr *compiledRule) filters(db *storage.Instance, regs []int32, buf []int32)
 }
 
 // derive applies filters and, on success, inserts the head row,
-// appending newly derived facts to *out.
+// appending newly derived facts to *out when out is non-nil.
 func (cr *compiledRule) derive(db *storage.Instance, regs []int32, out *[]Fact) error {
 	ok, err := cr.filters(db, regs, cr.buf)
 	if err != nil || !ok {
@@ -298,7 +329,7 @@ func (cr *compiledRule) derive(db *storage.Instance, regs []int32, out *[]Fact) 
 	if err != nil {
 		return err
 	}
-	if isNew {
+	if isNew && out != nil {
 		row := make([]int32, len(buf))
 		copy(row, buf)
 		*out = append(*out, Fact{Pred: cr.head.Pred, Row: row})
@@ -330,9 +361,12 @@ type State struct {
 	strata [][]*Rule
 	inst   *storage.Instance
 	comp   [][]*compiledRule
-	pool   par.Pool
-	hasNeg bool
-	inited bool
+	// recursive[i] reports whether a rule of stratum i reads, in its
+	// positive body, a predicate the stratum derives.
+	recursive []bool
+	pool      par.Pool
+	hasNeg    bool
+	inited    bool
 }
 
 // NewState builds an evaluation state over inst, which the state takes
@@ -404,17 +438,17 @@ func (st *State) Replan() {
 	}
 }
 
-// Init computes the least fixpoint stratum by stratum. ctx is checked
-// once per rule pass (per worker unit when the pool is parallel).
-// Rule plans are compiled on the first Init
-// and reused by later Reset+Init cycles.
+// Init computes the least fixpoint stratum by stratum. A stratum whose
+// rules read none of its own head predicates takes exactly one pass;
+// a recursive stratum iterates semi-naively to its fixpoint. ctx is
+// checked once per rule pass (per worker unit when the pool is
+// parallel). Rule plans are compiled on the first Init and reused by
+// later Reset+Init cycles.
 func (st *State) Init(ctx context.Context) error {
 	if st.comp == nil {
 		st.comp = make([][]*compiledRule, len(st.strata))
+		st.recursive = make([]bool, len(st.strata))
 		for si, rules := range st.strata {
-			if len(rules) == 0 {
-				continue
-			}
 			idb := map[string]bool{}
 			for _, r := range rules {
 				idb[r.Head.Pred] = true
@@ -426,49 +460,36 @@ func (st *State) Init(ctx context.Context) error {
 				// programs additionally compile a delta plan per body
 				// atom (Extend pivots on any atom, EDB included).
 				comp[i] = compileRule(r, st.inst, idb, !st.hasNeg)
+				for _, a := range r.Body {
+					if idb[a.Pred] {
+						st.recursive[si] = true
+					}
+				}
 			}
 			st.comp[si] = comp
 		}
 	}
-	for si, rules := range st.strata {
+	for si, comp := range st.comp {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if len(rules) == 0 {
+		if !st.recursive[si] {
+			// No rule reads what the stratum derives, so one full
+			// pass reaches its fixpoint and no delta is collected.
+			if err := st.fullRound(ctx, comp, nil); err != nil {
+				return err
+			}
 			continue
 		}
-		idb := map[string]bool{}
-		for _, r := range rules {
-			idb[r.Head.Pred] = true
-		}
-		comp := st.comp[si]
 
-		// Round 0: full naive pass — sequential rule-by-rule, or rule
-		// passes sharded across the worker pool with a deterministic
-		// batch merge.
+		// Recursive strata: a full pass, then semi-naive rounds in
+		// which a rule re-fires only with at least one body atom
+		// matching the previous round's delta, pivoting on the
+		// stratum's own IDB predicates.
 		var delta []Fact
-		if st.pool.Sequential() {
-			for _, cr := range comp {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				var derr error
-				cr.plan.ResetRegs(cr.regs)
-				cr.plan.Execute(st.inst, cr.regs, func(regs []int32) bool {
-					derr = cr.derive(st.inst, regs, &delta)
-					return derr == nil
-				})
-				if derr != nil {
-					return derr
-				}
-			}
-		} else if err := st.fullRoundPar(ctx, comp, &delta); err != nil {
+		if err := st.fullRound(ctx, comp, &delta); err != nil {
 			return err
 		}
-
-		// Subsequent rounds: a rule re-fires only with at least one
-		// body atom matching the previous round's delta, pivoting on
-		// the stratum's own IDB predicates.
 		deltaByPred := map[string][][]int32{}
 		for len(delta) > 0 {
 			if err := ctx.Err(); err != nil {
@@ -478,9 +499,7 @@ func (st *State) Init(ctx context.Context) error {
 				deltaByPred[pred] = deltaByPred[pred][:0]
 			}
 			for _, f := range delta {
-				if idb[f.Pred] {
-					deltaByPred[f.Pred] = append(deltaByPred[f.Pred], f.Row)
-				}
+				deltaByPred[f.Pred] = append(deltaByPred[f.Pred], f.Row)
 			}
 			var next []Fact
 			if err := st.deltaRound(ctx, comp, deltaByPred, &next); err != nil {
@@ -490,6 +509,30 @@ func (st *State) Init(ctx context.Context) error {
 		}
 	}
 	st.inited = true
+	return nil
+}
+
+// fullRound runs every rule's full body once: sequentially rule by
+// rule, or sharded across the worker pool with a deterministic batch
+// merge. Newly derived facts are appended to *out when out is non-nil.
+func (st *State) fullRound(ctx context.Context, comp []*compiledRule, out *[]Fact) error {
+	if !st.pool.Sequential() {
+		return st.fullRoundPar(ctx, comp, out)
+	}
+	for _, cr := range comp {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var derr error
+		cr.plan.ResetRegs(cr.regs)
+		cr.plan.Execute(st.inst, cr.regs, func(regs []int32) bool {
+			derr = cr.derive(st.inst, regs, out)
+			return derr == nil
+		})
+		if derr != nil {
+			return derr
+		}
+	}
 	return nil
 }
 
@@ -551,8 +594,9 @@ func (st *State) fullRoundPar(ctx context.Context, comp []*compiledRule, out *[]
 // matching against the round's frozen instance view and staging head
 // rows into the unit's private batch — then merges all batches in
 // unit order on the calling goroutine, appending each genuinely new
-// fact to *out. Cancellation is checked once per unit (par.Map),
-// bounding latency by a single work unit rather than a whole round.
+// fact to *out when out is non-nil. Cancellation is checked once per
+// unit (par.Map), bounding latency by a single work unit rather than
+// a whole round.
 func (st *State) runUnits(ctx context.Context, units []evalUnit, deltaByPred map[string][][]int32, out *[]Fact) error {
 	if len(units) == 0 {
 		return nil
@@ -597,10 +641,14 @@ func (st *State) runUnits(ctx context.Context, units []evalUnit, deltaByPred map
 	if err != nil {
 		return err
 	}
-	for _, b := range batches {
-		if _, err := st.inst.MergeBatch(b, func(pred string, row []int32) {
+	var onNew func(pred string, row []int32)
+	if out != nil {
+		onNew = func(pred string, row []int32) {
 			*out = append(*out, Fact{Pred: pred, Row: row})
-		}); err != nil {
+		}
+	}
+	for _, b := range batches {
+		if _, err := st.inst.MergeBatch(b, onNew); err != nil {
 			return err
 		}
 	}
@@ -624,9 +672,7 @@ func (st *State) Extend(ctx context.Context, delta []Fact) ([]Fact, error) {
 		return nil, err
 	}
 	// all accumulates every fact visible as a pivot: the input delta
-	// plus everything derived during this call. Each stratum consumes
-	// it from the start (its rules have seen none of it), in segments
-	// so its own derivations re-pivot within the stratum.
+	// plus everything derived during this call.
 	all := make([]Fact, 0, len(delta))
 	for _, f := range delta {
 		isNew, err := st.inst.InsertRow(f.Pred, f.Row)
@@ -638,27 +684,43 @@ func (st *State) Extend(ctx context.Context, delta []Fact) ([]Fact, error) {
 		}
 	}
 	inserted := len(all)
-	deltaByPred := map[string][][]int32{}
-	for _, comp := range st.comp {
+	// byPred indexes all by predicate as it grows, each fact once. A
+	// stratum's first round pivots on every row indexed so far (its
+	// rules have seen none of them); each later round pivots on the
+	// rows past the stratum's per-predicate cursors, which are what
+	// its previous round derived.
+	byPred := map[string][][]int32{}
+	indexed := 0
+	round := map[string][][]int32{}
+	for si, comp := range st.comp {
 		if len(comp) == 0 {
 			continue
 		}
-		start := 0
-		for start < len(all) {
+		used := make(map[string]int, len(byPred))
+		for {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			end := len(all)
-			for pred := range deltaByPred {
-				deltaByPred[pred] = deltaByPred[pred][:0]
+			for _, f := range all[indexed:] {
+				byPred[f.Pred] = append(byPred[f.Pred], f.Row)
 			}
-			for _, f := range all[start:end] {
-				deltaByPred[f.Pred] = append(deltaByPred[f.Pred], f.Row)
+			indexed = len(all)
+			clear(round)
+			for pred, rows := range byPred {
+				if n := used[pred]; n < len(rows) {
+					round[pred] = rows[n:]
+					used[pred] = len(rows)
+				}
 			}
-			if err := st.deltaRound(ctx, comp, deltaByPred, &all); err != nil {
+			if len(round) == 0 {
+				break
+			}
+			if err := st.deltaRound(ctx, comp, round, &all); err != nil {
 				return nil, err
 			}
-			start = end
+			if !st.recursive[si] {
+				break // no rule of the stratum reads what it derived
+			}
 		}
 	}
 	return all[inserted:], nil
@@ -713,26 +775,6 @@ func packRegs(dst []byte, regs []int32) []byte {
 		dst = append(dst, byte(r), byte(r>>8), byte(r>>16), byte(r>>24))
 	}
 	return dst
-}
-
-// ruleFilters checks the rule's negated atoms (closed world) and
-// comparisons under a complete body match.
-func ruleFilters(r *Rule, s datalog.Subst, db *storage.Instance) (bool, error) {
-	for _, n := range r.Negated {
-		if db.ContainsAtom(s.ApplyAtom(n)) {
-			return false, nil
-		}
-	}
-	for _, c := range r.Conds {
-		ok, err := c.Eval(s)
-		if err != nil {
-			return false, fmt.Errorf("eval: rule %s: %w", r.ID, err)
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // EvalQuery evaluates a conjunctive query (with optional negation and

@@ -127,13 +127,13 @@ func TestFileEmptyPayload(t *testing.T) {
 
 func TestFileMalformedPayloads(t *testing.T) {
 	cases := map[string]string{
-		"torn.ndjson":   "[\"a\",\"b\"]\n[\"c\",",          // torn mid-row
-		"badjson.ndjson": `{"w": }`,                        // invalid JSON
-		"null.ndjson":   `["a", null]`,                     // null field
-		"nested.ndjson": `["a", {"x": 1}]`,                 // nested structure
-		"scalar.ndjson": `"just a string"`,                 // not a row
-		"torn.csv":      "a,b\nx,y\nz\n",                   // ragged CSV
-		"missing.ndjson": `{"w":"W1"}`,                     // missing declared field
+		"torn.ndjson":    "[\"a\",\"b\"]\n[\"c\",", // torn mid-row
+		"badjson.ndjson": `{"w": }`,                // invalid JSON
+		"null.ndjson":    `["a", null]`,            // null field
+		"nested.ndjson":  `["a", {"x": 1}]`,        // nested structure
+		"scalar.ndjson":  `"just a string"`,        // not a row
+		"torn.csv":       "a,b\nx,y\nz\n",          // ragged CSV
+		"missing.ndjson": `{"w":"W1"}`,             // missing declared field
 	}
 	for name, content := range cases {
 		path := writeFile(t, name, content)

@@ -159,13 +159,96 @@ func TestInsertBatchFrozen(t *testing.T) {
 	db := NewInstance()
 	db.MustInsert("R", dl.C("a"), dl.C("b"))
 	snap := db.Snapshot()
-	row := []int32{0, 1}
-	if _, err := snap.Relation("R").InsertBatch([][]int32{row}, nil); err == nil {
-		t.Fatal("InsertBatch into frozen snapshot succeeded")
-	}
 	var batch Batch
-	batch.Add("R", row)
+	batch.Add("R", []int32{0, 1})
 	if _, err := snap.MergeBatch(&batch, nil); err == nil {
 		t.Fatal("MergeBatch into frozen snapshot succeeded")
+	}
+}
+
+// TestRandomBatchesMatchSequentialInserts stages random interleavings
+// of rows for relations of arity 2, 1 and 0, with duplicates within
+// and across batches, and checks every merge against row-at-a-time
+// InsertRow on a twin instance: same new-row count, same onNew
+// sequence, and the same rows in the same insertion order.
+func TestRandomBatchesMatchSequentialInserts(t *testing.T) {
+	rels := []struct {
+		name  string
+		arity int
+	}{{"R", 2}, {"T", 1}, {"Z", 0}}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db, seq := NewInstance(), NewInstance()
+		ids := make([]int32, 4)
+		for i := range ids {
+			ids[i] = db.Interner().ID(dl.C(fmt.Sprintf("c%d", i)))
+			seq.Interner().ID(dl.C(fmt.Sprintf("c%d", i)))
+		}
+		var batch Batch
+		for round := 0; round < 3; round++ {
+			batch.Reset()
+			type staged struct {
+				pred string
+				row  []int32
+			}
+			var rows []staged
+			for i := rng.Intn(40); i > 0; i-- {
+				rel := rels[rng.Intn(len(rels))]
+				row := make([]int32, rel.arity)
+				for j := range row {
+					row[j] = ids[rng.Intn(len(ids))]
+				}
+				batch.Add(rel.name, row)
+				rows = append(rows, staged{rel.name, row})
+			}
+			if batch.Len() != len(rows) {
+				t.Fatalf("seed %d: batch len %d, staged %d", seed, batch.Len(), len(rows))
+			}
+			var want []string
+			for _, s := range rows {
+				isNew, err := seq.InsertRow(s.pred, s.row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if isNew {
+					want = append(want, fmt.Sprint(s.pred, s.row))
+				}
+			}
+			var got []string
+			added, err := db.MergeBatch(&batch, func(pred string, stored []int32) {
+				got = append(got, fmt.Sprint(pred, stored))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if added != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d round %d: merge added %d %v, sequential inserts %v", seed, round, added, got, want)
+			}
+		}
+		for _, rel := range rels {
+			a, b := db.Relation(rel.name), seq.Relation(rel.name)
+			if (a == nil) != (b == nil) {
+				t.Fatalf("seed %d: relation %s exists on one side only", seed, rel.name)
+			}
+			if a != nil && fmt.Sprint(a.Rows()) != fmt.Sprint(b.Rows()) {
+				t.Fatalf("seed %d: %s rows %v, sequential %v", seed, rel.name, a.Rows(), b.Rows())
+			}
+		}
+	}
+}
+
+// TestMergeBatchArityMismatch: a row staged with the wrong arity for
+// an existing relation fails the merge instead of being stored.
+func TestMergeBatchArityMismatch(t *testing.T) {
+	db := NewInstance()
+	db.MustInsert("R", dl.C("a"), dl.C("b"))
+	var batch Batch
+	batch.Add("R", []int32{0, 1})
+	batch.Add("R", []int32{0})
+	if _, err := db.MergeBatch(&batch, nil); err == nil {
+		t.Fatal("merging a row of the wrong arity succeeded")
+	}
+	if got := db.Relation("R").Len(); got != 1 {
+		t.Fatalf("R has %d rows after the failed merge, want 1", got)
 	}
 }

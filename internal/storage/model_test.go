@@ -128,7 +128,7 @@ func checkRel(r *Relation, want relModel, alphabet []dl.Term) error {
 }
 
 // TestModelRelationOps drives random sequences of every mutation —
-// Insert, InsertRow, InsertBatch, ReplaceTerms (with chains and
+// Insert, InsertRow, MergeBatch, ReplaceTerms (with chains and
 // cycles), Delete — interleaved with Clone and Snapshot. Each mutation
 // hits a randomly chosen writable relation: the live one or a clone of
 // the live relation, of another clone or of an earlier snapshot. After
@@ -174,18 +174,21 @@ func TestModelRelationOps(t *testing.T) {
 					t.Fatalf("seed %d step %d %s: new=%v err=%v, model new=%v", seed, step, op, isNew, err, want)
 				}
 			case 3:
-				var rows [][]int32
+				var batch Batch
 				wantAdded := 0
 				for i := rng.Intn(5); i >= 0; i-- {
 					tup := tuple()
-					rows = append(rows, w.rel.Interner().IDs(tup, nil))
+					batch.Add("R", w.rel.Interner().IDs(tup, nil))
 					var isNew bool
 					if w.model, isNew = w.model.insert(tup); isNew {
 						wantAdded++
 					}
 				}
-				op = fmt.Sprintf("%s.InsertBatch(%d rows)", w.what, len(rows))
-				if added, err := w.rel.InsertBatch(rows, nil); err != nil || added != wantAdded {
+				op = fmt.Sprintf("%s.MergeBatch(%d rows)", w.what, batch.Len())
+				// An instance holding only the writer, so clones merge
+				// through MergeBatch too.
+				inst := &Instance{relations: map[string]*Relation{"R": w.rel}, order: []string{"R"}, in: w.rel.in}
+				if added, err := inst.MergeBatch(&batch, nil); err != nil || added != wantAdded {
 					t.Fatalf("seed %d step %d %s: added=%d err=%v, model added=%d", seed, step, op, added, err, wantAdded)
 				}
 			case 4, 5:
