@@ -1,6 +1,6 @@
 // Command mdbench regenerates every table and figure of the paper and
-// runs the complexity-claim experiments (see DESIGN.md's experiment
-// index).
+// runs the complexity-claim experiments (the runner list is bench.All
+// in internal/bench).
 //
 // Usage:
 //

@@ -51,6 +51,12 @@ func (b *backendFlags) Set(v string) error {
 	return nil
 }
 
+// Connection timeouts of the HTTP server (see run).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -103,6 +109,13 @@ func run(ctx context.Context, args []string) error {
 		Addr:        *addr,
 		Handler:     rt,
 		BaseContext: func(net.Listener) context.Context { return reqCtx },
+		// Bound what an idle or slow client can hold: a connection
+		// must send its headers within readHeaderTimeout, and a
+		// keep-alive connection closes after idleTimeout without a
+		// request. Bodies are not bounded in time: apply streams are
+		// long-lived by design.
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()

@@ -1,8 +1,8 @@
 // Package bench is the experiment harness: one runner per table and
 // figure of the paper (T1–T5, F1, F2) plus the complexity-claim
-// experiments (C1–C4) from DESIGN.md. cmd/mdbench drives it; the root
-// bench_test.go wraps each runner in a testing.B benchmark; tests
-// assert the expected shapes.
+// experiments (C1–C4), listed by All. cmd/mdbench drives it (see the
+// mdbench row of the README); internal/benchsuite wraps each runner in
+// a testing.B benchmark; tests assert the expected shapes.
 package bench
 
 import (

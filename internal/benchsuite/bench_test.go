@@ -1,7 +1,7 @@
 // Package repro's root benchmark suite: one testing.B benchmark per
-// paper table and figure (see DESIGN.md's experiment index), the
-// scaling experiments behind the complexity claims, and the ablation
-// benchmarks for the design choices called out in DESIGN.md.
+// paper table and figure (the experiment list is bench.All in
+// internal/bench), the scaling experiments behind the complexity
+// claims, and ablation benchmarks for the engine's design choices.
 //
 // Run with: go test ./internal/benchsuite -bench=. -benchmem
 package benchsuite
@@ -270,7 +270,7 @@ func BenchmarkWarmAssess(b *testing.B) {
 	}
 }
 
-// ---- Ablations (design choices from DESIGN.md) ----
+// ---- Ablations (the engine's design choices) ----
 
 // BenchmarkAblation_RestrictedVsOblivious compares the two chase
 // variants on the downward-navigating hospital ontology.

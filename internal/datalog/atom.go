@@ -24,6 +24,15 @@ func (a Atom) String() string {
 	return a.Pred + "(" + TermsString(a.Args) + ")"
 }
 
+// source renders the atom as .mdq source text (see Term.sourceString).
+func (a Atom) source() string {
+	args := make([]string, len(a.Args))
+	for i, t := range a.Args {
+		args[i] = t.sourceString()
+	}
+	return a.Pred + "(" + strings.Join(args, ", ") + ")"
+}
+
 // IsGround reports whether the atom contains no variables.
 func (a Atom) IsGround() bool {
 	for _, t := range a.Args {

@@ -1,7 +1,9 @@
 package datalog
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -50,6 +52,12 @@ type Comparison struct {
 // String renders the comparison.
 func (c Comparison) String() string {
 	return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R)
+}
+
+// source renders the comparison as .mdq source text (see
+// Term.sourceString).
+func (c Comparison) source() string {
+	return c.L.sourceString() + " " + c.Op.String() + " " + c.R.sourceString()
 }
 
 // Eval evaluates the comparison under substitution s. It returns an
@@ -172,19 +180,21 @@ func (q *Query) Clone() *Query {
 	return out
 }
 
-// String renders the query.
+// String renders the query as .mdq source text, which ParseQuery reads
+// back as the same query: unlike Term.String, it quotes constants that
+// would read back as variables (see Term.sourceString).
 func (q *Query) String() string {
 	var parts []string
 	for _, a := range q.Body {
-		parts = append(parts, a.String())
+		parts = append(parts, a.source())
 	}
 	for _, a := range q.Negated {
-		parts = append(parts, "not "+a.String())
+		parts = append(parts, "not "+a.source())
 	}
 	for _, c := range q.Conds {
-		parts = append(parts, c.String())
+		parts = append(parts, c.source())
 	}
-	return q.Head.String() + " <- " + strings.Join(parts, ", ")
+	return q.Head.source() + " <- " + strings.Join(parts, ", ")
 }
 
 // Answer is one query answer: the tuple of terms bound to the head
@@ -260,20 +270,18 @@ func (s *AnswerSet) Sorted() []Answer {
 	return out
 }
 
+// sortAnswers orders answers lexicographically by Term.CompareTotal:
+// a total order on distinct answers, so the result does not depend on
+// the order they were found in.
 func sortAnswers(as []Answer) {
-	lessTerms := func(a, b []Term) bool {
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if c := a[i].Compare(b[i]); c != 0 {
-				return c < 0
+	slices.SortFunc(as, func(a, b Answer) int {
+		for i := 0; i < len(a.Terms) && i < len(b.Terms); i++ {
+			if c := a.Terms[i].CompareTotal(b.Terms[i]); c != 0 {
+				return c
 			}
 		}
-		return len(a) < len(b)
-	}
-	for i := 1; i < len(as); i++ {
-		for j := i; j > 0 && lessTerms(as[j].Terms, as[j-1].Terms); j-- {
-			as[j], as[j-1] = as[j-1], as[j]
-		}
-	}
+		return cmp.Compare(len(a.Terms), len(b.Terms))
+	})
 }
 
 // Equal reports whether two answer sets contain exactly the same

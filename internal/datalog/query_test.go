@@ -169,6 +169,40 @@ func TestAnswerSetBasics(t *testing.T) {
 	}
 }
 
+// TestAnswerSetSortedBreaksNumericTiesByName: answers whose terms are
+// numerically equal but distinct sort in one order, whichever was
+// found first, while conditions keep treating them as equal.
+func TestAnswerSetSortedBreaksNumericTiesByName(t *testing.T) {
+	for _, order := range [][]string{{"37", "37.0"}, {"37.0", "37"}} {
+		s := NewAnswerSet()
+		for _, v := range order {
+			s.Add(Answer{Terms: []Term{C("x"), C(v)}})
+		}
+		sorted := s.Sorted()
+		if sorted[0].Terms[1] != C("37") || sorted[1].Terms[1] != C("37.0") {
+			t.Fatalf("insertion order %v sorted to %v", order, sorted)
+		}
+	}
+	if C("37.0").Compare(C("37")) != 0 || C("37.0").CompareTotal(C("37")) <= 0 {
+		t.Fatal("Compare must keep numeric equality; CompareTotal must break the tie by name")
+	}
+}
+
+// TestQueryStringQuotesVariableLikeConstants: the query's text form
+// quotes a constant that would read back as a variable, while
+// Term.String keeps it bare for display.
+func TestQueryStringQuotesVariableLikeConstants(t *testing.T) {
+	q := NewQuery(A("q", V("x")), A("R", V("x"), C("night"), C("_")))
+	q.WithCond(OpEq, C("0"), C("a"))
+	want := `q(x) <- R(x, "night", "_"), 0 = "a"`
+	if got := q.String(); got != want {
+		t.Fatalf("String = %s, want %s", got, want)
+	}
+	if got := C("night").String(); got != "night" {
+		t.Fatalf("Term.String = %s, want night", got)
+	}
+}
+
 func TestAnswerHasNullAndKey(t *testing.T) {
 	withNull := Answer{Terms: []Term{C("a"), N("1")}}
 	if !withNull.HasNull() {

@@ -60,7 +60,10 @@ func (t Term) IsNull() bool { return t.Kind == KindNull }
 func (t Term) IsGround() bool { return t.Kind != KindVar }
 
 // String renders the term: constants that need quoting are double-quoted,
-// variables are bare identifiers, nulls are rendered as ⊥label.
+// variables are bare identifiers, nulls are rendered as ⊥label. A
+// constant that is a lowercase identifier stays bare here, for display,
+// although the .mdq parser reads that text as a variable; Query.String
+// quotes it (see sourceString).
 func (t Term) String() string {
 	switch t.Kind {
 	case KindConst:
@@ -77,30 +80,34 @@ func (t Term) String() string {
 	}
 }
 
-// needsQuote reports whether a constant name must be quoted to be
-// re-parseable (it contains characters outside the bare-identifier set
-// or could be confused with a variable, which start with a lowercase
-// letter in queries but are explicitly marked in our surface syntax).
+// sourceString renders t as .mdq source text: String, except that a
+// constant the parser would read back as a variable — a lowercase
+// identifier, or "_" — is quoted as well.
+func (t Term) sourceString() string {
+	if t.Kind == KindConst && (t.Name == "_" || t.Name != "" && t.Name[0] >= 'a' && t.Name[0] <= 'z') {
+		return strconv.Quote(t.Name)
+	}
+	return t.String()
+}
+
+// needsQuote reports whether a constant name must be quoted for the
+// .mdq lexer to read it back as one token with the same text. Two forms
+// stay bare: numbers the lexer reads whole (digits, optionally a dot
+// and more digits, as in "37.5"), and ASCII identifiers. Everything
+// else is quoted, including numbers such as "-5" or "1e5" and the
+// paper's data ("Sep/5-12:10").
 func needsQuote(s string) bool {
+	if isBareNumber(s) {
+		return false
+	}
 	if s == "" {
 		return true
 	}
-	for i, r := range s {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
 		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				// Leading digit is fine for numeric constants only.
-				if !isNumeric(s) {
-					return true
-				}
-				return false
-			}
-		case r == '.' || r == '/' || r == ':' || r == '-':
-			// Common in the paper's data ("Sep/5-12:10", "37.5").
-			if !isNumeric(s) {
-				return true
-			}
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
+		case c >= '0' && c <= '9' && i > 0:
 		default:
 			return true
 		}
@@ -108,9 +115,24 @@ func needsQuote(s string) bool {
 	return false
 }
 
-func isNumeric(s string) bool {
-	_, ok := parseNumeric(s)
-	return ok
+// isBareNumber reports whether s is a number as the .mdq lexer reads
+// one: digits, optionally followed by a dot and more digits.
+func isBareNumber(s string) bool {
+	intPart, frac, hasDot := strings.Cut(s, ".")
+	return allDigits(intPart) && (!hasDot || allDigits(frac))
+}
+
+// allDigits reports whether s is a non-empty run of ASCII digits.
+func allDigits(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // parseNumeric parses s as a float64 exactly as strconv.ParseFloat
@@ -147,6 +169,19 @@ func (t Term) Compare(u Term) int {
 		if c, ok := compareNumeric(t.Name, u.Name); ok {
 			return c
 		}
+	}
+	return strings.Compare(t.Name, u.Name)
+}
+
+// CompareTotal is Compare with ties broken by name, so it returns 0
+// only for identical terms. Distinct constants that are numerically
+// equal, such as "37" and "37.0", order by their text instead of
+// comparing equal. Output sorts use it, so their order never depends
+// on input order; comparisons in conditions keep Compare's numeric
+// equality.
+func (t Term) CompareTotal(u Term) int {
+	if c := t.Compare(u); c != 0 {
+		return c
 	}
 	return strings.Compare(t.Name, u.Name)
 }

@@ -48,6 +48,13 @@ func TestTermString(t *testing.T) {
 		{C("38.2"), "38.2"},
 		{C(""), `""`},
 		{C("123"), "123"},
+		// Numbers the lexer would not read whole are quoted: it reads
+		// only digits with an optional fraction as a number.
+		{C("night"), "night"},
+		{C("-5"), `"-5"`},
+		{C("1e5"), `"1e5"`},
+		{C(".5"), `".5"`},
+		{C("5."), `"5."`},
 		{V("x"), "x"},
 		{N("7"), "⊥7"},
 	}
@@ -108,6 +115,11 @@ func refCompareNumeric(a, b string) (int, bool) {
 	}
 }
 
+func parseNumericOK(s string) bool {
+	_, ok := parseNumeric(s)
+	return ok
+}
+
 func TestCompareNumericMatchesParseFloat(t *testing.T) {
 	names := []string{
 		"0", "2", "10", "-3", "+4", "1.5", "1.50", ".5", "-.5", "5.", "1e3", "1E-2", "1e400", "-1e400",
@@ -116,8 +128,8 @@ func TestCompareNumericMatchesParseFloat(t *testing.T) {
 		"a", "W1", "Tom", "Intensive", "Nurse", "-x", "+", "-", ".", "", "Sep/5-12:10", "37.5C", "1.2.3", " 1", "1 ",
 	}
 	for _, a := range names {
-		if _, err := strconv.ParseFloat(a, 64); isNumeric(a) != (err == nil) {
-			t.Errorf("isNumeric(%q) = %v, ParseFloat error %v", a, isNumeric(a), err)
+		if _, err := strconv.ParseFloat(a, 64); parseNumericOK(a) != (err == nil) {
+			t.Errorf("parseNumeric(%q) ok = %v, ParseFloat error %v", a, parseNumericOK(a), err)
 		}
 		for _, b := range names {
 			gc, gok := compareNumeric(a, b)

@@ -6,10 +6,10 @@
 // EGD (6) and the "intensive care closed since August 2005" denial —
 // and the Measurements instance of Table I under quality assessment.
 //
-// Substitution note (documented in DESIGN.md): the paper writes month
-// members like "August/2005"; we name them "2005-08" so that the
-// "since August 2005" guideline is expressible as an ordering
-// condition (m >= "2005-08") over the Month category.
+// Substitution note: the paper writes month members like
+// "August/2005"; we name them "2005-08" so that the "since August
+// 2005" guideline is expressible as an ordering condition
+// (m >= "2005-08") over the Month category.
 package hospital
 
 import (

@@ -30,8 +30,10 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind enumerates lexical token types.
@@ -287,6 +289,10 @@ func (l *lexer) next() (token, error) {
 	}
 }
 
+// lexString reads a double-quoted string. Escapes follow Go's string
+// literals (strconv.UnquoteChar), so every constant Term.String quotes
+// with strconv.Quote — control characters, invalid UTF-8 bytes and
+// unprintable runes included — reads back as the same constant.
 func (l *lexer) lexString(line, col int) (token, error) {
 	l.advance() // opening quote
 	var b strings.Builder
@@ -295,31 +301,35 @@ func (l *lexer) lexString(line, col int) (token, error) {
 		if !ok {
 			return token{}, &Error{Line: line, Col: col, Msg: "unterminated string"}
 		}
-		l.advance()
 		switch c {
 		case '"':
+			l.advance()
 			return token{kind: tokString, text: b.String(), line: line, col: col}, nil
 		case '\\':
-			c2, ok2 := l.peekByte()
-			if !ok2 {
+			escLine, escCol := l.line, l.col
+			rest := l.src[l.pos:]
+			if len(rest) < 2 {
 				return token{}, &Error{Line: line, Col: col, Msg: "unterminated escape"}
 			}
-			l.advance()
-			switch c2 {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case '"', '\\':
-				b.WriteByte(c2)
-			default:
-				return token{}, &Error{Line: line, Col: col, Msg: fmt.Sprintf("unknown escape \\%c", c2)}
+			value, multibyte, tail, err := strconv.UnquoteChar(rest, '"')
+			if err != nil {
+				// Quote at most the backslash and the nine bytes a \U
+				// escape takes.
+				return token{}, &Error{Line: escLine, Col: escCol, Msg: fmt.Sprintf("invalid escape %q", rest[:min(len(rest), 10)])}
 			}
+			for range len(rest) - len(tail) {
+				l.advance()
+			}
+			if value < utf8.RuneSelf || !multibyte {
+				b.WriteByte(byte(value))
+			} else {
+				b.WriteRune(value)
+			}
+			continue
 		case '\n':
 			return token{}, &Error{Line: line, Col: col, Msg: "newline in string"}
-		default:
-			b.WriteByte(c)
 		}
+		b.WriteByte(l.advance())
 	}
 }
 

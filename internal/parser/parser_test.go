@@ -217,6 +217,15 @@ func TestLexerStringEscapes(t *testing.T) {
 	if toks[0].text != "a\"b\\c\nd" {
 		t.Errorf("string = %q", toks[0].text)
 	}
+	// Every escape strconv.Quote emits reads back: control bytes,
+	// invalid UTF-8 and \u escapes.
+	toks, err = lexAll(`"\x01\r\xf6\u00a0\U0001F600"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if toks[0].text != "\x01\r\xf6\u00a0\U0001F600" {
+		t.Errorf("string = %q", toks[0].text)
+	}
 	if _, err := lexAll(`"unterminated`); err == nil {
 		t.Error("unterminated string must fail")
 	}

@@ -99,7 +99,7 @@ func TestParallelWarmMatchesSequentialWarm(t *testing.T) {
 	a := make([]*quality.Assessment, 2)
 	for i, s := range sessions {
 		var err error
-		if a[i], err = s.Assessment(); err != nil {
+		if a[i], _, _, err = s.Assessment(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,7 +189,7 @@ func TestParallelSessionConcurrentSnapshotReaders(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	warm, err := sess.Assessment()
+	warm, _, _, err := sess.Assessment()
 	if err != nil {
 		t.Fatal(err)
 	}

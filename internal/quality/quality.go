@@ -373,7 +373,10 @@ type Assessment struct {
 	// for concurrent readers.
 	Contextual *storage.Instance
 	// Versions holds the computed quality version of each original
-	// relation with a defined version.
+	// relation with a defined version: a frozen relation under the
+	// original attribute names whose rows are in sorted order. It
+	// shares the Contextual snapshot's interner and rows, so Insert and
+	// Delete on it fail.
 	Versions map[string]*storage.Relation
 	// Measures quantifies the departure of each original relation
 	// from its quality version.
@@ -797,13 +800,32 @@ func (s *Session) Versioned() []string { return append([]string(nil), s.prep.vor
 // and accumulated violations over a consistent snapshot. Under
 // Config.StrictConsistency it fails with qerr.ErrInconsistent when
 // the chase found violations.
-func (s *Session) Assessment() (*Assessment, error) {
-	// The lock pairs the engine snapshot with the measure bookkeeping
-	// atomically against Apply.
+//
+// With version history on, the current state is the newest recorded
+// version, assembled exactly as AssessmentAt assembles older ones: its
+// frozen snapshot, its violations and its recorded scores (which equal
+// the live measures, since every version is recorded after the measure
+// base is updated). That version's metadata comes back with it, read
+// under the same lock, and ok is true. With history off, ok is false
+// and the assessment comes from a fresh engine snapshot with measures
+// computed live.
+func (s *Session) Assessment() (a *Assessment, v history.Version, ok bool, err error) {
+	// The lock pairs the snapshot with the measure bookkeeping and the
+	// version metadata atomically against Apply.
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.hist != nil {
+		if e := s.hist.Latest(); e != nil {
+			a, err = s.assembleLocked(e.Inst, e.Viol, e.Scores)
+			if err != nil {
+				return nil, history.Version{}, false, err
+			}
+			return a, e.Version, true, nil
+		}
+	}
 	final, violations := s.eng.State()
-	return s.assembleLocked(final, violations, nil)
+	a, err = s.assembleLocked(final, violations, nil)
+	return a, history.Version{}, false, err
 }
 
 // AssessmentAt materializes the assessment outcome as of version seq:
@@ -826,10 +848,10 @@ func (s *Session) AssessmentAt(seq uint64) (*Assessment, history.Version, error)
 }
 
 // assembleLocked builds the Assessment over one frozen contextual
-// snapshot: version relations renamed to the original attribute names
-// in sorted order, measures either computed live against the current
-// measure base (scores == nil, the latest-version path) or taken from
-// a version's recorded scores (the as-of path).
+// snapshot: each version relation is a frozen, sorted view of the
+// snapshot's rows under the original attribute names, and measures are
+// either computed live against the current measure base (scores ==
+// nil, the history-off path) or taken from a version's recorded scores.
 func (s *Session) assembleLocked(final *storage.Instance, violations []chase.Violation, scores map[string]history.Score) (*Assessment, error) {
 	if s.prep.strict && len(violations) > 0 {
 		return nil, fmt.Errorf("quality: %w", &qerr.InconsistentError{Violations: violations})
@@ -855,17 +877,16 @@ func (s *Session) assembleLocked(final *storage.Instance, violations []chase.Vio
 		case vrel != nil:
 			attrs = vrel.Schema().Attrs
 		}
-		renamed := storage.NewRelation(storage.Schema{Name: def.pred, Attrs: attrs})
+		schema := storage.Schema{Name: def.pred, Attrs: attrs}
+		renamed := storage.NewFrozenRelation(schema)
 		if vrel != nil {
 			// Sorted, not insertion, order: the derived layer's
 			// insertion order varies with the engine's parallelism
 			// degree, and the materialized version relations are public
 			// output — they must not differ across machines.
-			buf := make([]datalog.Term, 0, vrel.Schema().Arity())
-			for _, row := range vrel.SortedRows() {
-				if _, err := renamed.Insert(vrel.Interner().Terms(row, buf[:0])); err != nil {
-					return nil, err
-				}
+			var err error
+			if renamed, err = vrel.SortedView(schema); err != nil {
+				return nil, err
 			}
 		}
 		out.Versions[rel] = renamed
@@ -905,7 +926,8 @@ func (c *Context) Assess(ctx context.Context, d *storage.Instance) (*Assessment,
 	if err != nil {
 		return nil, err
 	}
-	return s.Assessment()
+	a, _, _, err := s.Assessment()
+	return a, err
 }
 
 // measure computes |D|, |D^q| and their positional intersection,

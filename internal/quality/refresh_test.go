@@ -116,7 +116,7 @@ func TestRefreshEquivalentToColdAssess(t *testing.T) {
 
 			// Step 0: empty sources — the session must match the plain
 			// Example 7 outcome (Table II).
-			a0, err := sess.Assessment()
+			a0, _, _, err := sess.Assessment()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func TestRefreshEquivalentToColdAssess(t *testing.T) {
 			if r1.Apply == nil || len(r1.Delta) != 2 {
 				t.Fatalf("incremental apply missing: apply=%v delta=%v", r1.Apply, r1.Delta)
 			}
-			a1, err := sess.Assessment()
+			a1, _, _, err := sess.Assessment()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +168,7 @@ func TestRefreshEquivalentToColdAssess(t *testing.T) {
 			if !r3.Changed || !r3.Rebuilt {
 				t.Fatalf("removal refresh: changed=%v rebuilt=%v, want both", r3.Changed, r3.Rebuilt)
 			}
-			a3, err := sess.Assessment()
+			a3, _, _, err := sess.Assessment()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +192,7 @@ func TestRefreshEquivalentToColdAssess(t *testing.T) {
 			if !r4.Changed || r4.Rebuilt {
 				t.Fatalf("post-rebuild additions: changed=%v rebuilt=%v", r4.Changed, r4.Rebuilt)
 			}
-			a4, err := sess.Assessment()
+			a4, _, _, err := sess.Assessment()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +231,7 @@ func TestRefreshSourceUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := sess.Assessment()
+	before, _, _, err := sess.Assessment()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestRefreshSourceUnavailable(t *testing.T) {
 	if _, err := sess.Refresh(ctx); !errors.Is(err, qerr.ErrSourceUnavailable) {
 		t.Fatalf("want ErrSourceUnavailable, got %v", err)
 	}
-	after, err := sess.Assessment()
+	after, _, _, err := sess.Assessment()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,11 +107,11 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 						t.Fatalf("%s: violation %d = %v, want %v", name, i, gotV[i], wantV[i])
 					}
 				}
-				ra, err := restored.Assessment()
+				ra, _, _, err := restored.Assessment()
 				if err != nil {
 					t.Fatal(err)
 				}
-				wa, err := ref.Assessment()
+				wa, _, _, err := ref.Assessment()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -55,7 +55,7 @@ func TestSessionApplyMatchesColdAssess(t *testing.T) {
 		}
 	}
 
-	warm, err := sess.Assessment()
+	warm, _, _, err := sess.Assessment()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestSessionConcurrentSnapshotReaders(t *testing.T) {
 	default:
 	}
 
-	warm, err := sess.Assessment()
+	warm, _, _, err := sess.Assessment()
 	if err != nil {
 		t.Fatal(err)
 	}

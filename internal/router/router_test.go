@@ -339,10 +339,25 @@ func TestRouterAgainstRealShards(t *testing.T) {
 
 	apply := `{"atoms":[{"pred":"Clock","args":["Sep/5-11:45","Sep/5"]},{"pred":"Measurements","args":["Sep/5-11:45","Mark Smith","38.2"]}]}` + "\n"
 
+	// Three creates without an id, which the router places, then one
+	// client-chosen id per shard, picked by computing ring owners: both
+	// shards are used by construction, not by luck.
+	var bodies []string
+	for i := 0; i < 3; i++ {
+		bodies = append(bodies, "")
+	}
+	for _, shard := range rt.ring.Nodes() {
+		for i := 0; ; i++ {
+			id := fmt.Sprintf("pinned-%d", i)
+			if rt.ring.Owner("hospital/"+id) == shard {
+				bodies = append(bodies, `{"id":"`+id+`"}`)
+				break
+			}
+		}
+	}
 	homes := map[string]string{}
-	for i := 0; i < 6; i++ {
-		// Create via router without an id: the router places it.
-		resp, err := http.Post(front.URL+"/v1/contexts/hospital/sessions", "application/json", strings.NewReader(""))
+	for i, body := range bodies {
+		resp, err := http.Post(front.URL+"/v1/contexts/hospital/sessions", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,6 +372,9 @@ func TestRouterAgainstRealShards(t *testing.T) {
 			t.Fatalf("create %d via router: %d id=%q", i, resp.StatusCode, created.ID)
 		}
 		homes[created.ID] = resp.Header.Get("X-Mdrouter-Backend")
+		if owner := rt.ring.Owner("hospital/" + created.ID); homes[created.ID] != owner {
+			t.Fatalf("session %s created on %s, its ring owner is %s", created.ID, homes[created.ID], owner)
+		}
 
 		// Apply NDJSON through the router; must reach the same home.
 		ar, err := http.Post(front.URL+"/v1/contexts/hospital/sessions/"+created.ID+"/apply",
@@ -388,13 +406,14 @@ func TestRouterAgainstRealShards(t *testing.T) {
 			t.Fatalf("answers for %s missing written value: %s", created.ID, qbody)
 		}
 	}
-	// With 6 sessions the placement should have used both shards.
+	// Every session is on its ring owner, and the pinned ids cover
+	// both shards.
 	used := map[string]bool{}
 	for _, h := range homes {
 		used[h] = true
 	}
 	if len(used) != 2 {
-		t.Fatalf("6 sessions all pinned to one shard: %v", homes)
+		t.Fatalf("sessions did not land on both shards: %v", homes)
 	}
 
 	// The merged session list sees every session exactly once.

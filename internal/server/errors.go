@@ -88,6 +88,7 @@ func (e *invalidAsOfError) Error() string { return e.msg }
 //	unknown context/session→ 404 Not Found
 //	taken session id       → 409 Conflict (code "session_exists")
 //	malformed payloads     → 400 Bad Request
+//	oversized request body → 413 Payload Too Large
 //	capacity limits        → 429 Too Many Requests
 //	cancelled request ctx  → 499 (client closed request)
 //	anything else          → 500 Internal Server Error
@@ -104,6 +105,7 @@ func MapError(err error) (int, ErrorBody) {
 	var ur *qerr.UnknownRelationError
 	var su *qerr.SourceUnavailableError
 	var ve *qerr.VersionEvictedError
+	var tl *http.MaxBytesError
 	switch {
 	case errors.As(err, &nf):
 		status, we.Code = http.StatusNotFound, "not_found"
@@ -120,6 +122,8 @@ func MapError(err error) (int, ErrorBody) {
 		status, we.Code = http.StatusBadRequest, "invalid_as_of"
 	case errors.As(err, &br):
 		status, we.Code = http.StatusBadRequest, "bad_request"
+	case errors.As(err, &tl):
+		status, we.Code = http.StatusRequestEntityTooLarge, "payload_too_large"
 	case errors.As(err, &ov):
 		status, we.Code = http.StatusTooManyRequests, "overloaded"
 	case errors.As(err, &cf):

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"net/http"
 	"regexp"
 	"sort"
@@ -51,12 +52,23 @@ func (s *Server) fail(w http.ResponseWriter, contextName string, err error) {
 	writeJSON(w, status, body)
 }
 
-// decodeBody decodes an optional JSON request body into v. An empty
-// body is fine (v keeps its zero value); malformed JSON is a client
-// error.
-func decodeBody(r *http.Request, v any) error {
-	data, err := io.ReadAll(r.Body)
+// maxBodyBytes bounds the request bodies decodeBody reads: one-shot
+// assess and session-create payloads. It is the limit mdrouter already
+// applies to the bodies it buffers. Apply streams are not bounded;
+// they are long-lived by design.
+const maxBodyBytes = 32 << 20
+
+// decodeBody decodes an optional JSON request body of at most
+// maxBodyBytes into v. An empty body is fine (v keeps its zero value);
+// malformed JSON is a client error, and a longer body fails with
+// *http.MaxBytesError (413).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return err
+		}
 		return &badRequestError{msg: fmt.Sprintf("read body: %v", err)}
 	}
 	if len(strings.TrimSpace(string(data))) == 0 {
@@ -127,7 +139,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AssessRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, lc.name, err)
 		return
 	}
@@ -181,9 +193,10 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 }
 
 // renderAssessment builds the wire form of an assessment. The
-// versioned relations render independently (sorted-tuple
-// materialization is the expensive part), so they fan out across the
-// server's worker pool — the request-level reuse of internal/par.
+// versioned relations render independently (decoding every tuple is
+// the expensive part), so they fan out across the server's worker
+// pool — the request-level reuse of internal/par. Version relations
+// already hold their rows in sorted order.
 func (s *Server) renderAssessment(ctx context.Context, lc *loadedContext, a *mdqa.Assessment) (*AssessResponse, error) {
 	versioned := lc.qc.Versioned()
 	type rendered struct {
@@ -202,7 +215,7 @@ func (s *Server) renderAssessment(ctx context.Context, lc *loadedContext, a *mdq
 		}
 		wr := WireRelation{Attrs: v.Schema().Attrs, Tuples: [][]string{}}
 		buf := make([]mdqa.Term, 0, v.Schema().Arity())
-		for _, row := range v.SortedRows() {
+		for _, row := range v.Rows() {
 			wr.Tuples = append(wr.Tuples, termStrings(v.Interner().Terms(row, buf[:0])))
 		}
 		out.version = wr
@@ -247,7 +260,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionCreateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, lc.name, err)
 		return
 	}
@@ -549,6 +562,10 @@ func (s *Server) handleSessionAssess(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// answerFlushEvery is how long answer rows may sit in the response
+// buffers, after the first, while the iterator keeps producing rows.
+const answerFlushEvery = 50 * time.Millisecond
+
 // handleAnswers streams quality-query answers off a consistent
 // snapshot as NDJSON: one line per answer, a terminal count line, and
 // early termination when the client disconnects. ?q= is either the
@@ -558,6 +575,15 @@ func (s *Server) handleSessionAssess(w http.ResponseWriter, r *http.Request) {
 // answers only), ?mode=raw evaluates the query as written, nulls
 // included. ?as_of=<version|RFC3339> answers against that historical
 // version instead of the latest state.
+//
+// The stream flushes its first row at once, so the time to first byte
+// does not wait for the rest. Later rows go into net/http's response
+// buffers, which write to the socket as they fill, and a row is
+// flushed early when answerFlushEvery has passed since the last flush.
+// The check runs as each row is written, so a row written just before
+// a long gap in the iterator waits for the next row or the end of the
+// stream. No goroutine flushes on a timer: it would need a lock around
+// every write to the ResponseWriter.
 func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sess, err := s.lookup(r)
@@ -642,28 +668,41 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		seq = snap.CleanAnswersCached(q, cache)
 	}
 
+	count, ok := s.streamAnswers(r.Context(), w, lc.name, seq)
+	if !ok {
+		return
+	}
+	s.met.with(lc.name, func(cm *contextMetrics) { cm.answersTotal += int64(count) })
+	s.met.observe(lc.name, "answers", time.Since(start))
+}
+
+// streamAnswers writes seq as NDJSON answer lines and the terminal
+// count line, flushing as handleAnswers describes. It reports the
+// answer count, and false when the stream ended early: on an iterator
+// error (written as an error line) or a gone client.
+func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, contextName string, seq iter.Seq2[mdqa.Answer, error]) (int, bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	ctx := r.Context()
 	count := 0
+	var flushed time.Time
 	for ans, err := range seq {
 		if err != nil {
-			s.streamError(w, enc, lc.name, err)
-			return
+			s.streamError(w, enc, contextName, err)
+			return count, false
 		}
 		if ctx.Err() != nil {
-			return // client gone; stop the evaluation
+			return count, false // client gone; stop the evaluation
 		}
 		_ = enc.Encode(answerTuple{Answer: termStrings(ans.Terms)})
-		if flusher != nil {
-			flusher.Flush()
-		}
 		count++
+		if flusher != nil && (count == 1 || time.Since(flushed) >= answerFlushEvery) {
+			flusher.Flush()
+			flushed = time.Now()
+		}
 	}
 	_ = enc.Encode(AnswerLine{Count: &count})
-	s.met.with(lc.name, func(cm *contextMetrics) { cm.answersTotal += int64(count) })
-	s.met.observe(lc.name, "answers", time.Since(start))
+	return count, true
 }
 
 // checkQueryRelations verifies every positive body atom resolves

@@ -78,6 +78,7 @@ func TestMapError(t *testing.T) {
 		{"bad-request", &badRequestError{msg: "nope"}, http.StatusBadRequest, "bad_request"},
 		{"overloaded", &overloadedError{msg: "full"}, http.StatusTooManyRequests, "overloaded"},
 		{"cancelled", context.Canceled, StatusClientClosedRequest, "client_closed_request"},
+		{"too-large", fmt.Errorf("read: %w", &http.MaxBytesError{Limit: maxBodyBytes}), http.StatusRequestEntityTooLarge, "payload_too_large"},
 		{"deadline", fmt.Errorf("op: %w", context.DeadlineExceeded), StatusClientClosedRequest, "client_closed_request"},
 		{"internal", errors.New("boom"), http.StatusInternalServerError, "internal"},
 	}
@@ -467,3 +468,36 @@ func TestCancelledAssess(t *testing.T) {
 
 // queryEscape URL-encodes an inline query for the ?q= parameter.
 func queryEscape(s string) string { return url.QueryEscape(s) }
+
+// spaces is an endless stream of blanks.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizedBody413: a one-shot assess body one byte over the limit
+// fails with 413 payload_too_large, and the server keeps serving.
+func TestOversizedBody413(t *testing.T) {
+	ts := newHospitalServer(t)
+	req, err := http.NewRequest("POST", ts.URL+"/v1/contexts/hospital/assess", io.LimitReader(spaces{}, maxBodyBytes+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = maxBodyBytes + 1
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || errCode(t, string(data)) != "payload_too_large" {
+		t.Fatalf("oversized assess: %d %s", resp.StatusCode, data)
+	}
+	if status, body := do(t, "GET", ts.URL+"/healthz", ""); status != http.StatusOK {
+		t.Fatalf("healthz after an oversized body: %d %s", status, body)
+	}
+}

@@ -20,7 +20,6 @@ import (
 	"maps"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/datalog"
@@ -514,21 +513,56 @@ func (r *Relation) decode(rows [][]int32) [][]datalog.Term {
 func (r *Relation) Rows() [][]int32 { return r.rows }
 
 // SortedRows returns the rows ordered lexicographically by term
-// (Term.Compare), for deterministic output. The outer slice is fresh;
-// the rows themselves are owned by the relation.
+// (Term.CompareTotal), for deterministic output: the order is total on
+// distinct rows, so it never depends on insertion order. The outer
+// slice is fresh; the rows themselves are owned by the relation.
 func (r *Relation) SortedRows() [][]int32 {
-	out := append([][]int32(nil), r.rows...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	out := slices.Clone(r.rows)
+	slices.SortFunc(out, func(a, b []int32) int {
 		for k := range a {
-			if a[k] == b[k] {
-				continue
+			// Distinct ids of one interner are distinct terms, which
+			// CompareTotal never ties.
+			if a[k] != b[k] {
+				return r.in.TermOf(a[k]).CompareTotal(r.in.TermOf(b[k]))
 			}
-			return r.in.TermOf(a[k]).Compare(r.in.TermOf(b[k])) < 0
 		}
-		return false
+		return 0
 	})
 	return out
+}
+
+// SortedView returns a frozen relation under schema holding r's rows
+// in SortedRows order. It shares r's interner and row cells; only the
+// row headers, the dedup slots and the indexes are its own, so it
+// costs no decoding, interning or row copies. r must be frozen: a
+// frozen relation's interner never interns again, which is what makes
+// sharing it safe for concurrent readers. schema must have r's arity.
+func (r *Relation) SortedView(schema Schema) (*Relation, error) {
+	if !r.frozen {
+		return nil, fmt.Errorf("storage: sorted view of %s needs a frozen relation", r.schema.Name)
+	}
+	if schema.Arity() != r.schema.Arity() {
+		return nil, fmt.Errorf("storage: sorted view of %s: schema %s has arity %d, want %d", r.schema.Name, schema, schema.Arity(), r.schema.Arity())
+	}
+	out := newRelation(schema, r.in)
+	rows := r.SortedRows()
+	out.rows = make([][]int32, 0, len(rows))
+	// Size the slot table once: appendRow rebuilds it only when it is
+	// more than half full.
+	out.slots = make([]int32, max(minSlots, 1<<bits.Len(uint(2*len(rows)))))
+	for _, row := range rows {
+		out.appendRow(row)
+	}
+	out.frozen = true
+	return out, nil
+}
+
+// NewFrozenRelation returns an empty relation under schema that
+// rejects every mutation, like a snapshot relation with no rows.
+func NewFrozenRelation(schema Schema) *Relation {
+	r := NewRelation(schema)
+	r.frozen = true
+	return r
 }
 
 // SortedTuples decodes the tuples sorted lexicographically, for
@@ -558,7 +592,7 @@ func (r *Relation) ReplaceTerms(repl map[datalog.Term]datalog.Term) int {
 	}
 	// Resolve chains up front so each id lookup is a single map hit.
 	// Cyclic requests ({a->b, b->a}) are treated as merge classes: every
-	// member of a cycle maps to the cycle's Compare-least term, so the
+	// member of a cycle maps to the cycle's CompareTotal-least term, so the
 	// result is a deterministic merge rather than a parity-dependent
 	// rotation. A term the interner has never seen occurs in no row.
 	targets := make(map[int32]datalog.Term, len(repl))
@@ -598,7 +632,8 @@ func (r *Relation) ReplaceTerms(repl map[datalog.Term]datalog.Term) int {
 
 // resolveReplacement follows the replacement chain from old to its
 // terminal term. A chain that runs into a cycle resolves to the
-// cycle's least member under Term.Compare.
+// cycle's least member under Term.CompareTotal, which is the same
+// member wherever the chain entered the cycle.
 func resolveReplacement(repl map[datalog.Term]datalog.Term, old datalog.Term) datalog.Term {
 	cur := old
 	var path []datalog.Term
@@ -611,7 +646,7 @@ func resolveReplacement(repl map[datalog.Term]datalog.Term, old datalog.Term) da
 		if at, dup := seen[cur]; dup {
 			min := path[at]
 			for _, t := range path[at+1:] {
-				if t.Compare(min) < 0 {
+				if t.CompareTotal(min) < 0 {
 					min = t
 				}
 			}

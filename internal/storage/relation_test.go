@@ -207,3 +207,94 @@ func TestSchemaString(t *testing.T) {
 		t.Errorf("Arity = %d", s.Arity())
 	}
 }
+
+// TestSortedRowsBreaksNumericTiesByName pins the output order of
+// distinct constants that compare numerically equal: "37" and "37.0"
+// must come out in one order whichever was inserted first.
+func TestSortedRowsBreaksNumericTiesByName(t *testing.T) {
+	orders := [][]string{{"37", "37.0"}, {"37.0", "37"}}
+	var got [][]string
+	for _, order := range orders {
+		r := NewRelation(Schema{Name: "R", Attrs: []string{"a", "b"}})
+		for _, v := range order {
+			if _, err := r.Insert([]dl.Term{dl.C("x"), dl.C(v)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var vals []string
+		for _, tup := range r.SortedTuples() {
+			vals = append(vals, tup[1].Name)
+		}
+		got = append(got, vals)
+	}
+	want := []string{"37", "37.0"}
+	for i, vals := range got {
+		if len(vals) != 2 || vals[0] != want[0] || vals[1] != want[1] {
+			t.Fatalf("insertion order %v sorted to %v, want %v", orders[i], vals, want)
+		}
+	}
+}
+
+// TestSortedView covers the frozen, sorted view a quality version is
+// exposed as: it renames the attributes, holds the rows in SortedRows
+// order, shares the source's interner and row cells, keeps its
+// indexes consistent with the new order, and rejects mutation and
+// live sources.
+func TestSortedView(t *testing.T) {
+	db := NewInstance()
+	if _, err := db.CreateRelation("Measurements", "a0", "a1", "a2"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range measurementsRel(t).Tuples() {
+		db.MustInsert("Measurements", tup...)
+	}
+	live := db.Relation("Measurements")
+	schema := Schema{Name: "Measurements", Attrs: []string{"Time", "Patient", "Value"}}
+	if _, err := live.SortedView(schema); err == nil {
+		t.Fatal("a sorted view of a live relation must fail")
+	}
+	src := db.Snapshot().Relation("Measurements")
+	if _, err := src.SortedView(Schema{Name: "M", Attrs: []string{"Time"}}); err == nil {
+		t.Fatal("a sorted view under a schema of another arity must fail")
+	}
+	v, err := src.SortedView(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Frozen() || v.Interner() != src.Interner() {
+		t.Fatalf("view frozen=%v, shares interner=%v", v.Frozen(), v.Interner() == src.Interner())
+	}
+	if v.Schema().String() != schema.String() {
+		t.Fatalf("view schema %s, want %s", v.Schema(), schema)
+	}
+	sorted := src.SortedRows()
+	if v.Len() != len(sorted) {
+		t.Fatalf("view has %d rows, want %d", v.Len(), len(sorted))
+	}
+	cells := map[*int32]bool{}
+	for _, row := range src.Rows() {
+		cells[&row[0]] = true
+	}
+	for i, row := range v.Rows() {
+		if &row[0] != &sorted[i][0] || !cells[&row[0]] {
+			t.Fatalf("view row %d is not the source's row cell in sorted position", i)
+		}
+	}
+	// Lookups and index probes see the new row order.
+	for _, tup := range src.Tuples() {
+		if !v.Contains(tup) {
+			t.Fatalf("view misses %v", tup)
+		}
+	}
+	pat := dl.A("Measurements", dl.V("t"), dl.C("Lou Reed"), dl.V("v"))
+	if got := planCandidates(v, pat, dl.NewSubst()); got != 2 {
+		t.Fatalf("index probe on the view walks %d rows, want 2", got)
+	}
+	if _, err := v.Insert([]dl.Term{dl.C("t"), dl.C("p"), dl.C("1")}); err == nil {
+		t.Fatal("insert into a sorted view must fail")
+	}
+	empty := NewFrozenRelation(schema)
+	if _, err := empty.Insert([]dl.Term{dl.C("t"), dl.C("p"), dl.C("1")}); err == nil || empty.Len() != 0 {
+		t.Fatal("insert into an empty frozen relation must fail")
+	}
+}

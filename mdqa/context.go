@@ -217,11 +217,14 @@ type Assessment struct {
 func (a *Assessment) Snapshot() *Snapshot { return a.snap }
 
 // Versions returns the computed quality version of each original
-// relation with a defined version, keyed by the original name.
+// relation with a defined version, keyed by the original name. Each is
+// a frozen relation under the original attribute names, with its rows
+// in sorted order; Insert and Delete on it fail.
 func (a *Assessment) Versions() map[string]*Relation { return a.a.Versions }
 
 // Version returns the computed quality version of one original
 // relation, or ErrUnknownRelation when no version is defined for it.
+// The relation is frozen and its rows are sorted, as in Versions.
 func (a *Assessment) Version(rel string) (*Relation, error) {
 	if v, ok := a.a.Versions[rel]; ok {
 		return v, nil

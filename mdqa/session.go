@@ -100,14 +100,15 @@ func (s *Session) Assess(ctx context.Context, opts ...ViewOption) (*Assessment, 
 		return nil, err
 	}
 	if !o.hasAt {
-		a, err := s.s.Assessment()
+		// The version metadata comes from the same lock acquisition as
+		// the assessment, so an Apply in between cannot pair them up
+		// across versions.
+		a, v, ok, err := s.s.Assessment()
 		if err != nil {
 			return nil, err
 		}
 		aa := newAssessment(a, s.versionPred, s.vorder)
-		if v, ok := s.s.LatestVersion(); ok {
-			aa.snap.ver, aa.snap.hasVer = v, true
-		}
+		aa.snap.ver, aa.snap.hasVer = v, ok
 		return aa, nil
 	}
 	a, v, err := s.s.AssessmentAt(o.at)
