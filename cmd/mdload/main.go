@@ -10,14 +10,12 @@
 //
 //	mdload -url http://localhost:8080 -context hospital -rate 500 -duration 10s
 //	mdload -url ... -rr 0.8 -zipf 1.1 -sessions 32 -delta 8 -json LOAD_1.json
-//	mdload -sweep 1,2,4 -rate 400 -duration 8s -benchjson BENCH_9.json -json LOAD_9.json
+//	mdload -sweep 1,2,4 -rate 400 -duration 8s -json LOAD_9.json
 //
 // The -sweep form needs no -url: it boots in-process mdserve shards on
 // loopback — the same server package the mdserve binary runs — and
 // drives the workload directly against one backend and through
-// mdrouter at each shard count, recording the latency trajectory in
-// BENCH-compatible keys (BenchmarkLoadReadP50/mode=router/shards=2,
-// ...).
+// mdrouter at each shard count, one LOAD report per topology.
 //
 // Exit status: 0 on success; 1 on harness errors; 2 when -max-error-rate
 // is exceeded (for CI smoke gates).
@@ -35,7 +33,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/gen"
 	"repro/internal/load"
 )
@@ -73,7 +70,6 @@ func run(ctx context.Context, args []string) (int, error) {
 	jsonPath := fs.String("json", "", "write LOAD report JSON here")
 	maxErrRate := fs.Float64("max-error-rate", -1, "exit 2 when the error fraction exceeds this (negative = no gate)")
 	sweep := fs.String("sweep", "", "comma-separated shard counts (e.g. 1,2,4): boot in-process shards and sweep direct + router topologies instead of hitting -url")
-	benchJSON := fs.String("benchjson", "", "with -sweep: write latency quantiles as BENCH-compatible JSON here")
 	parallelism := fs.Int("parallelism", 0, "with -sweep: engine pool per in-process shard (0 = all cores)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -100,7 +96,7 @@ func run(ctx context.Context, args []string) (int, error) {
 	}
 
 	if *sweep != "" {
-		return runSweep(ctx, spec, *sweep, *parallelism, *jsonPath, *benchJSON)
+		return runSweep(ctx, spec, *sweep, *parallelism, *jsonPath)
 	}
 	if *url == "" {
 		return 1, fmt.Errorf("pass -url (or -sweep for the in-process topology sweep)")
@@ -123,7 +119,7 @@ func run(ctx context.Context, args []string) (int, error) {
 	return 0, nil
 }
 
-func runSweep(ctx context.Context, spec load.Spec, shardsCSV string, parallelism int, jsonPath, benchJSON string) (int, error) {
+func runSweep(ctx context.Context, spec load.Spec, shardsCSV string, parallelism int, jsonPath string) (int, error) {
 	var shards []int
 	for _, f := range strings.Split(shardsCSV, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -132,7 +128,7 @@ func runSweep(ctx context.Context, spec load.Spec, shardsCSV string, parallelism
 		}
 		shards = append(shards, n)
 	}
-	reports, perf, err := load.RunShardSweep(ctx, load.SweepSpec{
+	reports, err := load.RunShardSweep(ctx, load.SweepSpec{
 		Shards:      shards,
 		Load:        spec,
 		Parallelism: parallelism,
@@ -151,12 +147,6 @@ func runSweep(ctx context.Context, spec load.Spec, shardsCSV string, parallelism
 			return 1, err
 		}
 		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	if benchJSON != "" {
-		if err := bench.WritePerfJSON(benchJSON, perf); err != nil {
-			return 1, err
-		}
-		fmt.Printf("wrote %s\n", benchJSON)
 	}
 	return 0, nil
 }

@@ -274,38 +274,26 @@ type ScaleRow struct {
 func RunScaling(sizes []int) ([]ScaleRow, error) {
 	var rows []ScaleRow
 	for _, n := range sizes {
-		spec := gen.ChainSpec{
-			Dim:    gen.DimensionSpec{Name: "S", Levels: 3, Fanout: 8, BaseMembers: 64},
-			Tuples: n,
-			Upward: true,
-			Seed:   42,
-		}
-		o, err := gen.ChainOntology(spec)
+		prog, db, q, err := ScalingWorkload(n)
 		if err != nil {
 			return nil, err
 		}
-		comp, err := o.Compile(core.CompileOptions{})
-		if err != nil {
-			return nil, err
-		}
-		q := datalog.NewQuery(datalog.A("Q", datalog.V("c")),
-			datalog.A(gen.UpRelName(2), datalog.V("c"), datalog.C("v0")))
 
 		start := time.Now()
-		res, err := chase.Run(context.Background(), comp.Program, comp.Instance, chase.Options{})
+		res, err := chase.Run(context.Background(), prog, db, chase.Options{})
 		if err != nil {
 			return nil, err
 		}
 		chaseT := time.Since(start)
 
 		start = time.Now()
-		if _, err := qa.Answer(context.Background(), comp.Program, comp.Instance, q, qa.Options{}); err != nil {
+		if _, err := qa.Answer(context.Background(), prog, db, q, qa.Options{}); err != nil {
 			return nil, err
 		}
 		detT := time.Since(start)
 
 		start = time.Now()
-		if _, err := rewrite.Answer(context.Background(), comp.Program, comp.Instance, q, rewrite.Options{}); err != nil {
+		if _, err := rewrite.Answer(context.Background(), prog, db, q, rewrite.Options{}); err != nil {
 			return nil, err
 		}
 		rewT := time.Since(start)
@@ -317,6 +305,49 @@ func RunScaling(sizes []int) ([]ScaleRow, error) {
 	}
 	return rows, nil
 }
+
+// ScalingWorkload builds the C1 chain workload: the one spec behind
+// RunScaling and the Scaling_* benchmarks in internal/benchsuite.
+func ScalingWorkload(n int) (*datalog.Program, *storage.Instance, *datalog.Query, error) {
+	spec := gen.ChainSpec{
+		Dim:    gen.DimensionSpec{Name: "S", Levels: 3, Fanout: 8, BaseMembers: 64},
+		Tuples: n,
+		Upward: true,
+		Seed:   42,
+	}
+	o, err := gen.ChainOntology(spec)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	comp, err := o.Compile(core.CompileOptions{})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	q := datalog.NewQuery(datalog.A("Q", datalog.V("c")),
+		datalog.A(gen.UpRelName(2), datalog.V("c"), datalog.C("v0")))
+	return comp.Program, comp.Instance, q, nil
+}
+
+// StreamWorkloadSpec is the streaming quality workload at n total
+// measurements with a ~1% delta tick: the one spec behind the
+// assessment, query, refresh and durable benchmarks in
+// internal/benchsuite.
+func StreamWorkloadSpec(n int) gen.StreamSpec {
+	tick := n / 400 // 1% of n measurements, at 4 days per patient
+	if tick < 1 {
+		tick = 1
+	}
+	return gen.StreamSpec{
+		Base:         gen.QualitySpec{Patients: n / 4, Days: 4, Wards: 3, DirtyRatio: 0.5, Seed: 11},
+		TickPatients: tick,
+	}
+}
+
+// WarmResetTicks is how many delta ticks the warm-apply benchmarks
+// apply to one session before rebuilding it off-timer: enough to
+// amortize, few enough that the instance stays near its nominal size
+// while the benchmark harness scales iterations.
+const WarmResetTicks = 10
 
 // RunC1 prints the scaling table.
 func RunC1(w io.Writer) error {

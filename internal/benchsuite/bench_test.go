@@ -18,10 +18,13 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/gen"
 	"repro/internal/hospital"
+	"repro/internal/persist"
 	"repro/internal/qa"
+	"repro/internal/quality"
 	"repro/internal/rewrite"
 	"repro/internal/sticky"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // benchExperiment runs one harness experiment per iteration.
@@ -195,18 +198,53 @@ func BenchmarkQualityMeasure_Sweep(b *testing.B) {
 
 // ---- C5: prepared sessions — cold vs warm assessment ----
 
+// streamSizes are the base sizes of the streaming-workload benchmarks.
+// Each benchmark builds its workload inside its own sub-benchmark, so
+// worker pools, which default to GOMAXPROCS, follow -cpu.
+var streamSizes = []int{100, 400, 1600}
+
+// streamWorkload generates the streaming quality workload at n total
+// measurements (bench.StreamWorkloadSpec).
+func streamWorkload(b *testing.B, n int) *gen.StreamingWorkload {
+	b.Helper()
+	wl, err := gen.NewStreamingWorkload(bench.StreamWorkloadSpec(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return wl
+}
+
+// warmLoop times one delta tick per op. reset opens a fresh session
+// before the first tick and again, off-timer, every
+// bench.WarmResetTicks ticks, so the measured instance stays near its
+// nominal size instead of growing with b.N.
+func warmLoop(b *testing.B, reset func(), tick func(t int)) {
+	b.Helper()
+	reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	t := 0
+	for i := 0; i < b.N; i++ {
+		if t == bench.WarmResetTicks {
+			b.StopTimer()
+			reset()
+			t = 0
+			b.StartTimer()
+		}
+		tick(t)
+		t++
+	}
+}
+
 // BenchmarkColdAssess measures a from-scratch assessment (session
 // build: merge + full chase + full eval + measures) of the streaming
 // workload's base instance at n total measurements. Compilation is
 // prepared once outside the loop, so the number isolates the per-
 // request work a session amortizes.
 func BenchmarkColdAssess(b *testing.B) {
-	for _, n := range []int{100, 400, 1600} {
+	for _, n := range streamSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			wl, err := gen.NewStreamingWorkload(bench.StreamWorkloadSpec(n))
-			if err != nil {
-				b.Fatal(err)
-			}
+			wl := streamWorkload(b, n)
 			if _, err := wl.Base.Context.Prepare(context.Background()); err != nil {
 				b.Fatal(err)
 			}
@@ -229,42 +267,72 @@ func BenchmarkColdAssess(b *testing.B) {
 // against a prepared, already-saturated session — the steady-state
 // cost of keeping quality versions current as data streams in.
 func BenchmarkWarmAssess(b *testing.B) {
-	for _, n := range []int{100, 400, 1600} {
+	for _, n := range streamSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			wl, err := gen.NewStreamingWorkload(bench.StreamWorkloadSpec(n))
-			if err != nil {
-				b.Fatal(err)
-			}
-			prep, err := wl.Base.Context.Prepare(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			sess, err := prep.NewSession(context.Background(), wl.Base.Instance)
-			if err != nil {
-				b.Fatal(err)
-			}
 			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			// The session is rebuilt (off-timer) every few ticks so the
-			// measured instance stays near n instead of growing with
-			// b.N — the number is the steady-state cost of one tick.
-			tick := 0
-			for i := 0; i < b.N; i++ {
-				if tick == bench.WarmResetTicks {
-					b.StopTimer()
-					sess, err = prep.NewSession(context.Background(), wl.Base.Instance)
-					if err != nil {
-						b.Fatal(err)
-					}
-					tick = 0
-					b.StartTimer()
+			wl := streamWorkload(b, n)
+			prep, err := wl.Base.Context.Prepare(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sess *quality.Session
+			warmLoop(b, func() {
+				if sess, err = prep.NewSession(ctx, wl.Base.Instance); err != nil {
+					b.Fatal(err)
 				}
-				delta, _ := wl.Tick(tick)
-				tick++
+			}, func(t int) {
+				delta, _ := wl.Tick(t)
 				if _, err := sess.Apply(ctx, delta); err != nil {
 					b.Fatal(err)
 				}
+			})
+		})
+	}
+}
+
+// BenchmarkDurableWarmApply is WarmAssess with every applied batch
+// also appended to a persist.SessionLog, at each fsync mode; the delta
+// to WarmAssess is that mode's durability tax. Opening the log,
+// including the full-state snapshot a server writes at session create,
+// stays off-timer.
+func BenchmarkDurableWarmApply(b *testing.B) {
+	for _, n := range streamSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ctx := context.Background()
+			wl := streamWorkload(b, n)
+			prep, err := wl.Base.Context.Prepare(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, mode := range []wal.SyncMode{wal.SyncAlways, wal.SyncInterval, wal.SyncNone} {
+				b.Run("fsync="+mode.String(), func(b *testing.B) {
+					store, err := persist.OpenStore(b.TempDir(), persist.Options{WAL: wal.Options{Mode: mode}})
+					if err != nil {
+						b.Fatal(err)
+					}
+					sess, err := prep.NewSession(ctx, wl.Base.Instance)
+					if err != nil {
+						b.Fatal(err)
+					}
+					log, err := store.CreateSession("bench", "s", persist.Meta{}, sess.Export())
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer log.Close()
+					warmLoop(b, func() {
+						if sess, err = prep.NewSession(ctx, wl.Base.Instance); err != nil {
+							b.Fatal(err)
+						}
+					}, func(t int) {
+						delta, _ := wl.Tick(t)
+						if _, err := sess.Apply(ctx, delta); err != nil {
+							b.Fatal(err)
+						}
+						if _, err := log.Append(delta); err != nil {
+							b.Fatal(err)
+						}
+					})
+				})
 			}
 		})
 	}

@@ -176,6 +176,9 @@ func (o *Ontology) AddRule(t *datalog.TGD) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
+	if err := o.checkArity("rule", t.ID, t.Head, t.Body); err != nil {
+		return err
+	}
 	if _, err := o.RuleForm(t); err != nil {
 		return err
 	}
@@ -195,6 +198,9 @@ func (o *Ontology) AddEGD(e *datalog.EGD) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
+	if err := o.checkArity("egd", e.ID, e.Body); err != nil {
+		return err
+	}
 	o.egds = append(o.egds, e)
 	return nil
 }
@@ -205,7 +211,36 @@ func (o *Ontology) AddNC(n *datalog.NC) error {
 	if err := n.Validate(); err != nil {
 		return err
 	}
+	if err := o.checkArity("constraint", n.ID, n.PositiveBody(), n.NegativeBody()); err != nil {
+		return err
+	}
 	o.ncs = append(o.ncs, n)
+	return nil
+}
+
+// checkArity rejects an atom over a known predicate whose argument
+// count is not the predicate's arity: a categorical relation's
+// attribute count, 2 for a parent-child predicate, 1 for a category
+// predicate. Such an atom could never match, and RuleForm indexes
+// relation attributes by argument position. Atoms over unknown
+// predicates pass; each caller decides whether it allows them.
+func (o *Ontology) checkArity(kind, id string, atomLists ...[]datalog.Atom) error {
+	for _, atoms := range atomLists {
+		for _, a := range atoms {
+			want := -1
+			switch o.kindOf(a) {
+			case kindCategoricalRel:
+				want = o.relations[a.Pred].Arity()
+			case kindRollup:
+				want = 2
+			case kindCategory:
+				want = 1
+			}
+			if want >= 0 && len(a.Args) != want {
+				return fmt.Errorf("core: %s %s: atom %s has %d arguments, %s takes %d", kind, id, a, len(a.Args), a.Pred, want)
+			}
+		}
+	}
 	return nil
 }
 

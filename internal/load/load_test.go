@@ -201,3 +201,18 @@ func TestRunSeedControlsMix(t *testing.T) {
 		t.Fatalf("0.9 read ratio produced %d/1000 reads", got)
 	}
 }
+
+// TestReadCommittedLoadJSON pins that the committed LOAD_9.json still
+// reads back, its "_hardware" annotation included.
+func TestReadCommittedLoadJSON(t *testing.T) {
+	runs, hw, err := ReadLoadJSON("../../LOAD_9.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) == 0 || runs[0].Name != "direct/shards=1" || runs[0].Read.P50Us <= 0 {
+		t.Fatalf("LOAD_9.json runs: %+v", runs)
+	}
+	if hw.NumCPU != 1 || hw.GoOS != "linux" {
+		t.Fatalf("LOAD_9.json hardware: %+v", hw)
+	}
+}

@@ -4,9 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
-
-	"repro/internal/bench"
 )
 
 // Report is the machine-readable record of one run, the unit of a
@@ -82,18 +81,33 @@ func (r Report) ErrorRate() float64 {
 	return float64(r.ReadErrs+r.WriteErrs) / float64(r.Completed)
 }
 
+// Hardware identifies the machine a LOAD_<n>.json file was recorded
+// on, so load numbers are never compared across machine shapes by
+// accident.
+type Hardware struct {
+	NumCPU     int    `json:"num_cpu"`
+	Gomaxprocs int    `json:"gomaxprocs"`
+	GoOS       string `json:"goos"`
+	GoArch     string `json:"goarch"`
+}
+
 // loadDoc is the LOAD_<n>.json shape: the runs plus the recording
-// machine, mirroring BENCH_<n>.json's "_hardware" annotation so load
-// numbers are never compared across machine shapes by accident.
+// machine.
 type loadDoc struct {
-	Hardware bench.Hardware `json:"_hardware"`
-	Runs     []Report       `json:"runs"`
+	Hardware Hardware `json:"_hardware"`
+	Runs     []Report `json:"runs"`
 }
 
 // WriteLoadJSON writes the reports to path annotated with the
 // recording machine.
 func WriteLoadJSON(path string, runs []Report) error {
-	data, err := json.MarshalIndent(loadDoc{Hardware: bench.CurrentHardware(), Runs: runs}, "", "  ")
+	hw := Hardware{
+		NumCPU:     runtime.NumCPU(),
+		Gomaxprocs: runtime.GOMAXPROCS(0),
+		GoOS:       runtime.GOOS,
+		GoArch:     runtime.GOARCH,
+	}
+	data, err := json.MarshalIndent(loadDoc{Hardware: hw, Runs: runs}, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -101,7 +115,7 @@ func WriteLoadJSON(path string, runs []Report) error {
 }
 
 // ReadLoadJSON reads a LOAD_<n>.json file back.
-func ReadLoadJSON(path string) ([]Report, *bench.Hardware, error) {
+func ReadLoadJSON(path string) ([]Report, *Hardware, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err

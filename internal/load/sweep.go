@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/mdqa"
@@ -121,40 +120,24 @@ func runOne(ctx context.Context, spec SweepSpec, name string, shards int, viaRou
 }
 
 // RunShardSweep runs direct (no router, 1 backend) plus router runs at
-// each shard count, and returns both the reports and the
-// BENCH-trajectory view: BenchmarkLoad{Read,Write}{P50,P99} keys whose
-// NsPerOp is the measured latency quantile, named so ComparePerf can
-// gate "BenchmarkLoad" as a family.
-func RunShardSweep(ctx context.Context, spec SweepSpec) ([]Report, map[string]bench.PerfResult, error) {
+// each shard count and returns one report per run.
+func RunShardSweep(ctx context.Context, spec SweepSpec) ([]Report, error) {
 	if len(spec.Shards) == 0 {
 		spec.Shards = []int{1, 2, 4}
 	}
-	var reports []Report
-	perf := map[string]bench.PerfResult{}
-	record := func(r Report, mode string, shards int) {
-		reports = append(reports, r)
-		us := func(v float64) int64 { return int64(v * 1e3) }
-		tag := fmt.Sprintf("mode=%s/shards=%d", mode, shards)
-		perf["BenchmarkLoadReadP50/"+tag] = bench.PerfResult{NsPerOp: us(r.Read.P50Us)}
-		perf["BenchmarkLoadReadP99/"+tag] = bench.PerfResult{NsPerOp: us(r.Read.P99Us)}
-		perf["BenchmarkLoadWriteP50/"+tag] = bench.PerfResult{NsPerOp: us(r.Write.P50Us)}
-		perf["BenchmarkLoadWriteP99/"+tag] = bench.PerfResult{NsPerOp: us(r.Write.P99Us)}
-	}
-
 	direct, err := runOne(ctx, spec, "direct/shards=1", 1, false)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	record(direct, "direct", 1)
-
+	reports := []Report{direct}
 	for _, n := range spec.Shards {
 		r, err := runOne(ctx, spec, fmt.Sprintf("router/shards=%d", n), n, true)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		record(r, "router", n)
+		reports = append(reports, r)
 	}
-	return reports, perf, nil
+	return reports, nil
 }
 
 // RouterOverheadP50 extracts the acceptance number: the relative p50

@@ -174,3 +174,44 @@ func TestErrorType(t *testing.T) {
 		t.Errorf("Error = %+v", perr)
 	}
 }
+
+// arityBase declares R and S with two attributes each over the
+// Ward -> Unit roll-up, whose parent-child predicate is UnitWard.
+const arityBase = `
+dimension Hospital {
+  category Ward; category Unit;
+  Ward -> Unit;
+  member W1 in Ward; member Standard in Unit;
+  rollup W1 -> Standard;
+}
+relation R(Ward: Hospital.Ward; Patient)
+relation S(Unit: Hospital.Unit; Patient)
+`
+
+// arityCases are atoms whose argument count is not their predicate's
+// arity, in each statement kind. The two rules used to panic while
+// their form was checked; the others parsed and could never match.
+var arityCases = []struct {
+	stmt string
+	frag string
+}{
+	{"rule a: exists z S(u; p, z) <- R(w; p), UnitWard(u, w).", "rule a: atom S(u, p, z) has 3 arguments, S takes 2"},
+	{"rule b: S(u; p) <- R(w; p, q, u), UnitWard(u, w).", "rule b: atom R(w, p, q, u) has 4 arguments, R takes 2"},
+	{"rule b: S(u; p) <- R(w; p, q, r), UnitWard(u, w).", "rule b: atom R(w, p, q, r) has 4 arguments, R takes 2"},
+	{"egd e: p = q <- R(w; p, x), R(w; q, y).", "egd e: atom R(w, p, x) has 3 arguments, R takes 2"},
+	{"constraint c: ! <- UnitWard(u, w, x).", "constraint c: atom UnitWard(u, w, x) has 3 arguments, UnitWard takes 2"},
+	{"constraint c: ! <- R(w; p), Ward(w, p).", "constraint c: atom Ward(w, p) has 2 arguments, Ward takes 1"},
+}
+
+func TestParseArityMismatch(t *testing.T) {
+	for _, tc := range arityCases {
+		_, err := Parse(arityBase + tc.stmt + "\n")
+		if err == nil {
+			t.Errorf("stmt %q must fail", tc.stmt)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("stmt %q: error %q, want fragment %q", tc.stmt, err, tc.frag)
+		}
+	}
+}

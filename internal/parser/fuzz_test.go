@@ -42,3 +42,21 @@ func FuzzParseQuery(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseMDQ feeds arbitrary text to Parse, the parser behind
+// ParseSource/ParseFile, mdq and mdserve start-up. It must never
+// panic, and a file that parses and declares a quality context must
+// build that context or return an error.
+func FuzzParseMDQ(f *testing.F) {
+	f.Add(FormatHospitalExample())
+	f.Add(FormatHospitalQualityExample())
+	f.Fuzz(func(t *testing.T, src string) {
+		file, err := Parse(src)
+		if err != nil || !file.HasContext() {
+			return
+		}
+		if qc, err := file.BuildContext(); err == nil && qc == nil {
+			t.Fatalf("BuildContext returned neither a context nor an error for %q", src)
+		}
+	})
+}

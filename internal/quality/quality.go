@@ -235,11 +235,11 @@ func (c *Context) SourceStats() map[string]source.Stats {
 }
 
 // SourceFetchLatencies returns the retained source fetch-duration
-// samples for percentile rendering. Nil when the context declares no
-// sources.
-func (c *Context) SourceFetchLatencies() []time.Duration {
+// samples for percentile rendering and the number of fetches observed.
+// Nil and 0 when the context declares no sources.
+func (c *Context) SourceFetchLatencies() ([]time.Duration, int64) {
 	if c.resolver == nil {
-		return nil
+		return nil, 0
 	}
 	return c.resolver.FetchLatencies()
 }

@@ -192,7 +192,7 @@ func (m *metrics) render(b *strings.Builder) {
 		sourceCounter("mdserve_source_stale_served_total", func(st mdqa.SourceStats) int64 { return st.StaleServed })
 		fmt.Fprintf(b, "# TYPE mdserve_source_fetch_latency_seconds summary\n")
 		for _, name := range sourced {
-			samples := m.sources[name].SourceFetchLatencies()
+			samples, total := m.sources[name].SourceFetchLatencies()
 			if len(samples) == 0 {
 				continue
 			}
@@ -209,7 +209,7 @@ func (m *metrics) render(b *strings.Builder) {
 				fmt.Fprintf(b, "mdserve_source_fetch_latency_seconds{context=%q,quantile=%q} %.6f\n",
 					name, q.label, sorted[rank].Seconds())
 			}
-			fmt.Fprintf(b, "mdserve_source_fetch_latency_seconds_count{context=%q} %d\n", name, len(samples))
+			fmt.Fprintf(b, "mdserve_source_fetch_latency_seconds_count{context=%q} %d\n", name, total)
 		}
 	}
 	fmt.Fprintf(b, "# TYPE mdserve_wal_fsyncs_total counter\nmdserve_wal_fsyncs_total %d\n", m.walFsyncs.Load())

@@ -149,6 +149,30 @@ func TestRefreshEndpoint(t *testing.T) {
 	}
 }
 
+// TestSourceFetchLatencyCount pins the fetch-latency summary's _count
+// to every fetch observed, past the 256 samples its ring retains.
+func TestSourceFetchLatencyCount(t *testing.T) {
+	wards := mdqa.NewMemSource(mdqa.SourceSchema{
+		Relation: "PatientWard", Attrs: []string{"Ward", "Day", "Patient"},
+	})
+	ts := newHospitalServer(t, mdqa.WithSource("wards", wards))
+	sid := openSession(t, ts.URL) // the session's first resolve is fetch 1
+	for i := 0; i < 300; i++ {
+		if status, _, body := refresh(t, ts.URL, sid); status != http.StatusOK {
+			t.Fatalf("refresh %d: %d %s", i, status, body)
+		}
+	}
+	_, metricsBody := do(t, http.MethodGet, ts.URL+"/metrics", "")
+	for _, want := range []string{
+		`mdserve_source_fetches_total{context="hospital",source="wards"} 301`,
+		`mdserve_source_fetch_latency_seconds_count{context="hospital"} 301`,
+	} {
+		if !strings.Contains(metricsBody, want) {
+			t.Errorf("metrics missing %s", want)
+		}
+	}
+}
+
 // TestRefreshSourceDown pins the failure contract on the wire: a dead
 // source surfaces as 502 with code source_unavailable naming the
 // binding, and the session keeps serving its last state.

@@ -57,8 +57,7 @@ type Resolver struct {
 	mu        sync.Mutex
 	stats     map[string]*Stats
 	latencies []time.Duration // fetch-latency ring
-	latNext   int
-	latFull   bool
+	latTotal  int64           // fetches observed, ring overwrites included
 }
 
 // latencyRingSize bounds the fetch-latency samples kept for the
@@ -169,11 +168,10 @@ func (r *Resolver) observe(name string, d time.Duration, ok bool) {
 	}
 	if len(r.latencies) < latencyRingSize {
 		r.latencies = append(r.latencies, d)
-		return
+	} else {
+		r.latencies[r.latTotal%latencyRingSize] = d
 	}
-	r.latencies[r.latNext] = d
-	r.latNext = (r.latNext + 1) % latencyRingSize
-	r.latFull = true
+	r.latTotal++
 }
 
 // Stats returns a copy of every binding's counters, keyed by binding
@@ -189,9 +187,10 @@ func (r *Resolver) Stats() map[string]Stats {
 }
 
 // FetchLatencies returns the retained fetch-duration samples (newest
-// ring contents, unordered).
-func (r *Resolver) FetchLatencies() []time.Duration {
+// ring contents, unordered) and the number of fetches observed since
+// construction, which keeps counting once the ring overwrites.
+func (r *Resolver) FetchLatencies() ([]time.Duration, int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]time.Duration(nil), r.latencies...)
+	return append([]time.Duration(nil), r.latencies...), r.latTotal
 }

@@ -415,7 +415,7 @@ func TestResolverLatencySamples(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(r.FetchLatencies()); got != 3 {
-		t.Fatalf("latency samples = %d, want 3", got)
+	if samples, total := r.FetchLatencies(); len(samples) != 3 || total != 3 {
+		t.Fatalf("latency samples = %d, total = %d, want 3 and 3", len(samples), total)
 	}
 }

@@ -134,9 +134,12 @@ type MemSource = source.Mem
 func (c *Context) SourceStatsByName() map[string]SourceStats { return c.q.SourceStats() }
 
 // SourceFetchLatencies returns the retained source fetch-duration
-// samples, for percentile rendering (nil when the context declares no
-// sources).
-func (c *Context) SourceFetchLatencies() []time.Duration { return c.q.SourceFetchLatencies() }
+// samples, for percentile rendering, and the number of fetches
+// observed since the context was built (nil and 0 when the context
+// declares no sources).
+func (c *Context) SourceFetchLatencies() ([]time.Duration, int64) {
+	return c.q.SourceFetchLatencies()
+}
 
 // SourceNames lists the context's source binding names in declaration
 // order.
