@@ -12,7 +12,7 @@
 // Router-local endpoints (everything else is proxied):
 //
 //	GET /healthz   router + backend health
-//	GET /metrics   per-backend counters and latency quantiles
+//	GET /metrics   per-backend counters and request-latency histograms
 //	GET /topology  ring layout: backends, health, hash-space shares
 //
 // Session state is NOT replicated: when the backend owning a session

@@ -1,3 +1,11 @@
+// Package load is the open-loop workload harness behind cmd/mdload: it
+// offers requests to an mdserve (or mdrouter) endpoint at a fixed
+// arrival rate — the rate does NOT slow down when the server does,
+// unlike a closed loop whose in-flight cap hides overload — and
+// measures every operation's latency from its scheduled arrival time,
+// so queueing delay under saturation is counted instead of silently
+// omitted (the "coordinated omission" artifact of naive closed-loop
+// harnesses).
 package load
 
 import (
@@ -11,6 +19,14 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/gen"
 	"repro/internal/hospital"
+	"repro/internal/obs"
+)
+
+// Histogram and Summary are the obs types under the names perfbench
+// uses.
+type (
+	Histogram = obs.Histogram
+	Summary   = obs.Summary
 )
 
 // Spec parameterizes one open-loop run against a hospital-context

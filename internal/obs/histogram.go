@@ -1,15 +1,10 @@
-// Package load is the open-loop workload harness behind cmd/mdload: it
-// offers requests to an mdserve (or mdrouter) endpoint at a fixed
-// arrival rate — the rate does NOT slow down when the server does,
-// unlike a closed loop whose in-flight cap hides overload — and
-// measures every operation's latency from its scheduled arrival time,
-// so queueing delay under saturation is counted instead of silently
-// omitted (the "coordinated omission" artifact of naive closed-loop
-// harnesses).
-package load
+// Package obs holds the repo's one latency recorder, a mergeable
+// log-linear Histogram, and Writer, which renders metrics in the
+// Prometheus text format. It imports only the standard library, so the
+// load harness, the source resolver and both servers can share it.
+package obs
 
 import (
-	"fmt"
 	"math/bits"
 	"time"
 )
@@ -19,7 +14,14 @@ import (
 // of two, bounding relative error by 1/32 (~3%) at ~1900 buckets for
 // the full int64 range. Recording is a single increment — cheap enough
 // for the per-op hot path — and histograms merge exactly, so each
-// worker keeps its own and the run merges them at the end.
+// worker keeps its own and the run merges them at the end. The zero
+// value is empty and ready to use; a Histogram is not safe for
+// concurrent use, so whoever shares one guards it with a lock.
+//
+// A value v > 0 is filed under bucketIndex(v-1), so buckets are closed
+// above: the values at or below a power of two b ≥ 64ns fill exactly
+// the buckets below bucketIndex(b). That lets Writer.Histogram count
+// the observations at or below such a bound exactly.
 type Histogram struct {
 	counts [numBuckets]int64
 	count  int64
@@ -65,7 +67,11 @@ func (h *Histogram) Observe(d time.Duration) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bucketIndex(v)]++
+	i := 0
+	if v > 0 {
+		i = bucketIndex(v - 1) // closed above, see Histogram
+	}
+	h.counts[i]++
 	h.count++
 	h.sum += v
 	if v > h.max {
@@ -131,7 +137,7 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	for i, c := range h.counts {
 		seen += c
 		if seen > rank {
-			mid := bucketMid(i)
+			mid := bucketMid(i) + 1 // the slot holds v with v-1 in bucket i
 			if mid > h.max {
 				return time.Duration(h.max) // last occupied bucket can overshoot the true max
 			}
@@ -167,9 +173,4 @@ func (h *Histogram) Summarize() Summary {
 		P999Us: us(h.Quantile(0.999)),
 		MaxUs:  us(h.Max()),
 	}
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d p50=%.0fµs p90=%.0fµs p99=%.0fµs max=%.0fµs",
-		s.Count, s.P50Us, s.P90Us, s.P99Us, s.MaxUs)
 }

@@ -169,15 +169,28 @@ type SessionLog struct {
 
 // CreateSession initializes a fresh session directory: an initial
 // snapshot of the given state (covering sequence 0, so recovery always
-// has a base to replay onto) and the first WAL segment.
-func (s *Store) CreateSession(context, sid string, meta Meta, st SessionState) (*SessionLog, error) {
+// has a base to replay onto) and the first WAL segment. It fails when
+// the directory already exists, so it never overwrites a session's
+// durable state.
+func (s *Store) CreateSession(context, sid string, meta Meta, st SessionState) (_ *SessionLog, err error) {
 	dir, err := s.sessionDir(context, sid)
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(dir), 0o755); err != nil {
+		return nil, fmt.Errorf("persist: create context dir: %w", err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: create session dir: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			// The directory is this call's own: remove it, so a failed
+			// create leaves the id free and recovery never meets a
+			// session without a snapshot.
+			_ = os.RemoveAll(dir)
+		}
+	}()
 	meta.Context, meta.Session, meta.Seq = context, sid, 0
 	data, err := EncodeSnapshot(meta, st)
 	if err != nil {

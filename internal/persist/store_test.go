@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -213,7 +214,17 @@ func TestStoreListingAndRemove(t *testing.T) {
 	if _, err := store.CreateSession("../evil", "s1", Meta{}, st); err == nil || !strings.Contains(err.Error(), "unsafe") {
 		t.Fatalf("path traversal accepted: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(store.Root(), "hospital", "s2", SnapName(0))); err != nil {
+	snap := filepath.Join(store.Root(), "hospital", "s2", SnapName(0))
+	before, err := os.ReadFile(snap)
+	if err != nil {
 		t.Fatalf("expected initial snapshot on disk: %v", err)
+	}
+	// A create over a live session's directory fails and leaves its
+	// durable state as it was.
+	if _, err := store.CreateSession("hospital", "s2", Meta{Created: "intruder"}, st); err == nil {
+		t.Fatal("create over an existing session directory succeeded")
+	}
+	if after, err := os.ReadFile(snap); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("failed create touched the existing snapshot (err %v)", err)
 	}
 }

@@ -17,7 +17,6 @@ package quality
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -28,6 +27,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/history"
 	"repro/internal/hm"
+	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/source"
 	"repro/internal/storage"
@@ -234,14 +234,13 @@ func (c *Context) SourceStats() map[string]source.Stats {
 	return c.resolver.Stats()
 }
 
-// SourceFetchLatencies returns the retained source fetch-duration
-// samples for percentile rendering and the number of fetches observed.
-// Nil and 0 when the context declares no sources.
-func (c *Context) SourceFetchLatencies() ([]time.Duration, int64) {
+// SourceFetchLatency returns a copy of the histogram of every source
+// fetch's duration, or nil when the context declares no sources.
+func (c *Context) SourceFetchLatency() *obs.Histogram {
 	if c.resolver == nil {
-		return nil, 0
+		return nil
 	}
-	return c.resolver.FetchLatencies()
+	return c.resolver.FetchLatency()
 }
 
 // VersionPred returns the version predicate defined for an original
@@ -257,29 +256,33 @@ func (c *Context) VersionPred(rel string) string {
 // versions, in declaration order.
 func (c *Context) Versioned() []string { return append([]string(nil), c.vorder...) }
 
-// DeclaredPreds lists every predicate the context can speak about,
-// sorted: the ontology's categorical relations, rule and constraint
-// predicates, the dimension membership and rollup predicates, every
-// predicate mentioned by a mapping, quality or version rule (heads
-// and bodies — this is how input relations like the hospital
-// example's Measurements enter the vocabulary), and the version
-// predicates. A query over any of these is well-formed even when the
-// relation holds no tuples yet; serving layers use the set to
-// distinguish "empty" from "unknown relation".
-func (c *Context) DeclaredPreds() []string {
-	set := map[string]bool{}
-	add := func(preds ...string) {
-		for _, p := range preds {
-			set[p] = true
+// DeclaredPreds maps every predicate the context can speak about to
+// the arity its atoms use (-1 where two uses disagree): the ontology's
+// categorical relations, rule and constraint predicates, the dimension
+// membership and rollup predicates, every predicate mentioned by a
+// mapping, quality or version rule (heads and bodies — this is how
+// input relations like the hospital example's Measurements enter the
+// vocabulary), and the version predicates. A query over any of these
+// is well-formed even when the relation holds no tuples yet, and input
+// facts over them must have that arity; serving layers use the map to
+// tell "empty" from "unknown relation" and to reject malformed input.
+func (c *Context) DeclaredPreds() map[string]int {
+	arity := map[string]int{}
+	add := func(pred string, n int) {
+		if prev, seen := arity[pred]; seen && prev != n {
+			n = -1
 		}
+		arity[pred] = n
 	}
 	addAtoms := func(atoms []datalog.Atom) {
 		for _, a := range atoms {
-			add(a.Pred)
+			add(a.Pred, len(a.Args))
 		}
 	}
 	o := c.ontology
-	add(o.Relations()...)
+	for _, rel := range o.Relations() {
+		add(rel, o.Relation(rel).Arity())
+	}
 	for _, t := range o.Rules() {
 		addAtoms(t.Body)
 		addAtoms(t.Head)
@@ -289,30 +292,30 @@ func (c *Context) DeclaredPreds() []string {
 	}
 	for _, n := range o.NCs() {
 		for _, lit := range n.Body {
-			add(lit.Atom.Pred)
+			add(lit.Atom.Pred, len(lit.Atom.Args))
 		}
 	}
 	for _, dname := range o.Dimensions() {
 		s := o.Dimension(dname).Schema()
 		cats := s.Categories()
 		for _, cat := range cats {
-			add(hm.CategoryPredName(cat))
+			add(hm.CategoryPredName(cat), 1)
 		}
 		for _, e := range s.Edges() {
-			add(hm.RollupPredName(e[0], e[1]))
+			add(hm.RollupPredName(e[0], e[1]), 2)
 		}
 		if c.cfg.Compile.TransitiveRollups {
 			for _, child := range cats {
 				for _, anc := range cats {
 					if child != anc && s.IsAncestor(child, anc) {
-						add(hm.RollupPredName(child, anc))
+						add(hm.RollupPredName(child, anc), 2)
 					}
 				}
 			}
 		}
 	}
 	addRule := func(r *eval.Rule) {
-		add(r.Head.Pred)
+		add(r.Head.Pred, len(r.Head.Args))
 		addAtoms(r.Body)
 		addAtoms(r.Negated)
 	}
@@ -323,17 +326,11 @@ func (c *Context) DeclaredPreds() []string {
 		addRule(r)
 	}
 	for _, def := range c.versions {
-		add(def.pred)
 		for _, r := range def.rules {
 			addRule(r)
 		}
 	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	return arity
 }
 
 // Measure quantifies how much an original relation departs from its

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Config tunes the router.
@@ -68,7 +70,7 @@ type backend struct {
 	retries  atomic.Int64
 
 	mu  sync.Mutex
-	lat *quantileRing
+	lat obs.Histogram // proxied request latency, guarded by mu
 }
 
 // Router is the mdrouter HTTP handler: a consistent-hash reverse proxy
@@ -117,7 +119,7 @@ func New(cfg Config) (*Router, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("router: bad backend URL %q", raw)
 		}
-		b := &backend{name: u.String(), url: u, lat: newQuantileRing(1024)}
+		b := &backend{name: u.String(), url: u}
 		b.healthy.Store(true)
 		if _, dup := rt.backends[b.name]; dup {
 			return nil, fmt.Errorf("router: duplicate backend %q", b.name)
@@ -405,7 +407,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, b *backend, bo
 		_, _ = io.Copy(w, resp.Body)
 	}
 	b.mu.Lock()
-	b.lat.observe(time.Since(start))
+	b.lat.Observe(time.Since(start))
 	b.mu.Unlock()
 	return nil
 }
@@ -706,82 +708,30 @@ func (rt *Router) handleTopology(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var sb strings.Builder
-	counter := func(metric string, pick func(*backend) int64) {
-		fmt.Fprintf(&sb, "# TYPE %s counter\n", metric)
+	var mw obs.Writer
+	mw.Counter("mdrouter_requests_total", rt.proxied.Load())
+	mw.Counter("mdrouter_unroutable_total", rt.unroutable.Load())
+	perBackend := func(sample func(name string, v int64, labels ...string), metric string, pick func(*backend) int64) {
 		for _, name := range rt.ring.Nodes() {
-			fmt.Fprintf(&sb, "%s{backend=%q} %d\n", metric, name, pick(rt.backends[name]))
+			sample(metric, pick(rt.backends[name]), "backend", name)
 		}
 	}
-	fmt.Fprintf(&sb, "# TYPE mdrouter_requests_total counter\nmdrouter_requests_total %d\n", rt.proxied.Load())
-	fmt.Fprintf(&sb, "# TYPE mdrouter_unroutable_total counter\nmdrouter_unroutable_total %d\n", rt.unroutable.Load())
-	counter("mdrouter_backend_requests_total", func(b *backend) int64 { return b.requests.Load() })
-	counter("mdrouter_backend_errors_total", func(b *backend) int64 { return b.errors.Load() })
-	counter("mdrouter_backend_retries_total", func(b *backend) int64 { return b.retries.Load() })
-	fmt.Fprintf(&sb, "# TYPE mdrouter_backend_healthy gauge\n")
-	for _, name := range rt.ring.Nodes() {
-		v := 0
-		if rt.backends[name].healthy.Load() {
-			v = 1
+	perBackend(mw.Counter, "mdrouter_backend_requests_total", func(b *backend) int64 { return b.requests.Load() })
+	perBackend(mw.Counter, "mdrouter_backend_errors_total", func(b *backend) int64 { return b.errors.Load() })
+	perBackend(mw.Counter, "mdrouter_backend_retries_total", func(b *backend) int64 { return b.retries.Load() })
+	perBackend(mw.Gauge, "mdrouter_backend_healthy", func(b *backend) int64 {
+		if b.healthy.Load() {
+			return 1
 		}
-		fmt.Fprintf(&sb, "mdrouter_backend_healthy{backend=%q} %d\n", name, v)
-	}
-	fmt.Fprintf(&sb, "# TYPE mdrouter_backend_inflight gauge\n")
-	for _, name := range rt.ring.Nodes() {
-		fmt.Fprintf(&sb, "mdrouter_backend_inflight{backend=%q} %d\n", name, rt.backends[name].inflight.Load())
-	}
-	fmt.Fprintf(&sb, "# TYPE mdrouter_request_latency_seconds summary\n")
+		return 0
+	})
+	perBackend(mw.Gauge, "mdrouter_backend_inflight", func(b *backend) int64 { return b.inflight.Load() })
 	for _, name := range rt.ring.Nodes() {
 		b := rt.backends[name]
 		b.mu.Lock()
-		count := b.lat.count
-		p50, p99 := b.lat.quantile(0.50), b.lat.quantile(0.99)
+		mw.Histogram("mdrouter_request_latency_seconds", &b.lat, "backend", name)
 		b.mu.Unlock()
-		if count == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "mdrouter_request_latency_seconds{backend=%q,quantile=\"0.5\"} %.6f\n", name, p50.Seconds())
-		fmt.Fprintf(&sb, "mdrouter_request_latency_seconds{backend=%q,quantile=\"0.99\"} %.6f\n", name, p99.Seconds())
-		fmt.Fprintf(&sb, "mdrouter_request_latency_seconds_count{backend=%q} %d\n", name, count)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = io.WriteString(w, sb.String())
-}
-
-// quantileRing keeps the last cap durations; quantiles over a sorted
-// copy at scrape time (same shape as mdserve's ring).
-type quantileRing struct {
-	samples []time.Duration
-	next    int
-	count   int64
-}
-
-func newQuantileRing(capacity int) *quantileRing {
-	return &quantileRing{samples: make([]time.Duration, 0, capacity)}
-}
-
-func (r *quantileRing) observe(d time.Duration) {
-	if len(r.samples) < cap(r.samples) {
-		r.samples = append(r.samples, d)
-	} else {
-		r.samples[r.next] = d
-	}
-	r.next = (r.next + 1) % cap(r.samples)
-	r.count++
-}
-
-func (r *quantileRing) quantile(p float64) time.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), r.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(p*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	_, _ = io.WriteString(w, mw.String())
 }

@@ -236,6 +236,15 @@ func TestCheckHealthFlipsFlags(t *testing.T) {
 
 	front := httptest.NewServer(rt)
 	defer front.Close()
+	// Four proxied requests, all served by the live backend.
+	for i := 0; i < 4; i++ {
+		resp, err := http.Post(front.URL+"/v1/contexts/h/assess", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
 	resp, err := http.Get(front.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +253,19 @@ func TestCheckHealthFlipsFlags(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(metrics), fmt.Sprintf("mdrouter_backend_healthy{backend=%q} 0", strings.TrimRight(deadURL, "/"))) {
 		t.Fatalf("metrics do not report the dead backend unhealthy:\n%s", metrics)
+	}
+	live := strings.TrimRight(alive.URL, "/")
+	for _, want := range []string{
+		"# TYPE mdrouter_request_latency_seconds histogram\n",
+		fmt.Sprintf("mdrouter_request_latency_seconds_bucket{backend=%q,le=\"+Inf\"} 4\n", live),
+		fmt.Sprintf("mdrouter_request_latency_seconds_count{backend=%q} 4\n", live),
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Fatalf("metrics missing %q:\n%s", want, metrics)
+		}
+	}
+	if strings.Contains(string(metrics), fmt.Sprintf("mdrouter_request_latency_seconds_count{backend=%q}", strings.TrimRight(deadURL, "/"))) {
+		t.Fatalf("the dead backend served nothing but has a latency series:\n%s", metrics)
 	}
 
 	var topo TopologyResponse

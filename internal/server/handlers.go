@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/mdqa"
 )
@@ -89,10 +90,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	s.met.render(&b)
+	var mw obs.Writer
+	s.met.render(&mw)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = io.WriteString(w, b.String())
+	_, _ = io.WriteString(w, mw.String())
 }
 
 func (s *Server) handleContexts(w http.ResponseWriter, r *http.Request) {
@@ -113,13 +114,23 @@ func (s *Server) handleContexts(w http.ResponseWriter, r *http.Request) {
 }
 
 // requestInstance resolves the instance under assessment: the wire
-// instance from the body when one was sent, the context's declared
-// input otherwise.
+// instance from the body when one was sent, its relations checked
+// against the context's arities, the context's declared input
+// otherwise.
 func requestInstance(wi WireInstance, lc *loadedContext) (*mdqa.Instance, error) {
 	if len(wi) == 0 {
 		return lc.input, nil
 	}
-	return wi.Instance()
+	inst, err := wi.Instance()
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range inst.RelationNames() {
+		if err := checkFact(lc.declared, name, inst.Relation(name).Schema().Arity()); err != nil {
+			return nil, err
+		}
+	}
+	return inst, nil
 }
 
 // sessionIDPattern admits client-chosen session ids: they become URL
@@ -406,6 +417,10 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		}
 		atoms := make([]mdqa.Atom, len(req.Atoms))
 		for i, a := range req.Atoms {
+			if err := checkFact(lc.declared, a.Pred, len(a.Args)); err != nil {
+				s.streamError(w, enc, lc.name, err)
+				return
+			}
 			atoms[i] = a.Atom()
 		}
 		res, job, walDur, err := s.applyBatch(r.Context(), sess, atoms)
@@ -718,7 +733,7 @@ func checkQueryRelations(lc *loadedContext, snap *mdqa.Snapshot, q *mdqa.Query, 
 		q = snap.RewriteClean(q)
 	}
 	for _, atom := range q.Body {
-		if !lc.declared[atom.Pred] && snap.Instance().Relation(atom.Pred) == nil {
+		if _, ok := lc.declared[atom.Pred]; !ok && snap.Instance().Relation(atom.Pred) == nil {
 			return &mdqa.UnknownRelationError{Relation: atom.Pred}
 		}
 	}

@@ -22,7 +22,8 @@
 //     assessment, assess and trajectory serves any retained (or, with
 //     a data dir, disk-reconstructable) historical version;
 //   - GET /healthz and GET /metrics for liveness and per-context
-//     counters, chase rounds and p50/p99 request latency.
+//     counters, chase rounds and request-latency histograms (Prometheus
+//     _bucket/_sum/_count per op, cumulative since startup).
 //
 // Concurrency: any number of readers stream answers and assessments
 // off frozen snapshots while writers keep applying deltas; writers
@@ -140,10 +141,10 @@ type loadedContext struct {
 	prep    *mdqa.Prepared
 	input   *mdqa.Instance
 	queries map[string]*mdqa.Query
-	// declared is the context's predicate vocabulary: queries over
-	// these are well-formed even when the relation holds no tuples in
-	// a given snapshot.
-	declared map[string]bool
+	// declared maps the context's predicate vocabulary to arities:
+	// queries over these are well-formed even when the relation holds
+	// no tuples in a given snapshot, and input facts must match.
+	declared map[string]int
 	// cache holds compiled ad-hoc query plans shared by every answers
 	// request against this context (concurrency-safe; keyed by query
 	// shape and snapshot lineage).
@@ -244,13 +245,7 @@ func New(ctx context.Context, cfg Config, sources []ContextSource) (*Server, err
 		s.names = append(s.names, lc.name)
 	}
 	sort.Strings(s.names)
-	s.met = newMetrics(s.names)
-	for _, lc := range loaded {
-		s.met.planCaches[lc.name] = lc.cache
-		if lc.sourced() {
-			s.met.sources[lc.name] = lc.qc
-		}
-	}
+	s.met = newMetrics(s.names, s.contexts)
 	s.routes()
 	if cfg.DataDir != "" {
 		if err := s.openStore(ctx); err != nil {
@@ -314,10 +309,7 @@ func loadContext(ctx context.Context, cfg Config, src ContextSource) (*loadedCon
 		return nil, fmt.Errorf("server: prepare context %s: %w", src.Name, err)
 	}
 	lc.prep = prep
-	lc.declared = map[string]bool{}
-	for _, p := range lc.qc.DeclaredPreds() {
-		lc.declared[p] = true
-	}
+	lc.declared = lc.qc.DeclaredPreds()
 	return lc, nil
 }
 
@@ -347,10 +339,10 @@ func (s *Server) session(contextName, id string) (*session, error) {
 	return sess, nil
 }
 
-// register files a new session under the next id ("s1", "s2", ...) or
-// under the client-chosen requestedID when one was sent (409 when it
-// already names a live session — routing layers place sessions by
-// hashing the id, so the id is the client's to pick). Sessions never
+// register files a new session under the next free id ("s1", "s2",
+// ...) or under the client-chosen requestedID when one was sent (409
+// when it already names a live session — routing layers place sessions
+// by hashing the id, so the id is the client's to pick). Sessions never
 // expire on their own — clients close what they open, and the
 // MaxSessions bound caps the damage of clients that don't. With a
 // durable store, the session's directory (initial snapshot + first WAL
@@ -364,19 +356,20 @@ func (s *Server) register(lc *loadedContext, ms *mdqa.Session, requestedID strin
 		s.mu.Unlock()
 		return nil, &overloadedError{msg: fmt.Sprintf("session limit reached (%d open); close sessions with DELETE", s.cfg.MaxSessions)}
 	}
+	taken := func(id string) bool {
+		_, live := s.sessions[id]
+		_, held := s.reserved[id]
+		return live || held
+	}
 	var id string
 	if requestedID != "" {
-		if _, taken := s.sessions[requestedID]; taken {
-			s.mu.Unlock()
-			return nil, &conflictError{msg: fmt.Sprintf("session %q already exists", requestedID)}
-		}
-		if _, taken := s.reserved[requestedID]; taken {
+		if taken(requestedID) {
 			s.mu.Unlock()
 			return nil, &conflictError{msg: fmt.Sprintf("session %q already exists", requestedID)}
 		}
 		id = requestedID
-		// A client-chosen "s<n>" must push the auto counter past n, or a
-		// later auto-numbered create would collide with it.
+		// A client-chosen "s<n>" pushes the auto counter past n, so auto
+		// numbering continues after it.
 		var n uint64
 		var rest string
 		if k, err := fmt.Sscanf(requestedID, "s%d%s", &n, &rest); k == 1 && err != nil && n > s.nextID {
@@ -384,8 +377,13 @@ func (s *Server) register(lc *loadedContext, ms *mdqa.Session, requestedID strin
 		}
 		s.nextID++
 	} else {
-		s.nextID++
-		id = fmt.Sprintf("s%d", s.nextID)
+		// The counter can still land on a taken id: a client-chosen
+		// s18446744073709551615 wraps it to 0. Skip ahead past any id
+		// that is live or reserved.
+		for id == "" || taken(id) {
+			s.nextID++
+			id = fmt.Sprintf("s%d", s.nextID)
+		}
 	}
 	s.reserved[id] = struct{}{}
 	sess := &session{

@@ -136,6 +136,21 @@ func TestErrorStatusOverHTTP(t *testing.T) {
 			t.Fatalf("got %d %s", status, body)
 		}
 	})
+	// The context's rules read Measurements(t, p, v): an instance that
+	// holds it at another arity, or holds a relation without a name,
+	// would be assessed as if it were empty.
+	for _, tc := range []struct{ name, path, body string }{
+		{"context arity on assess 400", "/assess", `{"instance":{"Measurements":[["a"]]}}`},
+		{"context arity on session create 400", "/sessions", `{"instance":{"Measurements":[["a"]]}}`},
+		{"empty relation name 400", "/assess", `{"instance":{"":[["a"]]}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, body := do(t, "POST", ts.URL+"/v1/contexts/hospital"+tc.path, tc.body)
+			if status != http.StatusBadRequest || errCode(t, body) != "bad_request" {
+				t.Fatalf("got %d %s", status, body)
+			}
+		})
+	}
 
 	// Session-scoped error paths.
 	status, body := do(t, "POST", ts.URL+"/v1/contexts/hospital/sessions", "")
@@ -171,6 +186,18 @@ func TestErrorStatusOverHTTP(t *testing.T) {
 			t.Fatalf("got %d %s", status, body)
 		}
 	})
+	// A rejected apply batch answers an NDJSON error line.
+	for _, tc := range []struct{ name, atom string }{
+		{"apply context arity 400", `{"pred":"Measurements","args":["a"]}`},
+		{"apply empty pred 400", `{"pred":"","args":["a"]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, body := do(t, "POST", base+"/apply", `{"atoms":[`+tc.atom+`]}`)
+			if status != http.StatusOK || errCode(t, body) != "bad_request" {
+				t.Fatalf("got %d %s", status, body)
+			}
+		})
+	}
 	t.Run("bad mode 400", func(t *testing.T) {
 		status, body := do(t, "GET", base+"/answers?mode=warp&q="+queryEscape(`m(d) <- MonthDay(m, d).`), "")
 		if status != http.StatusBadRequest || errCode(t, body) != "bad_request" {
@@ -438,9 +465,27 @@ func TestHealthAndContexts(t *testing.T) {
 	if status != http.StatusOK || !strings.Contains(body, `"versioned":["Measurements"]`) {
 		t.Fatalf("contexts: %d %s", status, body)
 	}
+	for i := 0; i < 3; i++ {
+		if status, body := do(t, "POST", ts.URL+"/v1/contexts/hospital/assess", ""); status != http.StatusOK {
+			t.Fatalf("assess: %d %s", status, body)
+		}
+	}
 	status, body = do(t, "GET", ts.URL+"/metrics", "")
 	if status != http.StatusOK || !strings.Contains(body, "mdserve_assess_total") {
 		t.Fatalf("metrics: %d %s", status, body)
+	}
+	// Three assesses, one latency series: only ops that ran appear.
+	for _, want := range []string{
+		"# TYPE mdserve_request_latency_seconds histogram\n",
+		`mdserve_request_latency_seconds_bucket{context="hospital",op="assess",le="+Inf"} 3` + "\n",
+		`mdserve_request_latency_seconds_count{context="hospital",op="assess"} 3` + "\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, body)
+		}
+	}
+	if strings.Contains(body, `op="apply"`) {
+		t.Fatalf("an op that never ran has a latency series:\n%s", body)
 	}
 }
 

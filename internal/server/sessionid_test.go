@@ -158,3 +158,70 @@ func TestCustomIDSurvivesDurableRestart(t *testing.T) {
 		t.Fatalf("create over recovered id: got %d, want 409", status)
 	}
 }
+
+// TestAutoIDSkipsLiveSessions: the client-chosen id
+// s18446744073709551615 wraps the auto counter to 0, and the next
+// auto-numbered create must not land on (and replace) the live s1.
+func TestAutoIDSkipsLiveSessions(t *testing.T) {
+	ts := newExampleServer(t, Config{Parallelism: 1})
+	base := ts.URL + "/v1/contexts/hospital/sessions"
+	if status, id := createSession(t, ts.URL, ""); status != http.StatusOK || id != "s1" {
+		t.Fatalf("first create: got %d %q, want 200 s1", status, id)
+	}
+	if status, body := do(t, "POST", base+"/s1/apply", applyBatches); status != http.StatusOK {
+		t.Fatalf("apply: %d %s", status, body)
+	}
+	if status, _ := createSession(t, ts.URL, `{"id":"s18446744073709551615"}`); status != http.StatusOK {
+		t.Fatalf("create s18446744073709551615: got %d", status)
+	}
+	if status, id := createSession(t, ts.URL, ""); status != http.StatusOK || id == "s1" || id == "s18446744073709551615" {
+		t.Fatalf("auto create after the wrap: got %d %q, want 200 and a fresh id", status, id)
+	}
+	_, body := do(t, "GET", base+"/s1", "")
+	var info SessionInfo
+	if err := json.Unmarshal([]byte(body), &info); err != nil || info.Applies != 2 {
+		t.Fatalf("s1 lost its batches: %s (err %v)", body, err)
+	}
+	_, body = do(t, "GET", base, "")
+	var list SessionList
+	if err := json.Unmarshal([]byte(body), &list); err != nil || len(list.Sessions) != 3 {
+		t.Fatalf("want 3 sessions listed: %s (err %v)", body, err)
+	}
+	if _, metrics := do(t, "GET", ts.URL+"/metrics", ""); !strings.Contains(metrics, `mdserve_sessions_open{context="hospital"} 3`) {
+		t.Fatalf("open-sessions gauge disagrees with the listing:\n%s", metrics)
+	}
+}
+
+// TestAutoIDSkipsLiveSessionsDurable is the durable twin: the wrapped
+// auto create must neither fail nor overwrite s1's initial snapshot, so
+// a crash and restart recover s1 with every acknowledged batch.
+func TestAutoIDSkipsLiveSessionsDurable(t *testing.T) {
+	dir := t.TempDir()
+	ts1 := httptest.NewServer(newDurableServer(t, dir, Config{SnapshotEvery: 1000}))
+	if status, id := createSession(t, ts1.URL, ""); status != http.StatusOK || id != "s1" {
+		t.Fatalf("first create: got %d %q, want 200 s1", status, id)
+	}
+	s1 := ts1.URL + "/v1/contexts/hospital/sessions/s1"
+	if status, body := do(t, "POST", s1+"/apply", applyBatches); status != http.StatusOK {
+		t.Fatalf("apply: %d %s", status, body)
+	}
+	q := "/answers?q=" + queryEscape(`m(t, p, v) <- Measurements(t, p, v).`)
+	_, want := do(t, "GET", s1+q, "")
+	if status, _ := createSession(t, ts1.URL, `{"id":"s18446744073709551615"}`); status != http.StatusOK {
+		t.Fatalf("create s18446744073709551615: got %d", status)
+	}
+	status, id := createSession(t, ts1.URL, `{"instance":{"Measurements":[["Sep/9-12:00","Tom Waits","37.0"]]}}`)
+	if status != http.StatusOK || id == "s1" {
+		// Not fatal: what a restart recovers is the point of the test.
+		t.Errorf("auto create after the wrap: got %d %q, want 200 and a fresh id", status, id)
+	}
+	ts1.Close() // crash: no final snapshot
+
+	srv2 := newDurableServer(t, dir, Config{SnapshotEvery: 1000})
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	defer srv2.Close()
+	if _, got := do(t, "GET", ts2.URL+"/v1/contexts/hospital/sessions/s1"+q, ""); got != want {
+		t.Fatalf("recovered s1 answers differ:\n got: %s\nwant: %s", got, want)
+	}
+}

@@ -33,6 +33,19 @@ func (a WireAtom) Atom() mdqa.Atom {
 // tuple list, every term a constant.
 type WireInstance map[string][][]string
 
+// checkFact rejects a wire fact the context cannot use: an empty
+// predicate name, or an argument count other than the predicate's
+// arity in declared. Predicates the context does not mention pass.
+func checkFact(declared map[string]int, pred string, args int) error {
+	if pred == "" {
+		return &badRequestError{msg: "fact with an empty predicate name"}
+	}
+	if want, ok := declared[pred]; ok && want >= 0 && want != args {
+		return &badRequestError{msg: fmt.Sprintf("%s has %d arguments, the context uses it with %d", pred, args, want)}
+	}
+	return nil
+}
+
 // Instance materializes the wire instance. Relations are created on
 // first insert (arity fixed by the first tuple); a later arity
 // mismatch is a client error.

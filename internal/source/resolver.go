@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/storage"
 )
@@ -54,15 +55,10 @@ type Resolver struct {
 	entries  map[string]*entry
 	now      func() time.Time // injected by TTL tests
 
-	mu        sync.Mutex
-	stats     map[string]*Stats
-	latencies []time.Duration // fetch-latency ring
-	latTotal  int64           // fetches observed, ring overwrites included
+	mu      sync.Mutex
+	stats   map[string]*Stats
+	latency obs.Histogram // every fetch's duration, all bindings
 }
-
-// latencyRingSize bounds the fetch-latency samples kept for the
-// /metrics percentiles.
-const latencyRingSize = 256
 
 type entry struct {
 	mu   sync.Mutex // blocking singleflight: one fetch per binding at a time
@@ -120,7 +116,14 @@ func (r *Resolver) resolve(ctx context.Context, name string, force bool) (*Snaps
 	}
 	start := r.now()
 	res, err := b.Src.Fetch(ctx, prev)
-	r.observe(name, r.now().Sub(start), err == nil)
+	took := r.now().Sub(start)
+	r.count(name, func(s *Stats) {
+		s.Fetches++
+		if err != nil {
+			s.Errors++
+		}
+		r.latency.Observe(took)
+	})
 	if err != nil {
 		if b.AllowStale && e.snap != nil {
 			r.count(name, func(s *Stats) { s.StaleServed++ })
@@ -149,29 +152,14 @@ func (r *Resolver) binding(name string) (Binding, *entry) {
 	return Binding{}, nil
 }
 
+// count runs f on the binding's counters under the resolver lock, which
+// also guards the fetch-latency histogram.
 func (r *Resolver) count(name string, f func(*Stats)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s := r.stats[name]; s != nil {
 		f(s)
 	}
-}
-
-func (r *Resolver) observe(name string, d time.Duration, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s := r.stats[name]; s != nil {
-		s.Fetches++
-		if !ok {
-			s.Errors++
-		}
-	}
-	if len(r.latencies) < latencyRingSize {
-		r.latencies = append(r.latencies, d)
-	} else {
-		r.latencies[r.latTotal%latencyRingSize] = d
-	}
-	r.latTotal++
 }
 
 // Stats returns a copy of every binding's counters, keyed by binding
@@ -186,11 +174,11 @@ func (r *Resolver) Stats() map[string]Stats {
 	return out
 }
 
-// FetchLatencies returns the retained fetch-duration samples (newest
-// ring contents, unordered) and the number of fetches observed since
-// construction, which keeps counting once the ring overwrites.
-func (r *Resolver) FetchLatencies() ([]time.Duration, int64) {
+// FetchLatency returns a copy of the histogram of every fetch's
+// duration since construction.
+func (r *Resolver) FetchLatency() *obs.Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]time.Duration(nil), r.latencies...), r.latTotal
+	h := r.latency
+	return &h
 }

@@ -62,7 +62,8 @@ type Source interface {
 // Instance materializes a fetch result as a one-relation storage
 // instance. Attribute names are taken from the declared schema when
 // present, else from the payload; a tuple whose arity disagrees with
-// the first one (a torn payload) is an error, never a silent truncation.
+// the first one (a torn payload) or an empty tuple is an error, never
+// a silent truncation.
 func (r *Result) Instance(s Schema) (*storage.Instance, error) {
 	attrs := s.Attrs
 	if len(attrs) == 0 {
@@ -72,6 +73,9 @@ func (r *Result) Instance(s Schema) (*storage.Instance, error) {
 	arity := len(attrs)
 	if arity == 0 && len(r.Tuples) > 0 {
 		arity = len(r.Tuples[0])
+		if arity == 0 {
+			return nil, fmt.Errorf("source %s: row 0 is empty", s.Relation)
+		}
 		attrs = make([]string, arity)
 		for i := range attrs {
 			attrs[i] = fmt.Sprintf("a%d", i)
@@ -196,12 +200,8 @@ func parseRows(data []byte, attrs []string) ([][]string, error) {
 	if trimmed == "" {
 		return nil, nil
 	}
-	var rawRows []json.RawMessage
-	if trimmed[0] == '[' && looksLikeRowArray(trimmed) {
-		if err := json.Unmarshal([]byte(trimmed), &rawRows); err != nil {
-			return nil, fmt.Errorf("source: malformed JSON array payload: %w", err)
-		}
-	} else {
+	rawRows, isArray := rowArray(trimmed)
+	if !isArray {
 		for i, line := range strings.Split(trimmed, "\n") {
 			line = strings.TrimSpace(line)
 			if line == "" {
@@ -224,23 +224,24 @@ func parseRows(data []byte, attrs []string) ([][]string, error) {
 	return out, nil
 }
 
-// looksLikeRowArray distinguishes a whole-payload JSON array of rows
-// from NDJSON whose first line happens to be an array row: a payload
-// is a row array only when it parses as an array whose every element
-// is itself an array or object (a single NDJSON row like ["a","b"]
-// holds scalars, so it falls through to line-delimited parsing).
-func looksLikeRowArray(s string) bool {
+// rowArray distinguishes a whole-payload JSON array of rows from
+// NDJSON whose first line happens to be an array row: a payload is a
+// row array, returned split into rows, only when it parses as an array
+// whose every element is itself an array or object (a single NDJSON
+// row like ["a","b"] holds scalars, so it falls through to
+// line-delimited parsing).
+func rowArray(s string) ([]json.RawMessage, bool) {
 	var rows []json.RawMessage
-	if json.Unmarshal([]byte(s), &rows) != nil {
-		return false
+	if s[0] != '[' || json.Unmarshal([]byte(s), &rows) != nil {
+		return nil, false
 	}
 	for _, r := range rows {
 		inner := strings.TrimSpace(string(r))
 		if inner == "" || (inner[0] != '[' && inner[0] != '{') {
-			return false
+			return nil, false
 		}
 	}
-	return true
+	return rows, true
 }
 
 // parseRow decodes one row: array → positional, object → ordered by

@@ -415,7 +415,7 @@ func TestResolverLatencySamples(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if samples, total := r.FetchLatencies(); len(samples) != 3 || total != 3 {
-		t.Fatalf("latency samples = %d, total = %d, want 3 and 3", len(samples), total)
+	if n := r.FetchLatency().Count(); n != 3 {
+		t.Fatalf("fetch latency count = %d, want 3", n)
 	}
 }

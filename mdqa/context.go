@@ -155,14 +155,16 @@ func (c *Context) VersionPred(rel string) string { return c.q.VersionPred(rel) }
 // versions, in declaration order.
 func (c *Context) Versioned() []string { return c.q.Versioned() }
 
-// DeclaredPreds lists every predicate the context can speak about,
-// sorted: ontology relations, rule and constraint predicates,
-// dimension membership/rollup predicates, every predicate a mapping,
-// quality or version rule mentions, and the version predicates. A
-// query over any of these is well-formed even when the relation holds
-// no tuples yet — serving layers use the set to tell "empty" from
-// ErrUnknownRelation.
-func (c *Context) DeclaredPreds() []string { return c.q.DeclaredPreds() }
+// DeclaredPreds maps every predicate the context can speak about to
+// the arity its atoms use (-1 where two uses disagree): ontology
+// relations, rule and constraint predicates, dimension
+// membership/rollup predicates, every predicate a mapping, quality or
+// version rule mentions, and the version predicates. A query over any
+// of these is well-formed even when the relation holds no tuples yet,
+// and input facts over them must have that arity — serving layers use
+// the map to tell "empty" from ErrUnknownRelation and to reject
+// malformed input.
+func (c *Context) DeclaredPreds() map[string]int { return c.q.DeclaredPreds() }
 
 // Prepare compiles the context once — the ontology's Datalog± program,
 // its chase join plans, the merged static context and the stratified

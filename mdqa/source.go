@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/quality"
 	"repro/internal/source"
 )
@@ -35,6 +36,11 @@ type SourceResult = source.Result
 // SourceStats counts one binding's resolver activity: fetches
 // (including revalidations), errors, TTL cache hits and stale serves.
 type SourceStats = source.Stats
+
+// Histogram is a mergeable log-linear latency histogram: counts per
+// bucket of about 3% relative width, plus the exact count, sum, min
+// and max.
+type Histogram = obs.Histogram
 
 // SourceOption tunes one source binding.
 type SourceOption func(*source.Binding)
@@ -133,13 +139,10 @@ type MemSource = source.Mem
 // layers poll it at metrics-scrape time.
 func (c *Context) SourceStatsByName() map[string]SourceStats { return c.q.SourceStats() }
 
-// SourceFetchLatencies returns the retained source fetch-duration
-// samples, for percentile rendering, and the number of fetches
-// observed since the context was built (nil and 0 when the context
-// declares no sources).
-func (c *Context) SourceFetchLatencies() ([]time.Duration, int64) {
-	return c.q.SourceFetchLatencies()
-}
+// SourceFetchLatency returns a copy of the histogram of every source
+// fetch's duration since the context was built (nil when the context
+// declares no sources). Serving layers read it at metrics-scrape time.
+func (c *Context) SourceFetchLatency() *Histogram { return c.q.SourceFetchLatency() }
 
 // SourceNames lists the context's source binding names in declaration
 // order.
