@@ -4,11 +4,14 @@
 # Builds internal/benchsuite's test binary at <base-rev> (in a
 # temporary git worktree) and at this checkout, runs both in
 # alternating pairs on the same machine, switching which side runs
-# first, and hands the two outputs to ci/benchcmp. The gate fails when
-# a benchmark present at both commits has a median change/base ns/op
-# ratio above 1.30 over the pairs, or when no benchmark matches; a
-# benchmark only one side has is skipped. A <base-rev> that does not
-# resolve (the all-zero "before" of a new branch) falls back to HEAD^.
+# first, and hands the two outputs to ci/benchcmp. Every benchmark
+# runs at GOMAXPROCS 1 and 2 (-test.cpu): width 1 has no code path of
+# its own in the engines, so only running it keeps it gated. The gate
+# fails when a benchmark present at both commits has a median
+# change/base ns/op ratio above 1.30 over the pairs, or when no
+# benchmark matches; a benchmark only one side has is skipped. A
+# <base-rev> that does not resolve (the all-zero "before" of a new
+# branch) falls back to HEAD^.
 #
 # The raw outputs are left in bench-gate-base.txt and
 # bench-gate-change.txt at the repo root.
@@ -19,6 +22,7 @@ set -euo pipefail
 # cannot tell a regression from noise; the median ratio over pairs can.
 PAIRS=10
 BENCHTIME=0.5s
+CPU=1,2
 BENCH='^Benchmark(ColdAssess|WarmAssess|AdhocQuery|AsOfAnswers)$/n=400'
 
 cd "$(dirname "$0")/.."
@@ -44,7 +48,7 @@ go test -c -o "$work/change.test" ./internal/benchsuite
 # own package directory, appended to bench-gate-<side>.txt.
 run() {
   (cd "$2/internal/benchsuite" &&
-    "$work/$1.test" -test.run '^$' -test.bench "$BENCH" \
+    "$work/$1.test" -test.run '^$' -test.bench "$BENCH" -test.cpu "$CPU" \
       -test.benchtime "$BENCHTIME" -test.timeout 10m) >>"$root/bench-gate-$1.txt"
 }
 

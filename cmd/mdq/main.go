@@ -4,7 +4,7 @@
 // chosen engine, or run the quality-assessment pipeline.
 //
 // Usage (a global -parallelism flag before the command bounds the
-// worker pool: 0 = all cores, 1 = sequential):
+// worker pool: 0 = all cores, 1 = no worker goroutines):
 //
 //	mdq [-parallelism n] describe file.mdq
 //	mdq classify file.mdq
@@ -82,7 +82,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mdq", flag.ContinueOnError)
 	fs.SetOutput(out)
 	parallelism := fs.Int("parallelism", 0,
-		"worker pool bound for chase/eval rounds (0 = all cores, 1 = sequential)")
+		"worker pool bound for chase/eval rounds (0 = all cores, 1 = no worker goroutines)")
 	var liveSources sourceFlags
 	fs.Var(&liveSources, "source",
 		"live external source for assess/clean, as relation=url-or-path (repeatable)")

@@ -150,7 +150,7 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("mdserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	example := fs.Bool("example", false, "serve the built-in hospital example quality context as \"hospital\"")
-	parallelism := fs.Int("parallelism", 0, "engine worker pool bound per context (0 = all cores, 1 = sequential)")
+	parallelism := fs.Int("parallelism", 0, "engine worker pool bound per context (0 = all cores, 1 = no worker goroutines)")
 	maxSessions := fs.Int("max-sessions", 0, "open session limit across contexts (0 = default)")
 	drain := fs.Duration("drain", 5*time.Second, "graceful shutdown drain window")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty = off)")

@@ -72,12 +72,13 @@ type Options struct {
 	SkipEGDs bool
 	// Parallelism bounds the worker pool that fans TGD trigger
 	// discovery, EGD body matching and NC checking out across
-	// goroutines (0 = runtime.GOMAXPROCS(0), 1 = the exact sequential
-	// code path). Discovery is sharded within each dependency and
-	// merged in shard order, and all applications (fresh nulls, EGD
-	// merges, insertions) stay on the single writer goroutine, so the
-	// chase result — instance, insertion order, null labels, counters
-	// and violations — is identical at every parallelism degree.
+	// goroutines (0 = runtime.GOMAXPROCS(0); 1 runs every unit on the
+	// caller goroutine). Every width runs the same code: discovery is
+	// sharded within each dependency and merged in shard order, and
+	// all applications (fresh nulls, EGD merges, insertions) stay on
+	// the single writer goroutine, so the chase result — instance,
+	// insertion order, null labels, counters and violations — is
+	// identical at every parallelism degree.
 	Parallelism int
 }
 
@@ -135,13 +136,12 @@ type Result struct {
 func (r *Result) Consistent() bool { return len(r.Violations) == 0 }
 
 // Run chases the program over a copy of db and returns the result.
-// ctx is checked once per work unit — at most one dependency's
-// discovery pass, and once per worker batch under parallelism — so a
-// serving process can time-bound a runaway chase with bounded
-// cancellation latency; on cancellation the context's error is
-// returned. The error is otherwise non-nil only for invalid inputs;
-// bound-exceeded runs return Saturated=false with a nil error so
-// callers can inspect partial results.
+// ctx is checked once per round and once per work unit (a shard of
+// one dependency's matching), so a serving process can time-bound a
+// runaway chase with bounded cancellation latency; on cancellation
+// the context's error is returned. The error is otherwise non-nil only
+// for invalid inputs; bound-exceeded runs return Saturated=false with
+// a nil error so callers can inspect partial results.
 func Run(ctx context.Context, prog *datalog.Program, db *storage.Instance, opts Options) (*Result, error) {
 	st, err := NewState(prog, db, opts)
 	if err != nil {
@@ -270,8 +270,8 @@ func (m *triggerMemo) add(regs []int32) ([]int32, bool) {
 }
 
 // has reports whether the snapshot is already memoized, without
-// modifying the memo. Parallel delta-round discovery workers probe
-// the quiescent memo so triggers memoized in earlier rounds are not
+// modifying the memo. Delta-round discovery workers probe the
+// quiescent memo so triggers memoized in earlier rounds are not
 // re-staged through other pivots (the authoritative dedup stays with
 // add on the merge goroutine).
 func (m *triggerMemo) has(regs []int32) bool {

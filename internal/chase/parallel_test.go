@@ -59,12 +59,13 @@ func identicalResults(a, b *Result) bool {
 	return true
 }
 
-// TestQuickParallelChaseIdentical pins the parallel chase (p=4:
-// sharded trigger discovery, EGD pair collection and NC checks) to
-// the sequential chase (p=1), byte for byte: discovery shards merge
-// in enumeration order and every application stays single-writer, so
-// not just the fixpoint but insertion order, null labels, counters
-// and violation lists must be identical.
+// TestQuickParallelChaseIdentical pins the chase at p=4 (four shards
+// of trigger discovery, EGD pair collection and NC checks) to the
+// chase at p=1 (one shard each, no worker goroutines), byte for byte:
+// discovery shards merge in enumeration order and every application
+// stays single-writer, so not just the fixpoint but insertion order,
+// null labels, counters and violation lists must be identical.
+// naiveChase is the independent reference.
 func TestQuickParallelChaseIdentical(t *testing.T) {
 	f := func(w chainWorld) bool {
 		seq, err := Run(context.Background(), egdNCProgram(), w.DB, Options{Parallelism: 1})

@@ -216,7 +216,6 @@ type tgdState struct {
 	// snapshots), so each trigger fires at most once. EGD merges
 	// invalidate it.
 	fired    triggerMemo
-	regs     []int32
 	headRegs []int32
 	exIDs    []int32
 	rowBuf   []int32
@@ -226,14 +225,11 @@ type tgdState struct {
 type egdState struct {
 	ep   *egdPlan
 	plan *storage.Plan
-	regs []int32
 }
 
 type ncState struct {
 	np   *ncPlan
 	plan *storage.Plan
-	regs []int32
-	buf  []int32
 }
 
 // NewState validates and compiles the program and returns a resumable
@@ -290,7 +286,6 @@ func (cp *CompiledProgram) NewState(inst *storage.Instance, opts Options) *State
 		for i, dp := range tp.delta {
 			ts.delta[i] = dp.Retarget(in)
 		}
-		ts.regs = ts.body.NewRegs()
 		ts.headRegs = ts.head.NewRegs()
 		ts.exIDs = make([]int32, len(tp.ex))
 		ts.rowBuf = make([]int32, tp.maxAr)
@@ -300,7 +295,7 @@ func (cp *CompiledProgram) NewState(inst *storage.Instance, opts Options) *State
 		st.egds = append(st.egds, &egdState{ep: ep, plan: ep.plan.Retarget(in)})
 	}
 	for _, np := range cp.ncs {
-		st.ncs = append(st.ncs, &ncState{np: np, plan: np.plan.Retarget(in), buf: make([]int32, np.maxAr)})
+		st.ncs = append(st.ncs, &ncState{np: np, plan: np.plan.Retarget(in)})
 	}
 	return st
 }
@@ -477,51 +472,17 @@ func (st *State) Extend(ctx context.Context, delta []datalog.Atom) (*ExtendInfo,
 // applyTGD enumerates this round's triggers of one TGD — full-plan in
 // a full round, delta-frontier-driven otherwise — and fires them. It
 // returns the number of applications, or -1 when MaxAtoms was
-// exceeded. With a parallel pool, phase 1 (discovery) is sharded
-// across workers against the frozen round view and merged in shard
-// order — the trigger list, and therefore everything downstream
-// (insertion order, null labels), is identical to the sequential
-// enumeration; phase 2 (firing) always runs on the caller goroutine.
+// exceeded. Phase 1 (discovery) is sharded across the pool against
+// the frozen round view and merged in shard order, so the trigger
+// list, and therefore everything downstream (insertion order, null
+// labels), does not depend on the pool width; phase 2 (firing) always
+// runs on the caller goroutine.
 func (st *State) applyTGD(ctx context.Context, ts *tgdState, full bool, roundStart map[string]int) (int, error) {
 	// Phase 1: enumerate new triggers, snapshotting register banks.
 	// (Insertion happens afterwards so the enumeration never observes
 	// its own derivations mid-round.)
 	ts.triggers = ts.triggers[:0]
-	if st.pool.Sequential() {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		collect := func(regs []int32) bool {
-			if snap, isNew := ts.fired.add(regs); isNew {
-				ts.triggers = append(ts.triggers, snap)
-			}
-			return true
-		}
-		if full {
-			ts.body.ResetRegs(ts.regs)
-			ts.body.Execute(st.inst, ts.regs, collect)
-		} else {
-			for i := range ts.delta {
-				proj := &ts.tp.pivot[i]
-				rel := st.inst.Relation(proj.Pred)
-				if rel == nil {
-					continue
-				}
-				lo, hi := st.watermark[proj.Pred], roundStart[proj.Pred]
-				if lo >= hi {
-					continue
-				}
-				rows := rel.Rows()
-				for _, row := range rows[lo:hi] {
-					ts.body.ResetRegs(ts.regs)
-					if !proj.Bind(row, ts.regs) {
-						continue
-					}
-					ts.delta[i].Execute(st.inst, ts.regs, collect)
-				}
-			}
-		}
-	} else if err := st.discoverPar(ctx, ts, full, roundStart); err != nil {
+	if err := st.discover(ctx, ts, full, roundStart); err != nil {
 		return 0, err
 	}
 
@@ -582,11 +543,10 @@ func (st *State) applyTGD(ctx context.Context, ts *tgdState, full bool, roundSta
 	return applied, nil
 }
 
-// tgdUnit is one parallel discovery work unit of a TGD: a shard of
-// the full body plan (pivot < 0) or a chunk of one pivot's delta
-// window. Units are ordered (pivot, chunk/shard); the merge walks
-// them in that order, reproducing the sequential enumeration order
-// exactly.
+// tgdUnit is one discovery work unit of a TGD: a shard of the full
+// body plan (pivot < 0) or a chunk of one pivot's delta window. Units
+// are ordered (pivot, chunk/shard); the merge walks them in that
+// order, which is the plans' own enumeration order at every width.
 type tgdUnit struct {
 	pivot  int
 	shard  int
@@ -594,12 +554,12 @@ type tgdUnit struct {
 	lo, hi int
 }
 
-// discoverPar fans one TGD's trigger discovery out across the pool.
+// discover fans one TGD's trigger discovery out across the pool.
 // Workers only read (plan execution over the frozen round view) and
 // record raw register snapshots per unit; the caller deduplicates
 // through the shared trigger memo in unit order afterwards, so the
-// resulting trigger list is identical to sequential discovery.
-func (st *State) discoverPar(ctx context.Context, ts *tgdState, full bool, roundStart map[string]int) error {
+// resulting trigger list does not depend on the pool width.
+func (st *State) discover(ctx context.Context, ts *tgdState, full bool, roundStart map[string]int) error {
 	w := st.pool.Width()
 	var units []tgdUnit
 	if full {
@@ -703,11 +663,11 @@ func (st *State) headSatisfied(ts *tgdState, trigger []int32) bool {
 // instead of one per merge. Passes repeat until no merge is found,
 // since rewritten tuples can expose new EGD matches.
 //
-// With a parallel pool, each pass shards the EGD body matching across
-// workers that collect raw (left, right) term pairs; the union-find
-// fold then consumes the pairs in (EGD, shard, match) order — the
-// same sequence the sequential enumeration produces — so merges,
-// representatives and hard violations are identical at every width.
+// Each pass shards the EGD body matching across the pool's workers,
+// which collect raw (left, right) term pairs; the union-find fold then
+// consumes the pairs in (EGD, shard, match) order — each plan's own
+// enumeration order — so merges, representatives and hard violations
+// are identical at every width.
 func (st *State) applyEGDs(ctx context.Context) (int, []Violation, error) {
 	totalMerged := 0
 	var hard []Violation
@@ -752,21 +712,7 @@ func (st *State) applyEGDs(ctx context.Context) (int, []Violation, error) {
 			parent[drop] = keep
 			anyMerge = true
 		}
-		if st.pool.Sequential() {
-			for _, es := range st.egds {
-				if err := ctx.Err(); err != nil {
-					return totalMerged, hard, err
-				}
-				if es.regs == nil {
-					es.regs = es.plan.NewRegs()
-				}
-				es.plan.ResetRegs(es.regs)
-				es.plan.Execute(st.inst, es.regs, func(regs []int32) bool {
-					fold(es.ep.egd, es.plan.TermAt(regs, es.ep.egd.Left), es.plan.TermAt(regs, es.ep.egd.Right))
-					return true
-				})
-			}
-		} else if err := st.collectEGDPairsPar(ctx, fold); err != nil {
+		if err := st.collectEGDPairs(ctx, fold); err != nil {
 			return totalMerged, hard, err
 		}
 		if !anyMerge {
@@ -789,9 +735,9 @@ type egdPair struct {
 	l, r datalog.Term
 }
 
-// collectEGDPairsPar shards every EGD's body matching across the pool
+// collectEGDPairs shards every EGD's body matching across the pool
 // and feeds the collected pairs to fold in (EGD, shard, match) order.
-func (st *State) collectEGDPairsPar(ctx context.Context, fold func(*datalog.EGD, datalog.Term, datalog.Term)) error {
+func (st *State) collectEGDPairs(ctx context.Context, fold func(*datalog.EGD, datalog.Term, datalog.Term)) error {
 	w := st.pool.Width()
 	type egdUnit struct {
 		es    *egdState
@@ -831,13 +777,14 @@ func (st *State) collectEGDPairsPar(ctx context.Context, fold func(*datalog.EGD,
 
 // checkNCs evaluates negative constraints over the current instance,
 // appending violations not yet reported. Negated atoms are checked
-// under closed-world assumption. With a parallel pool, NC bodies are
-// matched concurrently in shards (read-only) and the found violations
-// merged in (NC, shard, match) order — the sequential report order.
+// under closed-world assumption. NC bodies are matched in shards
+// across the pool (read-only) and the found violations merged in (NC,
+// shard, match) order, so the report order does not depend on the
+// pool width.
 func (st *State) checkNCs(ctx context.Context) error {
 	// matchNC evaluates one complete body match of ns, returning the
 	// violation when the NC fires (negated atoms absent, conditions
-	// hold). buf is projection scratch of at least len(ns.buf).
+	// hold). buf is projection scratch of at least ns.np.maxAr.
 	matchNC := func(ns *ncState, regs []int32, buf []int32) (Violation, bool) {
 		nc := ns.np.nc
 		for i := range ns.np.negs {
@@ -861,27 +808,6 @@ func (st *State) checkNCs(ctx context.Context) error {
 		return Violation{Kind: NCViolation, ID: nc.ID, Detail: detail}, true
 	}
 
-	if st.pool.Sequential() {
-		var out []Violation
-		for _, ns := range st.ncs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if ns.regs == nil {
-				ns.regs = ns.plan.NewRegs()
-			}
-			ns.plan.ResetRegs(ns.regs)
-			ns.plan.Execute(st.inst, ns.regs, func(regs []int32) bool {
-				if v, ok := matchNC(ns, regs, ns.buf); ok {
-					out = append(out, v)
-				}
-				return true
-			})
-		}
-		st.addViolations(out)
-		return nil
-	}
-
 	w := st.pool.Width()
 	type ncUnit struct {
 		ns    *ncState
@@ -900,7 +826,7 @@ func (st *State) checkNCs(ctx context.Context) error {
 		u := &units[t]
 		ns := u.ns
 		regs := ns.plan.NewRegs()
-		buf := make([]int32, len(ns.buf))
+		buf := make([]int32, ns.np.maxAr)
 		var local []Violation
 		ns.plan.ExecuteShard(st.inst, regs, u.shard, w, func(regs []int32) bool {
 			if v, ok := matchNC(ns, regs, buf); ok {

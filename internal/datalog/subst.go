@@ -67,11 +67,6 @@ func (s Subst) ApplyAtoms(atoms []Atom) []Atom {
 	return out
 }
 
-// ApplyLiteral applies the substitution to a literal.
-func (s Subst) ApplyLiteral(l Literal) Literal {
-	return Literal{Atom: s.ApplyAtom(l.Atom), Negated: l.Negated}
-}
-
 // Compose returns the substitution equivalent to applying s first and
 // then t: (s;t)(x) = t(s(x)). Bindings of t for variables untouched by
 // s are retained.

@@ -55,9 +55,9 @@ type Spec struct {
 	ChaseOptions chase.Options
 	// Parallelism bounds the worker pool every session's chase and
 	// eval rounds fan out across: 0 resolves to runtime.GOMAXPROCS(0)
-	// (the default), 1 selects the exact sequential engine, n > 1
-	// bounds workers at n. A non-zero value overrides
-	// ChaseOptions.Parallelism.
+	// (the default), n >= 1 bounds workers at n; 1 starts no worker
+	// goroutines. Every width runs the same engine code. A non-zero
+	// value overrides ChaseOptions.Parallelism.
 	Parallelism int
 }
 
@@ -129,8 +129,7 @@ func (p *Prepared) Base() *storage.Instance { return p.base }
 // NewSession builds a session over the base plus the instance under
 // assessment, chased to saturation and with the derived layer
 // evaluated — the cold path every later Apply amortizes. Cancellation
-// of ctx is checked once per chase/eval work unit (per worker batch
-// when the pool is parallel).
+// of ctx is checked once per chase/eval work unit.
 func (p *Prepared) NewSession(ctx context.Context, d *storage.Instance) (*Session, error) {
 	// The merge target is a detached clone: neither the shared base
 	// nor the caller's instance is ever touched, so one Prepared can

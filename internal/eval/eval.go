@@ -203,10 +203,9 @@ func (p *Program) Stratify() ([][]*Rule, error) {
 
 // Eval computes the program's least fixpoint over a copy of db and
 // returns the resulting instance (EDB plus derived IDB atoms). The
-// input instance is not modified. ctx is checked once per rule pass
-// of every semi-naive round (per worker unit under parallelism), so a
-// serving process can time-bound a runaway evaluation with bounded
-// cancellation latency.
+// input instance is not modified. ctx is checked once per work unit
+// of every round, so a serving process can time-bound a runaway
+// evaluation with bounded cancellation latency.
 //
 // Evaluation runs on compiled join plans over interned rows (see
 // storage.CompilePlan): every rule body is compiled once per stratum,
@@ -252,9 +251,7 @@ type compiledRule struct {
 	// stratum; incremental state: every atom gets a plan).
 	deltaPlans []*storage.Plan
 	pivotProj  []storage.Proj // body[i] as a projection, for seeding registers
-	pivots     int            // number of body atoms with delta plans
-	regs       []int32        // reusable register bank
-	buf        []int32        // reusable projection buffer
+	maxAr      int            // widest head or negated atom: projection scratch size
 }
 
 // compileRule lowers one rule. idb names the predicates that can grow
@@ -276,25 +273,20 @@ func compileRule(r *Rule, db *storage.Instance, idb map[string]bool, allDelta bo
 		if !allDelta && !idb[a.Pred] {
 			continue
 		}
-		cr.pivots++
 		cr.deltaPlans[i] = storage.CompilePlan(db, r.Body, a.Vars()...)
 		cr.pivotProj[i] = cr.plan.CompileProj(a)
 	}
-	cr.regs = cr.plan.NewRegs()
-	maxAr := len(r.Head.Args)
+	cr.maxAr = len(r.Head.Args)
 	for _, n := range r.Negated {
-		if len(n.Args) > maxAr {
-			maxAr = len(n.Args)
-		}
+		cr.maxAr = max(cr.maxAr, len(n.Args))
 	}
-	cr.buf = make([]int32, maxAr)
 	return cr
 }
 
 // filters checks the rule's negated atoms (closed world) and
 // comparisons against the register bank. buf is projection scratch of
-// at least len(cr.buf); parallel workers pass their own so one rule
-// can be filtered from many goroutines.
+// at least cr.maxAr; each worker passes its own so one rule can be
+// filtered from many goroutines.
 func (cr *compiledRule) filters(db *storage.Instance, regs []int32, buf []int32) (bool, error) {
 	for i := range cr.negs {
 		n := &cr.negs[i]
@@ -316,27 +308,6 @@ func (cr *compiledRule) filters(db *storage.Instance, regs []int32, buf []int32)
 	return true, nil
 }
 
-// derive applies filters and, on success, inserts the head row,
-// appending newly derived facts to *out when out is non-nil.
-func (cr *compiledRule) derive(db *storage.Instance, regs []int32, out *[]Fact) error {
-	ok, err := cr.filters(db, regs, cr.buf)
-	if err != nil || !ok {
-		return err
-	}
-	buf := cr.buf[:cr.head.Len()]
-	cr.head.Project(regs, buf)
-	isNew, err := db.InsertRow(cr.head.Pred, buf)
-	if err != nil {
-		return err
-	}
-	if isNew && out != nil {
-		row := make([]int32, len(buf))
-		copy(row, buf)
-		*out = append(*out, Fact{Pred: cr.head.Pred, Row: row})
-	}
-	return nil
-}
-
 // State is a resumable stratified evaluation: it owns an instance
 // holding the EDB plus every derived fact, with each stratum's rules
 // compiled once. Init computes the full least fixpoint; Extend grows
@@ -349,14 +320,15 @@ func (cr *compiledRule) derive(db *storage.Instance, regs []int32, out *[]Fact) 
 // concurrently. Concurrent readers use Instance().Snapshot().
 //
 // A State may still evaluate in parallel internally (SetParallelism):
-// each semi-naive round fans its rule passes out across a bounded
-// worker pool, every worker matching against the frozen round view
-// and staging derived rows into a private storage.Batch, and the
-// single writer merges the batches in deterministic unit order (rule
-// index, then shard/chunk index, then emission order) before the next
-// round. Parallelism 1 runs the exact sequential code path; higher
-// degrees produce the same fixpoint (set-identical instances), with
-// insertion order deterministic for a fixed degree.
+// each round fans its rule passes out across a bounded worker pool,
+// every worker matching against the frozen round view and staging
+// derived rows into a private storage.Batch, and the single writer
+// merges the batches in deterministic unit order (rule index, then
+// shard/chunk index, then emission order) before the next round.
+// Every width runs this same code — width 1 with one shard per unit
+// and no worker goroutines — and produces the same fixpoint
+// (set-identical instances), with insertion order deterministic for a
+// fixed width.
 type State struct {
 	strata [][]*Rule
 	inst   *storage.Instance
@@ -386,9 +358,9 @@ func NewState(strata [][]*Rule, inst *storage.Instance) *State {
 }
 
 // SetParallelism bounds the state's worker pool: n <= 0 resolves to
-// runtime.GOMAXPROCS(0) (the default), 1 selects the exact sequential
-// code path, n > 1 fans rule passes out across up to n workers. Call
-// it before Init; the degree is fixed for the state's lifetime.
+// runtime.GOMAXPROCS(0) (the default), 1 runs every rule pass on the
+// caller goroutine, n > 1 fans rule passes out across up to n workers.
+// Call it before Init; the width is fixed for the state's lifetime.
 func (st *State) SetParallelism(n int) { st.pool = par.New(n) }
 
 // Instance returns the state's live instance (EDB + derived facts).
@@ -441,9 +413,8 @@ func (st *State) Replan() {
 // Init computes the least fixpoint stratum by stratum. A stratum whose
 // rules read none of its own head predicates takes exactly one pass;
 // a recursive stratum iterates semi-naively to its fixpoint. ctx is
-// checked once per rule pass (per worker unit when the pool is
-// parallel). Rule plans are compiled on the first Init and reused by
-// later Reset+Init cycles.
+// checked once per work unit. Rule plans are compiled on the first
+// Init and reused by later Reset+Init cycles.
 func (st *State) Init(ctx context.Context) error {
 	if st.comp == nil {
 		st.comp = make([][]*compiledRule, len(st.strata))
@@ -512,45 +483,34 @@ func (st *State) Init(ctx context.Context) error {
 	return nil
 }
 
-// fullRound runs every rule's full body once: sequentially rule by
-// rule, or sharded across the worker pool with a deterministic batch
-// merge. Newly derived facts are appended to *out when out is non-nil.
-func (st *State) fullRound(ctx context.Context, comp []*compiledRule, out *[]Fact) error {
-	if !st.pool.Sequential() {
-		return st.fullRoundPar(ctx, comp, out)
-	}
-	for _, cr := range comp {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var derr error
-		cr.plan.ResetRegs(cr.regs)
-		cr.plan.Execute(st.inst, cr.regs, func(regs []int32) bool {
-			derr = cr.derive(st.inst, regs, out)
-			return derr == nil
-		})
-		if derr != nil {
-			return derr
-		}
-	}
-	return nil
+// evalUnit is one work unit of a round: a shard of a rule's full-body
+// plan (pivot < 0) or a chunk of one pivot's delta rows. Units are
+// built in (rule index, pivot, chunk/shard) order, which fixes the
+// batch merge order.
+type evalUnit struct {
+	cr     *compiledRule
+	pivot  int // -1: full pass
+	shard  int // full pass: shard index
+	nshard int // full pass: shard count
+	lo, hi int // delta pass: row range within the pivot's delta
 }
 
-// deltaRound runs one semi-naive delta round over every rule:
-// sequentially via deltaPass, or — with a parallel pool — as delta-row
-// chunks fanned across workers staging into private batches.
-func (st *State) deltaRound(ctx context.Context, comp []*compiledRule, deltaByPred map[string][][]int32, next *[]Fact) error {
-	if st.pool.Sequential() {
-		for _, cr := range comp {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := deltaPass(cr, st.inst, deltaByPred, next); err != nil {
-				return err
-			}
+// fullRound runs every rule's full body once, sharded across the pool.
+// Newly derived facts are appended to *out when out is non-nil.
+func (st *State) fullRound(ctx context.Context, comp []*compiledRule, out *[]Fact) error {
+	w := st.pool.Width()
+	units := make([]evalUnit, 0, len(comp)*w)
+	for _, cr := range comp {
+		for s := 0; s < w; s++ {
+			units = append(units, evalUnit{cr: cr, pivot: -1, shard: s, nshard: w})
 		}
-		return nil
 	}
+	return st.runUnits(ctx, units, nil, out)
+}
+
+// deltaRound runs one semi-naive delta round over every rule, the
+// delta rows of each pivot chunked across the pool.
+func (st *State) deltaRound(ctx context.Context, comp []*compiledRule, deltaByPred map[string][][]int32, next *[]Fact) error {
 	units := make([]evalUnit, 0, len(comp))
 	for _, cr := range comp {
 		for i := range cr.r.Body {
@@ -564,30 +524,6 @@ func (st *State) deltaRound(ctx context.Context, comp []*compiledRule, deltaByPr
 		}
 	}
 	return st.runUnits(ctx, units, deltaByPred, next)
-}
-
-// evalUnit is one parallel work unit of a round: a shard of a rule's
-// full-body plan (pivot < 0) or a chunk of one pivot's delta rows.
-// Units are built in (rule index, pivot, chunk/shard) order, which
-// fixes the batch merge order.
-type evalUnit struct {
-	cr     *compiledRule
-	pivot  int // -1: full pass
-	shard  int // full pass: shard index
-	nshard int // full pass: shard count
-	lo, hi int // delta pass: row range within the pivot's delta
-}
-
-// fullRoundPar shards every rule's full-body pass across the pool.
-func (st *State) fullRoundPar(ctx context.Context, comp []*compiledRule, out *[]Fact) error {
-	w := st.pool.Width()
-	units := make([]evalUnit, 0, len(comp)*w)
-	for _, cr := range comp {
-		for s := 0; s < w; s++ {
-			units = append(units, evalUnit{cr: cr, pivot: -1, shard: s, nshard: w})
-		}
-	}
-	return st.runUnits(ctx, units, nil, out)
 }
 
 // runUnits executes the units on the worker pool — every worker
@@ -605,7 +541,7 @@ func (st *State) runUnits(ctx context.Context, units []evalUnit, deltaByPred map
 		u := &units[t]
 		cr := u.cr
 		regs := cr.plan.NewRegs()
-		buf := make([]int32, len(cr.buf))
+		buf := make([]int32, cr.maxAr)
 		b := &storage.Batch{}
 		var serr error
 		stage := func(regs []int32) bool {
@@ -724,57 +660,6 @@ func (st *State) Extend(ctx context.Context, delta []Fact) ([]Fact, error) {
 		}
 	}
 	return all[inserted:], nil
-}
-
-// deltaPass re-fires one rule seeded by every delta fact at every
-// pivot position that has a delta plan.
-func deltaPass(cr *compiledRule, db *storage.Instance, deltaByPred map[string][][]int32, next *[]Fact) error {
-	// A rule with ≥2 pivot atoms can reach the same homomorphism
-	// through several pivots; dedup complete matches by their packed
-	// register image.
-	var seen map[string]bool
-	if cr.pivots > 1 {
-		seen = map[string]bool{}
-	}
-	var key []byte
-	for i := range cr.r.Body {
-		plan := cr.deltaPlans[i]
-		if plan == nil {
-			continue
-		}
-		proj := &cr.pivotProj[i]
-		for _, row := range deltaByPred[proj.Pred] {
-			cr.plan.ResetRegs(cr.regs)
-			if !proj.Bind(row, cr.regs) {
-				continue
-			}
-			var derr error
-			plan.Execute(db, cr.regs, func(regs []int32) bool {
-				if seen != nil {
-					key = packRegs(key[:0], regs)
-					if seen[string(key)] {
-						return true
-					}
-					seen[string(key)] = true
-				}
-				derr = cr.derive(db, regs, next)
-				return derr == nil
-			})
-			if derr != nil {
-				return derr
-			}
-		}
-	}
-	return nil
-}
-
-// packRegs appends the register bank's raw bytes to dst, producing a
-// compact dedup key.
-func packRegs(dst []byte, regs []int32) []byte {
-	for _, r := range regs {
-		dst = append(dst, byte(r), byte(r>>8), byte(r>>16), byte(r>>24))
-	}
-	return dst
 }
 
 // EvalQuery evaluates a conjunctive query (with optional negation and

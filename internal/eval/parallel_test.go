@@ -36,10 +36,11 @@ func closureProgram() *Program {
 	return p
 }
 
-// TestQuickParallelInitMatchesSequential pins the parallel round loop
-// (p=4: sharded full passes, chunked delta passes, deterministic batch
-// merges) to the sequential engine (p=1) on random graphs — the
-// fixpoints must hold exactly the same tuples.
+// TestQuickParallelInitMatchesSequential pins the round loop at p=4
+// (sharded full passes, chunked delta passes, deterministic batch
+// merges) to the same loop at p=1 (one shard per unit, no worker
+// goroutines) on random graphs — the fixpoints must hold exactly the
+// same tuples. naiveEval is the independent reference.
 func TestQuickParallelInitMatchesSequential(t *testing.T) {
 	f := func(gv graphValue) bool {
 		p := closureProgram()
@@ -56,9 +57,9 @@ func TestQuickParallelInitMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestQuickParallelExtendMatchesSequential pins the parallel
-// incremental path: a state extended delta-by-delta at p=4 must land
-// on the same fixpoint as the sequential state.
+// TestQuickParallelExtendMatchesSequential pins the incremental path
+// across widths: a state extended delta-by-delta at p=4 must land on
+// the same fixpoint as the state at p=1.
 func TestQuickParallelExtendMatchesSequential(t *testing.T) {
 	f := func(base, delta graphValue) bool {
 		p := closureProgram()

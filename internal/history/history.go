@@ -286,6 +286,3 @@ func (r *Ring) Attribute(v qerr.Violation) (Version, bool) {
 	}
 	return Version{}, false
 }
-
-// RetainedBytes is the ring's current estimated snapshot memory.
-func (r *Ring) RetainedBytes() int64 { return r.bytes }

@@ -1,14 +1,15 @@
-// Package par provides the bounded worker pool behind the parallel
-// execution core: chase trigger discovery, EGD/NC body matching and
-// semi-naive eval rounds all fan their independent work units out
-// through a Pool.
+// Package par provides the bounded worker pool behind the execution
+// core: chase trigger discovery, EGD/NC body matching and eval rounds
+// all fan their independent work units out through a Pool.
 //
 // A Pool is a width, not a set of live goroutines: Run spawns up to
 // Width workers for the duration of one batch of tasks and joins them
 // before returning, so there is nothing to shut down and a Pool value
-// can be shared freely (it is immutable). engine.Prepared owns the
-// pool configuration for the assessment pipeline; the chase and eval
-// states each hold the Pool they were configured with.
+// can be shared freely (it is immutable). Width 1 runs every task on
+// the caller goroutine and starts none; the engines run the same code
+// at every width. engine.Prepared owns the pool configuration for the
+// assessment pipeline; the chase and eval states each hold the Pool
+// they were configured with.
 package par
 
 import (
@@ -18,17 +19,15 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a bounded fan-out executor. The zero value is a sequential
-// pool of width 1; use New to resolve a requested parallelism degree.
+// Pool is a bounded fan-out executor. The zero value is a pool of
+// width 1; use New to resolve a requested parallelism degree.
 type Pool struct {
 	width int
 }
 
 // New returns a pool of the requested width. n <= 0 resolves to
 // runtime.GOMAXPROCS(0) — the default parallelism of the execution
-// core; n == 1 is the sequential pool (callers use it to select the
-// exact single-threaded code paths); n > 1 bounds concurrent workers
-// at n.
+// core; n >= 1 bounds concurrent workers at n.
 func New(n int) Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -44,21 +43,17 @@ func (p Pool) Width() int {
 	return p.width
 }
 
-// Sequential reports whether the pool runs tasks inline on the caller
-// goroutine. Engines branch on it to keep the p=1 code path identical
-// to the pre-parallel implementation.
-func (p Pool) Sequential() bool { return p.Width() == 1 }
-
 // Run executes tasks 0..n-1 by calling fn(task) from at most Width
 // worker goroutines and blocks until every task has returned. Task
 // order across workers is unspecified; callers that need determinism
 // collect per-task results and merge them in task order afterwards.
-// A sequential pool (or n <= 1) runs every task inline.
+// A pool of width 1 (or n == 1) runs every task inline, in order, on
+// the caller goroutine.
 func (p Pool) Run(n int, fn func(task int)) {
 	if n <= 0 {
 		return
 	}
-	if p.Sequential() || n == 1 {
+	if p.Width() == 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -15,15 +16,46 @@ func TestNewResolvesWidth(t *testing.T) {
 	if got := New(-3).Width(); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("New(-3).Width() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := New(1).Width(); got != 1 || !New(1).Sequential() {
-		t.Fatalf("New(1) = width %d, Sequential %v", got, New(1).Sequential())
+	if got := New(1).Width(); got != 1 {
+		t.Fatalf("New(1).Width() = %d, want 1", got)
 	}
-	if got := New(7).Width(); got != 7 || New(7).Sequential() {
-		t.Fatalf("New(7) = width %d, Sequential %v", got, New(7).Sequential())
+	if got := New(7).Width(); got != 7 {
+		t.Fatalf("New(7).Width() = %d, want 7", got)
 	}
 	var zero Pool
-	if zero.Width() != 1 || !zero.Sequential() {
-		t.Fatalf("zero Pool = width %d, Sequential %v", zero.Width(), zero.Sequential())
+	if got := zero.Width(); got != 1 {
+		t.Fatalf("zero Pool width = %d, want 1", got)
+	}
+}
+
+// goid returns the calling goroutine's id, read from its stack header
+// ("goroutine <id> [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestWidthOneRunsInOrderOnCaller pins what the engines rely on at
+// width 1: tasks 0..n-1 run in order on the calling goroutine.
+func TestWidthOneRunsInOrderOnCaller(t *testing.T) {
+	for _, p := range []Pool{{}, New(1)} {
+		caller := goid()
+		var order []int
+		p.Run(20, func(task int) {
+			if id := goid(); id != caller {
+				t.Errorf("task %d ran on goroutine %s, caller is %s", task, id, caller)
+			}
+			order = append(order, task)
+		})
+		for i, task := range order {
+			if task != i {
+				t.Fatalf("width 1 ran tasks in order %v", order)
+			}
+		}
+		if len(order) != 20 {
+			t.Fatalf("width 1 ran %d of 20 tasks", len(order))
+		}
 	}
 }
 
@@ -65,15 +97,20 @@ func TestChunksCoverInOrder(t *testing.T) {
 }
 
 func TestMapCollectsInTaskOrder(t *testing.T) {
-	out, err := Map(context.Background(), New(4), 50, func(task int) (int, error) {
-		return task * 2, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*2 {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*2)
+	for _, width := range []int{1, 4} {
+		out, err := Map(context.Background(), New(width), 50, func(task int) (int, error) {
+			return task * 2, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 50 {
+			t.Fatalf("width=%d: %d results, want 50", width, len(out))
+		}
+		for i, v := range out {
+			if v != i*2 {
+				t.Fatalf("width=%d: out[%d] = %d, want %d", width, i, v, i*2)
+			}
 		}
 	}
 }

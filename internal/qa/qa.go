@@ -354,50 +354,15 @@ func CertainAnswersViaChase(ctx context.Context, prog *datalog.Program, db *stor
 	if !res.Consistent() && !opts.AllowViolations {
 		return nil, fmt.Errorf("qa: %w", &qerr.InconsistentError{Violations: res.Violations})
 	}
-	return evalCertain(q, res.Instance, nil)
-}
-
-// evalCertain evaluates the CQ over a fixed instance and filters
-// non-certain (null-carrying) answers. The body runs as a compiled
-// join plan over the chased instance's interned rows; planner, when
-// non-nil, supplies the plan (the plan-cache seam — see
-// eval.QueryPlanner).
-func evalCertain(q *datalog.Query, db *storage.Instance, planner eval.QueryPlanner) (*datalog.AnswerSet, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	var plan *storage.Plan
-	if planner != nil {
-		plan = planner.QueryPlan(db, q.Body)
-	} else {
-		plan = storage.CompileQueryPlan(db, q.Body)
-	}
 	answers := datalog.NewAnswerSet()
-	var derr error
-	plan.Execute(db, plan.NewRegs(), func(regs []int32) bool {
-		for _, c := range q.Conds {
-			ok, err := c.EvalTerms(plan.TermAt(regs, c.L), plan.TermAt(regs, c.R))
-			if err != nil {
-				derr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
+	err = eval.EvalQueryFunc(q, res.Instance, func(ans datalog.Answer) bool {
+		if !ans.HasNull() {
+			answers.Add(ans)
 		}
-		terms := make([]datalog.Term, len(q.Head.Args))
-		for i, v := range q.Head.Args {
-			t := plan.TermAt(regs, v)
-			if t.IsNull() {
-				return true
-			}
-			terms[i] = t
-		}
-		answers.Add(datalog.Answer{Terms: terms})
 		return true
 	})
-	if derr != nil {
-		return nil, derr
+	if err != nil {
+		return nil, err
 	}
 	return answers, nil
 }

@@ -25,10 +25,11 @@ func parallelContext(t *testing.T, wl *gen.StreamingWorkload, degree int) *quali
 	return qc
 }
 
-// TestParallelAssessMatchesSequential pins the full parallel pipeline
-// (p=4 chase + eval worker pools) to the sequential engine (p=1) on
-// the streaming quality workload: identical quality versions tuple
-// for tuple, identical measures, identical violations.
+// TestParallelAssessMatchesSequential pins the full pipeline at p=4
+// (chase + eval worker pools) to the same pipeline at p=1, which
+// starts no worker goroutines, on the streaming quality workload:
+// identical quality versions tuple for tuple, identical measures,
+// identical violations.
 func TestParallelAssessMatchesSequential(t *testing.T) {
 	wl := streamWorkload(t, gen.StreamSpec{
 		Base:         gen.QualitySpec{Patients: 28, Days: 3, Wards: 2, DirtyRatio: 0.5, Seed: 41},

@@ -94,8 +94,8 @@ type Config struct {
 	HistoryBytes int64
 	// Parallelism bounds the worker pool assessments fan chase and
 	// eval rounds out across: 0 resolves to runtime.GOMAXPROCS(0)
-	// (the default), 1 reproduces the sequential engine exactly, n > 1
-	// bounds workers at n.
+	// (the default), n >= 1 bounds workers at n; 1 starts no worker
+	// goroutines. The result does not depend on it.
 	Parallelism int
 }
 
@@ -976,16 +976,15 @@ func RewriteCleanQuery(q *datalog.Query, versionPred map[string]string) *datalog
 // evaluates it on the contextual instance, dropping answers that
 // contain labeled nulls (certain answers).
 func (a *Assessment) CleanAnswer(q *datalog.Query) (*datalog.AnswerSet, error) {
-	rq := a.RewriteClean(q)
-	raw, err := eval.EvalQuery(rq, a.Contextual)
-	if err != nil {
-		return nil, err
-	}
 	certain := datalog.NewAnswerSet()
-	for _, ans := range raw.All() {
+	err := eval.EvalQueryFunc(a.RewriteClean(q), a.Contextual, func(ans datalog.Answer) bool {
 		if !ans.HasNull() {
 			certain.Add(ans)
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return certain, nil
 }

@@ -79,10 +79,10 @@ func assessmentsEqual(t *testing.T, label string, got, want *quality.Assessment)
 	}
 }
 
-// TestRefreshEquivalentToColdAssess is the property the ISSUE pins:
-// after any sequence of source changes + Refresh, the session's
-// assessment is identical to a cold Assess of a fresh context over the
-// same source state — at p=1 (the exact sequential engine) and p=2.
+// TestRefreshEquivalentToColdAssess pins the refresh property: after
+// any sequence of source changes + Refresh, the session's assessment
+// is identical to a cold Assess of a fresh context over the same
+// source state — at p=1 (no worker goroutines) and p=2.
 func TestRefreshEquivalentToColdAssess(t *testing.T) {
 	for _, par := range []int{1, 2} {
 		t.Run(fmt.Sprintf("p=%d", par), func(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"iter"
 	"net/http"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -720,21 +721,35 @@ func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, conte
 	return count, true
 }
 
-// checkQueryRelations verifies every positive body atom resolves
-// against the context's declared vocabulary or the snapshot (after
-// clean rewriting when clean mode is on), so queries over relations
-// the context has never heard of fail with 400 up front instead of
-// streaming an empty answer set. Declared predicates whose relations
-// hold no tuples yet — input relations of a session opened empty,
-// quality predicates whose rules derived nothing — are legitimate
-// queries with zero answers, not errors.
+// checkQueryRelations verifies every body and negated atom against
+// the context's declared vocabulary or the snapshot (after clean
+// rewriting when clean mode is on), so queries over relations the
+// context has never heard of, or at another arity, fail with 400 up
+// front instead of streaming an empty answer set. A declared arity
+// of -1 (the context uses the predicate at several) is not checked.
+// Declared predicates whose relations hold no tuples yet — input
+// relations of a session opened empty, quality predicates whose rules
+// derived nothing — are legitimate queries with zero answers, not
+// errors; so is a negated atom over a relation that does not exist.
 func checkQueryRelations(lc *loadedContext, snap *mdqa.Snapshot, q *mdqa.Query, clean bool) error {
 	if clean {
 		q = snap.RewriteClean(q)
 	}
-	for _, atom := range q.Body {
-		if _, ok := lc.declared[atom.Pred]; !ok && snap.Instance().Relation(atom.Pred) == nil {
-			return &mdqa.UnknownRelationError{Relation: atom.Pred}
+	for i, atom := range slices.Concat(q.Body, q.Negated) {
+		want, ok := lc.declared[atom.Pred]
+		if !ok {
+			rel := snap.Instance().Relation(atom.Pred)
+			switch {
+			case rel != nil:
+				want = rel.Schema().Arity()
+			case i < len(q.Body):
+				return &mdqa.UnknownRelationError{Relation: atom.Pred}
+			default:
+				continue
+			}
+		}
+		if want >= 0 && want != len(atom.Args) {
+			return &badRequestError{msg: fmt.Sprintf("query atom %s has %d arguments, the relation has %d", atom.Pred, len(atom.Args), want)}
 		}
 	}
 	return nil

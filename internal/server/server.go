@@ -54,7 +54,7 @@ import (
 // Config tunes the server.
 type Config struct {
 	// Parallelism bounds the engine worker pool of every Path/Source
-	// context (0 = GOMAXPROCS, 1 = sequential) and the startup
+	// context (0 = GOMAXPROCS, 1 = no worker goroutines) and the startup
 	// fan-out that prepares the contexts. A prebuilt
 	// ContextSource.Context keeps the parallelism it was constructed
 	// with (mdqa.WithParallelism is a construction-time option) — set

@@ -174,6 +174,19 @@ func TestErrorStatusOverHTTP(t *testing.T) {
 			t.Fatalf("error body must name the relation: %s", body)
 		}
 	})
+	// Measurements is declared with arity 3; clean mode rewrites it
+	// to its quality version, which has the same arity.
+	for _, mode := range []string{"clean", "raw"} {
+		t.Run("query arity "+mode+" 400", func(t *testing.T) {
+			status, body := do(t, "GET", base+"/answers?mode="+mode+"&q="+queryEscape(`m(t) <- Measurements(t).`), "")
+			if status != http.StatusBadRequest || errCode(t, body) != "bad_request" {
+				t.Fatalf("got %d %s", status, body)
+			}
+			if !strings.Contains(body, "has 1 arguments, the relation has 3") {
+				t.Fatalf("error must name both arities: %s", body)
+			}
+		})
+	}
 	t.Run("unparsable query 400", func(t *testing.T) {
 		status, body := do(t, "GET", base+"/answers?q="+queryEscape(`this is not a query`), "")
 		if status != http.StatusBadRequest || errCode(t, body) != "bad_request" {

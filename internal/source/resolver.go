@@ -82,9 +82,6 @@ func NewResolver(bindings []Binding) *Resolver {
 	return r
 }
 
-// Bindings returns the bindings in declaration order.
-func (r *Resolver) Bindings() []Binding { return append([]Binding(nil), r.bindings...) }
-
 // Get resolves one binding, serving the cached snapshot when it is
 // inside its TTL and fetching (with version revalidation) otherwise.
 // Concurrent Gets of one binding serialize on the entry lock, so a

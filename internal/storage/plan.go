@@ -258,9 +258,6 @@ func (p *Plan) atomCost(db *Instance, a datalog.Atom, boundSlots []bool) float64
 	return cost
 }
 
-// NumSlots returns the register bank size.
-func (p *Plan) NumSlots() int { return len(p.vars) }
-
 // Vars returns the plan's variables in slot order. The slice is owned
 // by the plan.
 func (p *Plan) Vars() []datalog.Term { return p.vars }

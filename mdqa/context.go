@@ -101,15 +101,14 @@ func WithStrictConsistency() Option {
 // WithParallelism bounds the worker pool that assessments — cold
 // Assess, session NewSession and Apply — fan their chase and eval
 // rounds out across. n = 0 (the default) resolves to
-// runtime.GOMAXPROCS(0); n = 1 reproduces the sequential engine
-// exactly; n > 1 bounds concurrent workers at n.
+// runtime.GOMAXPROCS(0); n >= 1 bounds concurrent workers at n, and
+// n = 1 starts no worker goroutines.
 //
 // Parallelism never changes what is computed: the chase result
 // (instance, null labels, violations, counters) is identical at every
 // degree, and the derived quality layer holds exactly the same tuples
-// (only low-level insertion order inside a relation may differ from
-// the sequential engine's, which is why Snapshot streams sort their
-// tuples). One assessment parallelizes internally; the
+// (only low-level insertion order inside a relation may differ
+// between degrees, which is why Snapshot streams sort their tuples). One assessment parallelizes internally; the
 // single-writer/many-readers session contract is unchanged.
 func WithParallelism(n int) Option {
 	return func(cfg *quality.Config) { cfg.Parallelism = n }

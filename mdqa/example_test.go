@@ -136,8 +136,8 @@ func ExampleSession_Apply() {
 }
 
 // ExampleWithParallelism builds two contexts over the same ontology —
-// one pinned to the sequential engine, one fanning chase and eval
-// rounds across four workers — and shows that parallelism changes
+// one at width 1, one fanning chase and eval rounds across four
+// workers — and shows that parallelism changes
 // only how the assessment is computed, never what it computes.
 func ExampleWithParallelism() {
 	for _, degree := range []int{1, 4} {
