@@ -328,27 +328,6 @@ func ScalingWorkload(n int) (*datalog.Program, *storage.Instance, *datalog.Query
 	return comp.Program, comp.Instance, q, nil
 }
 
-// StreamWorkloadSpec is the streaming quality workload at n total
-// measurements with a ~1% delta tick: the one spec behind the
-// assessment, query, refresh and durable benchmarks in
-// internal/benchsuite.
-func StreamWorkloadSpec(n int) gen.StreamSpec {
-	tick := n / 400 // 1% of n measurements, at 4 days per patient
-	if tick < 1 {
-		tick = 1
-	}
-	return gen.StreamSpec{
-		Base:         gen.QualitySpec{Patients: n / 4, Days: 4, Wards: 3, DirtyRatio: 0.5, Seed: 11},
-		TickPatients: tick,
-	}
-}
-
-// WarmResetTicks is how many delta ticks the warm-apply benchmarks
-// apply to one session before rebuilding it off-timer: enough to
-// amortize, few enough that the instance stays near its nominal size
-// while the benchmark harness scales iterations.
-const WarmResetTicks = 10
-
 // RunC1 prints the scaling table.
 func RunC1(w io.Writer) error {
 	rows, err := RunScaling([]int{100, 400, 1600})

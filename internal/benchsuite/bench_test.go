@@ -203,11 +203,31 @@ func BenchmarkQualityMeasure_Sweep(b *testing.B) {
 // worker pools, which default to GOMAXPROCS, follow -cpu.
 var streamSizes = []int{100, 400, 1600}
 
+// streamWorkloadSpec is the streaming quality workload at n total
+// measurements with a ~1% delta tick: the one spec behind the
+// assessment, query, refresh and durable benchmarks.
+func streamWorkloadSpec(n int) gen.StreamSpec {
+	tick := n / 400 // 1% of n measurements, at 4 days per patient
+	if tick < 1 {
+		tick = 1
+	}
+	return gen.StreamSpec{
+		Base:         gen.QualitySpec{Patients: n / 4, Days: 4, Wards: 3, DirtyRatio: 0.5, Seed: 11},
+		TickPatients: tick,
+	}
+}
+
+// warmResetTicks is how many delta ticks the warm-apply benchmarks
+// apply to one session before rebuilding it off-timer: enough to
+// amortize, few enough that the instance stays near its nominal size
+// while the benchmark harness scales iterations.
+const warmResetTicks = 10
+
 // streamWorkload generates the streaming quality workload at n total
-// measurements (bench.StreamWorkloadSpec).
+// measurements.
 func streamWorkload(b *testing.B, n int) *gen.StreamingWorkload {
 	b.Helper()
-	wl, err := gen.NewStreamingWorkload(bench.StreamWorkloadSpec(n))
+	wl, err := gen.NewStreamingWorkload(streamWorkloadSpec(n))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -216,7 +236,7 @@ func streamWorkload(b *testing.B, n int) *gen.StreamingWorkload {
 
 // warmLoop times one delta tick per op. reset opens a fresh session
 // before the first tick and again, off-timer, every
-// bench.WarmResetTicks ticks, so the measured instance stays near its
+// warmResetTicks ticks, so the measured instance stays near its
 // nominal size instead of growing with b.N.
 func warmLoop(b *testing.B, reset func(), tick func(t int)) {
 	b.Helper()
@@ -225,7 +245,7 @@ func warmLoop(b *testing.B, reset func(), tick func(t int)) {
 	b.ResetTimer()
 	t := 0
 	for i := 0; i < b.N; i++ {
-		if t == bench.WarmResetTicks {
+		if t == warmResetTicks {
 			b.StopTimer()
 			reset()
 			t = 0

@@ -6,7 +6,6 @@ import (
 	"iter"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/gen"
 	"repro/mdqa"
 )
@@ -66,7 +65,7 @@ func facadeSession(b *testing.B, wl *gen.StreamingWorkload, prep *mdqa.Prepared)
 // of a real dashboard join (measurement, its quality witness, the unit
 // it was taken in).
 func dashboardQuery(n int) string {
-	p := fmt.Sprintf("p%d", bench.StreamWorkloadSpec(n).Base.Patients-1)
+	p := fmt.Sprintf("p%d", streamWorkloadSpec(n).Base.Patients-1)
 	return fmt.Sprintf(
 		`q(t, v, u) <- Measurements(t, %q, v), RightTherm(t, %q), PatientUnit(u, d, %q), DayTime(d, t)`, p, p, p)
 }

@@ -22,7 +22,6 @@ package chase
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -67,9 +66,6 @@ type Options struct {
 	NullPrefix string
 	// Trace records every TGD application in Result.Steps.
 	Trace bool
-	// SkipEGDs leaves EGDs unenforced (used by the separability
-	// ablation, which runs TGDs first and EGDs afterwards).
-	SkipEGDs bool
 	// Parallelism bounds the worker pool that fans TGD trigger
 	// discovery, EGD body matching and NC checking out across
 	// goroutines (0 = runtime.GOMAXPROCS(0); 1 runs every unit on the
@@ -151,27 +147,6 @@ func Run(ctx context.Context, prog *datalog.Program, db *storage.Instance, opts 
 		return nil, err
 	}
 	return st.Result(), nil
-}
-
-// Saturate is a convenience wrapper: it chases with default options
-// and returns qerr.ErrBoundExceeded when the chase does not saturate
-// or qerr.ErrInconsistent when it finds violations.
-func Saturate(ctx context.Context, prog *datalog.Program, db *storage.Instance) (*storage.Instance, error) {
-	res, err := Run(ctx, prog, db, Options{})
-	if err != nil {
-		return nil, err
-	}
-	if !res.Saturated {
-		return nil, fmt.Errorf("chase: %w", &qerr.BoundExceededError{
-			Op:     "chase",
-			Rounds: res.Rounds,
-			Atoms:  res.Instance.TotalTuples(),
-		})
-	}
-	if !res.Consistent() {
-		return nil, fmt.Errorf("chase: %w", &qerr.InconsistentError{Violations: res.Violations})
-	}
-	return res.Instance, nil
 }
 
 func validateRules(prog *datalog.Program) error {

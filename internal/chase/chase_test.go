@@ -497,25 +497,6 @@ func TestChaseFreshNullsAvoidCollisions(t *testing.T) {
 	}
 }
 
-func TestSaturateHelper(t *testing.T) {
-	prog := dl.NewProgram()
-	prog.AddTGD(ruleSeven())
-	inst, err := Saturate(context.Background(), prog, hospitalEDB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.Relation("PatientUnit").Len() != 4 {
-		t.Error("Saturate must return the chased instance")
-	}
-	// Violations surface as errors.
-	bad := dl.NewProgram()
-	bad.AddTGD(ruleSeven())
-	bad.AddNC(dl.NewDenial("boom", dl.A("PatientUnit", dl.C("Intensive"), dl.V("d"), dl.V("p"))))
-	if _, err := Saturate(context.Background(), bad, hospitalEDB()); err == nil {
-		t.Error("Saturate must error on violations")
-	}
-}
-
 func TestRunRejectsInvalidRules(t *testing.T) {
 	prog := dl.NewProgram()
 	prog.AddTGD(dl.NewTGD("bad", nil, []dl.Atom{dl.A("B", dl.V("x"))}))

@@ -43,8 +43,8 @@ func (d Derivation) String() string {
 // true when the atom is in the result instance. EGD merges rewrite
 // nulls after firing, so Explain resolves the atom against the traced
 // steps modulo exact match only; atoms affected by merges may resolve
-// as extensional-looking misses — callers assessing merged instances
-// should run with SkipEGDs or treat a false return as "rewritten".
+// as extensional-looking misses, so callers assessing merged instances
+// should treat a false return as "rewritten".
 func (r *Result) Explain(atom datalog.Atom) (Derivation, bool) {
 	if !r.Instance.ContainsAtom(atom) {
 		return Derivation{}, false

@@ -17,7 +17,6 @@ import (
 // on different goroutines — can chase from one CompiledProgram, each
 // over its own instance clone.
 type CompiledProgram struct {
-	prog *datalog.Program
 	in   *datalog.Interner
 	tgds []*tgdPlan
 	egds []*egdPlan
@@ -68,7 +67,7 @@ func Compile(prog *datalog.Program, db *storage.Instance) (*CompiledProgram, err
 	if err := validateRules(prog); err != nil {
 		return nil, err
 	}
-	cp := &CompiledProgram{prog: prog, in: db.Interner()}
+	cp := &CompiledProgram{in: db.Interner()}
 	for _, tgd := range prog.TGDs {
 		cp.tgds = append(cp.tgds, compileTGDPlan(tgd, db))
 	}
@@ -89,9 +88,6 @@ func Compile(prog *datalog.Program, db *storage.Instance) (*CompiledProgram, err
 	}
 	return cp, nil
 }
-
-// Program returns the compiled program's source rules.
-func (cp *CompiledProgram) Program() *datalog.Program { return cp.prog }
 
 // BodyPreds returns the set of predicates read by any TGD, EGD or NC
 // body — the relations whose cardinality drift makes the compiled
@@ -366,7 +362,7 @@ func (st *State) Chase(ctx context.Context) error {
 				progress = true
 			}
 		}
-		if !atomBound && !st.opts.SkipEGDs && len(st.egds) > 0 {
+		if !atomBound && len(st.egds) > 0 {
 			merged, hard, err := st.applyEGDs(ctx)
 			if err != nil {
 				return err

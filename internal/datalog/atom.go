@@ -180,12 +180,3 @@ func SortPositions(ps []Position) {
 		return ps[i].Index < ps[j].Index
 	})
 }
-
-// PositionsOf enumerates every position of atom a.
-func PositionsOf(a Atom) []Position {
-	out := make([]Position, len(a.Args))
-	for i := range a.Args {
-		out[i] = Position{Pred: a.Pred, Index: i}
-	}
-	return out
-}

@@ -1,10 +1,5 @@
 package datalog
 
-import (
-	"sort"
-	"strings"
-)
-
 // Subst is a substitution: a finite mapping from variables to terms.
 // Substitutions are applied with Apply*; bindings always map variable
 // names, and the mapped-to term may itself be a variable (renamings).
@@ -15,12 +10,6 @@ func NewSubst() Subst { return make(Subst) }
 
 // Bind adds or overwrites a binding v -> t. v must be a variable name.
 func (s Subst) Bind(v string, t Term) { s[v] = t }
-
-// Lookup returns the binding of variable name v.
-func (s Subst) Lookup(v string) (Term, bool) {
-	t, ok := s[v]
-	return t, ok
-}
 
 // Clone returns a copy of the substitution.
 func (s Subst) Clone() Subst {
@@ -81,66 +70,4 @@ func (s Subst) Compose(t Subst) Subst {
 		}
 	}
 	return out
-}
-
-// Restrict returns s limited to the given variables.
-func (s Subst) Restrict(vars []Term) Subst {
-	out := NewSubst()
-	for _, v := range vars {
-		if !v.IsVar() {
-			continue
-		}
-		if t, ok := s[v.Name]; ok {
-			out[v.Name] = t
-		}
-	}
-	return out
-}
-
-// IsGroundOn reports whether every variable in vars is bound to a
-// ground term (constant or null) after resolution.
-func (s Subst) IsGroundOn(vars []Term) bool {
-	for _, v := range vars {
-		if !v.IsVar() {
-			continue
-		}
-		if !s.Apply(v).IsGround() {
-			return false
-		}
-	}
-	return true
-}
-
-// Key returns a canonical string for the substitution restricted to the
-// given variables, usable as a map key for answer deduplication.
-func (s Subst) Key(vars []Term) string {
-	var b strings.Builder
-	for _, v := range vars {
-		t := s.Apply(v)
-		b.WriteByte(byte('0' + t.Kind))
-		b.WriteString(t.Name)
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
-// String renders the substitution deterministically as {x->a, y->b}.
-func (s Subst) String() string {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(k)
-		b.WriteString("->")
-		b.WriteString(s[k].String())
-	}
-	b.WriteByte('}')
-	return b.String()
 }

@@ -61,45 +61,3 @@ func TestSubstCompose(t *testing.T) {
 		t.Errorf("compose: z -> %v, want b (bindings of second kept)", comp.Apply(V("z")))
 	}
 }
-
-func TestSubstRestrict(t *testing.T) {
-	s := NewSubst()
-	s.Bind("x", C("a"))
-	s.Bind("y", C("b"))
-	r := s.Restrict([]Term{V("x"), V("missing"), C("const")})
-	if len(r) != 1 {
-		t.Fatalf("Restrict kept %d bindings, want 1", len(r))
-	}
-	if r.Apply(V("x")) != C("a") {
-		t.Error("Restrict lost binding for x")
-	}
-}
-
-func TestSubstIsGroundOn(t *testing.T) {
-	s := NewSubst()
-	s.Bind("x", C("a"))
-	s.Bind("y", V("z"))
-	if !s.IsGroundOn([]Term{V("x")}) {
-		t.Error("x is ground")
-	}
-	if s.IsGroundOn([]Term{V("y")}) {
-		t.Error("y resolves to a variable, not ground")
-	}
-	if s.IsGroundOn([]Term{V("w")}) {
-		t.Error("unbound variable is not ground")
-	}
-}
-
-func TestSubstKeyAndString(t *testing.T) {
-	s := NewSubst()
-	s.Bind("x", C("a"))
-	s.Bind("y", N("1"))
-	k1 := s.Key([]Term{V("x"), V("y")})
-	k2 := s.Key([]Term{V("y"), V("x")})
-	if k1 == k2 {
-		t.Error("Key must be order-sensitive on the variable list")
-	}
-	if got, want := s.String(), "{x->a, y->⊥1}"; got != want {
-		t.Errorf("String = %q, want %q", got, want)
-	}
-}

@@ -83,27 +83,6 @@ func RenameApart(t *TGD, fresh *Counter) *TGD {
 	}
 }
 
-// AtomSubsumes reports whether atom a subsumes atom b: there is a
-// substitution θ of a's variables with aθ = b. It is Match with a
-// throwaway substitution.
-func AtomSubsumes(a, b Atom) bool {
-	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
-		return false
-	}
-	s := NewSubst()
-	for i := range a.Args {
-		at := s.Apply(a.Args[i])
-		bt := b.Args[i]
-		switch {
-		case at.IsVar():
-			s.Bind(at.Name, bt)
-		case at != bt:
-			return false
-		}
-	}
-	return true
-}
-
 // ConjunctionSubsumes reports whether conjunction a subsumes conjunction
 // b: a single substitution θ maps every atom of a to some atom of b
 // (θ-subsumption, the standard CQ containment check used for pruning

@@ -59,7 +59,7 @@ func TestMatchDoesNotMutateInput(t *testing.T) {
 	if !ok {
 		t.Fatal("match failed")
 	}
-	if _, bound := s.Lookup("x"); bound {
+	if _, bound := s["x"]; bound {
 		t.Error("Match must not mutate the input substitution")
 	}
 }
@@ -133,17 +133,20 @@ func TestRenameApart(t *testing.T) {
 	}
 }
 
+// TestAtomSubsumes checks subsumption between single atoms, the
+// one-atom case of ConjunctionSubsumes.
 func TestAtomSubsumes(t *testing.T) {
-	if !AtomSubsumes(A("P", V("x"), V("y")), A("P", C("a"), C("b"))) {
+	subsumes := func(a, b Atom) bool { return ConjunctionSubsumes([]Atom{a}, []Atom{b}) }
+	if !subsumes(A("P", V("x"), V("y")), A("P", C("a"), C("b"))) {
 		t.Error("P(x,y) subsumes P(a,b)")
 	}
-	if AtomSubsumes(A("P", V("x"), V("x")), A("P", C("a"), C("b"))) {
+	if subsumes(A("P", V("x"), V("x")), A("P", C("a"), C("b"))) {
 		t.Error("P(x,x) must not subsume P(a,b)")
 	}
-	if !AtomSubsumes(A("P", V("x"), V("x")), A("P", C("a"), C("a"))) {
+	if !subsumes(A("P", V("x"), V("x")), A("P", C("a"), C("a"))) {
 		t.Error("P(x,x) subsumes P(a,a)")
 	}
-	if AtomSubsumes(A("P", C("a")), A("P", V("x"))) {
+	if subsumes(A("P", C("a")), A("P", V("x"))) {
 		t.Error("ground atom must not subsume a more general one")
 	}
 }

@@ -181,7 +181,6 @@ type Session struct {
 	// added to the apply that detected the drift.
 	planLens   map[string]int
 	needReplan bool
-	replans    int64
 }
 
 // rebuildEval recomputes the derived layer from the chased instance,
@@ -243,7 +242,6 @@ func (s *Session) Apply(ctx context.Context, delta []datalog.Atom) (*ApplyResult
 			s.eval.Replan()
 		}
 		s.needReplan = false
-		s.replans++
 		s.recordPlanLens()
 		replanned = true
 	}
@@ -374,14 +372,6 @@ func driftExceeded(old, cur int) bool {
 		lo, hi = hi, lo
 	}
 	return hi >= driftFloor && hi >= 2*lo
-}
-
-// Replans returns how many times the session has re-planned, for
-// metrics export.
-func (s *Session) Replans() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replans
 }
 
 // Snapshot returns a frozen, consistent view of the full contextual

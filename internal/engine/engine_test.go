@@ -152,9 +152,6 @@ func TestSessionReplanOnDrift(t *testing.T) {
 	if res.Replanned {
 		t.Fatal("re-plan ran on the drift-detecting apply (must be deferred)")
 	}
-	if s.Replans() != 0 {
-		t.Fatalf("replans = %d before the deferred apply, want 0", s.Replans())
-	}
 	// The next apply services the re-plan before running its batch.
 	res, err = s.Apply(context.Background(), []dl.Atom{dl.A("R0", dl.C("c2"), dl.C("w"))})
 	if err != nil {
@@ -163,16 +160,13 @@ func TestSessionReplanOnDrift(t *testing.T) {
 	if !res.Replanned {
 		t.Fatal("deferred re-plan did not run on the next apply")
 	}
-	if s.Replans() != 1 {
-		t.Fatalf("replans = %d, want 1", s.Replans())
-	}
 	// Once re-costed, small applies do not re-trigger.
 	res, err = s.Apply(context.Background(), []dl.Atom{dl.A("R0", dl.C("c2"), dl.C("w2"))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Replanned || s.Replans() != 1 {
-		t.Fatalf("spurious re-plan: replanned=%v replans=%d", res.Replanned, s.Replans())
+	if res.Replanned {
+		t.Fatal("spurious re-plan after the plans were re-costed")
 	}
 
 	// Re-planning must not change a single answer: a fresh session fed

@@ -107,15 +107,6 @@ func TestEvalQueryInvalid(t *testing.T) {
 	}
 }
 
-func TestEvalUCQPropagatesErrors(t *testing.T) {
-	db := storage.NewInstance()
-	good := dl.NewQuery(dl.A("Q", dl.V("x")), dl.A("P", dl.V("x")))
-	bad := dl.NewQuery(dl.A("Q", dl.V("x")))
-	if _, err := EvalUCQ(context.Background(), []*dl.Query{good, bad}, db); err == nil {
-		t.Error("UCQ with an invalid disjunct must error")
-	}
-}
-
 func TestEvalSelfRecursiveSingleRule(t *testing.T) {
 	// A rule that feeds itself through the delta path only.
 	db := storage.NewInstance()

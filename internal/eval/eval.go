@@ -201,33 +201,6 @@ func (p *Program) Stratify() ([][]*Rule, error) {
 	return out, nil
 }
 
-// Eval computes the program's least fixpoint over a copy of db and
-// returns the resulting instance (EDB plus derived IDB atoms). The
-// input instance is not modified. ctx is checked once per work unit
-// of every round, so a serving process can time-bound a runaway
-// evaluation with bounded cancellation latency.
-//
-// Evaluation runs on compiled join plans over interned rows (see
-// storage.CompilePlan): every rule body is compiled once per stratum,
-// matches bind a flat register bank instead of cloning substitution
-// maps, and derived facts are projected and inserted as []int32 rows
-// without materializing atoms or string keys.
-func Eval(ctx context.Context, p *Program, db *storage.Instance) (*storage.Instance, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	strata, err := p.Stratify()
-	if err != nil {
-		return nil, err
-	}
-	out := db.CloneDetached()
-	st := NewState(strata, out)
-	if err := st.Init(ctx); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Fact is a derived or delta tuple in interned form (row ids belong to
 // the owning instance's interner).
 type Fact struct {
@@ -754,24 +727,4 @@ func EvalQueryFuncPlanned(q *datalog.Query, db *storage.Instance, planner QueryP
 		return true
 	})
 	return derr
-}
-
-// EvalUCQ evaluates a union of conjunctive queries, unioning the
-// answer sets. All queries must share the head arity. ctx is checked
-// between disjuncts.
-func EvalUCQ(ctx context.Context, qs []*datalog.Query, db *storage.Instance) (*datalog.AnswerSet, error) {
-	answers := datalog.NewAnswerSet()
-	for _, q := range qs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		as, err := EvalQuery(q, db)
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range as.All() {
-			answers.Add(a)
-		}
-	}
-	return answers, nil
 }

@@ -9,6 +9,26 @@ import (
 	"repro/internal/storage"
 )
 
+// Eval computes the program's least fixpoint over a copy of db and
+// returns the resulting instance (EDB plus derived IDB atoms). The
+// input instance is not modified. ctx is checked once per work unit
+// of every round.
+func Eval(ctx context.Context, p *Program, db *storage.Instance) (*storage.Instance, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	strata, err := p.Stratify()
+	if err != nil {
+		return nil, err
+	}
+	out := db.CloneDetached()
+	st := NewState(strata, out)
+	if err := st.Init(ctx); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func edgeGraph() *storage.Instance {
 	db := storage.NewInstance()
 	for _, e := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"x", "y"}} {
@@ -223,20 +243,6 @@ func TestEvalQueryReturnsNullAnswers(t *testing.T) {
 	}
 	if as.Len() != 1 || !as.All()[0].HasNull() {
 		t.Errorf("EvalQuery must surface null answers (filtering is qa's job): %v", as)
-	}
-}
-
-func TestEvalUCQ(t *testing.T) {
-	db := edgeGraph()
-	q1 := dl.NewQuery(dl.A("Q", dl.V("y")), dl.A("Edge", dl.C("a"), dl.V("y")))
-	q2 := dl.NewQuery(dl.A("Q", dl.V("y")), dl.A("Edge", dl.C("b"), dl.V("y")))
-	q3 := dl.NewQuery(dl.A("Q", dl.V("y")), dl.A("Edge", dl.C("a"), dl.V("y"))) // duplicate of q1
-	as, err := EvalUCQ(context.Background(), []*dl.Query{q1, q2, q3}, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if as.Len() != 2 { // b and c, deduplicated
-		t.Errorf("UCQ answers = %v, want (b),(c)", as)
 	}
 }
 

@@ -191,43 +191,3 @@ func ChainOntology(spec ChainSpec) (*core.Ontology, error) {
 	}
 	return o, nil
 }
-
-// ChainQueries builds a battery of conjunctive queries against a chain
-// ontology, covering upward targets at every level, point lookups and
-// joins with rollup predicates.
-func ChainQueries(spec ChainSpec) []*datalog.Query {
-	var out []*datalog.Query
-	if spec.Upward {
-		for l := 0; l < spec.Dim.Levels; l++ {
-			out = append(out, datalog.NewQuery(
-				datalog.A("Q", datalog.V("c"), datalog.V("x")),
-				datalog.A(UpRelName(l), datalog.V("c"), datalog.V("x"))))
-		}
-		// Point lookup at the top for a known base value.
-		top := spec.Dim.Levels - 1
-		out = append(out, datalog.NewQuery(
-			datalog.A("Q", datalog.V("c")),
-			datalog.A(UpRelName(top), datalog.V("c"), datalog.C("v0"))))
-		if spec.Dim.Levels >= 2 {
-			roll := hm.RollupPredName(spec.Dim.CategoryName(0), spec.Dim.CategoryName(1))
-			out = append(out, datalog.NewQuery(
-				datalog.A("Q", datalog.V("x"), datalog.V("p")),
-				datalog.A(UpRelName(0), datalog.V("c"), datalog.V("x")),
-				datalog.A(roll, datalog.V("p"), datalog.V("c"))))
-		}
-	}
-	if spec.Downward {
-		for l := spec.Dim.Levels - 1; l >= 0; l-- {
-			out = append(out, datalog.NewQuery(
-				datalog.A("Q", datalog.V("c"), datalog.V("x")),
-				datalog.A(DownRelName(l), datalog.V("c"), datalog.V("x"), datalog.V("z"))))
-		}
-		// The invented Extra attribute is never a certain answer.
-		if spec.Dim.Levels >= 2 {
-			out = append(out, datalog.NewQuery(
-				datalog.A("Q", datalog.V("z")),
-				datalog.A(DownRelName(0), datalog.V("c"), datalog.V("x"), datalog.V("z"))))
-		}
-	}
-	return out
-}

@@ -152,7 +152,7 @@ func TestChainQueriesAnswerableByDetQA(t *testing.T) {
 	if !comp.Report.WeaklySticky {
 		t.Fatalf("not WS: %s", comp.Report.WSWitness)
 	}
-	for i, q := range ChainQueries(spec) {
+	for i, q := range chainQueries(spec) {
 		if _, err := qa.Answer(context.Background(), comp.Program, comp.Instance, q, qa.Options{MaxDepth: 12}); err != nil {
 			t.Errorf("query %d (%s): %v", i, q, err)
 		}

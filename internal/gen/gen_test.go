@@ -8,9 +8,50 @@ import (
 	"repro/internal/chase"
 	"repro/internal/core"
 	dl "repro/internal/datalog"
+	"repro/internal/hm"
 	"repro/internal/qa"
 	"repro/internal/rewrite"
 )
+
+// chainQueries builds a battery of conjunctive queries against a chain
+// ontology, covering upward targets at every level, point lookups and
+// joins with rollup predicates.
+func chainQueries(spec ChainSpec) []*dl.Query {
+	var out []*dl.Query
+	if spec.Upward {
+		for l := 0; l < spec.Dim.Levels; l++ {
+			out = append(out, dl.NewQuery(
+				dl.A("Q", dl.V("c"), dl.V("x")),
+				dl.A(UpRelName(l), dl.V("c"), dl.V("x"))))
+		}
+		// Point lookup at the top for a known base value.
+		top := spec.Dim.Levels - 1
+		out = append(out, dl.NewQuery(
+			dl.A("Q", dl.V("c")),
+			dl.A(UpRelName(top), dl.V("c"), dl.C("v0"))))
+		if spec.Dim.Levels >= 2 {
+			roll := hm.RollupPredName(spec.Dim.CategoryName(0), spec.Dim.CategoryName(1))
+			out = append(out, dl.NewQuery(
+				dl.A("Q", dl.V("x"), dl.V("p")),
+				dl.A(UpRelName(0), dl.V("c"), dl.V("x")),
+				dl.A(roll, dl.V("p"), dl.V("c"))))
+		}
+	}
+	if spec.Downward {
+		for l := spec.Dim.Levels - 1; l >= 0; l-- {
+			out = append(out, dl.NewQuery(
+				dl.A("Q", dl.V("c"), dl.V("x")),
+				dl.A(DownRelName(l), dl.V("c"), dl.V("x"), dl.V("z"))))
+		}
+		// The invented Extra attribute is never a certain answer.
+		if spec.Dim.Levels >= 2 {
+			out = append(out, dl.NewQuery(
+				dl.A("Q", dl.V("z")),
+				dl.A(DownRelName(0), dl.V("c"), dl.V("x"), dl.V("z"))))
+		}
+	}
+	return out
+}
 
 func TestLinearDimensionShape(t *testing.T) {
 	spec := DimensionSpec{Name: "D", Levels: 3, Fanout: 4, BaseMembers: 16}
@@ -160,7 +201,7 @@ func TestEnginesAgreeOnGeneratedOntologies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for qi, q := range ChainQueries(spec) {
+		for qi, q := range chainQueries(spec) {
 			oracle, err := qa.CertainAnswersViaChase(context.Background(), comp.Program, comp.Instance, q, qa.ChaseOptions{})
 			if err != nil {
 				t.Fatalf("spec %d query %d oracle: %v", si, qi, err)
@@ -231,7 +272,7 @@ func TestChainQueriesValidity(t *testing.T) {
 		Downward: true,
 		Seed:     8,
 	}
-	qs := ChainQueries(spec)
+	qs := chainQueries(spec)
 	if len(qs) == 0 {
 		t.Fatal("no queries generated")
 	}

@@ -13,15 +13,12 @@ import (
 	"time"
 
 	"repro/internal/datalog"
-	"repro/internal/hm"
-	"repro/internal/par"
 	"repro/internal/storage"
 )
 
 // This file is the HTTP half of the workload generator: a typed client
-// for the mdserve wire API plus RunHTTPStress, the many-writers /
-// many-readers workload behind the server's -race stress test and the
-// HTTP-path benchmarks. The wire structs here deliberately mirror —
+// for the mdserve wire API, behind mdload and the server's stress test
+// and HTTP-path benchmarks. The wire structs here deliberately mirror —
 // rather than import — the server's, exactly as an external client
 // would speak the protocol.
 
@@ -78,9 +75,10 @@ type HTTPError struct {
 
 func (e *HTTPError) Error() string { return fmt.Sprintf("http %d: %s", e.Status, e.Body) }
 
-// do runs one JSON round trip; non-2xx statuses become *HTTPError and
-// out (when non-nil) receives the decoded response body.
-func (t HTTPTarget) do(ctx context.Context, method, path string, body io.Reader, out any) error {
+// Do runs one JSON round trip against path under BaseURL; non-2xx
+// statuses become *HTTPError and out (when non-nil) receives the
+// decoded response body.
+func (t HTTPTarget) Do(ctx context.Context, method, path string, body io.Reader, out any) error {
 	req, err := http.NewRequestWithContext(ctx, method, t.BaseURL+path, body)
 	if err != nil {
 		return err
@@ -113,30 +111,6 @@ type wireBatch struct {
 	Atoms []wireAtom `json:"atoms"`
 }
 
-// Assess posts a one-shot assessment. A nil instance assesses the
-// server's default input for the context.
-func (t HTTPTarget) Assess(ctx context.Context, instance map[string][][]string) error {
-	var body io.Reader
-	if instance != nil {
-		data, err := json.Marshal(map[string]any{"instance": instance})
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(data)
-	}
-	return t.do(ctx, "POST", "/v1/contexts/"+t.Context+"/assess", body, nil)
-}
-
-// OpenSession opens an assessment session over the server's default
-// input and returns its id.
-func (t HTTPTarget) OpenSession(ctx context.Context) (string, error) {
-	var resp struct {
-		ID string `json:"id"`
-	}
-	err := t.do(ctx, "POST", "/v1/contexts/"+t.Context+"/sessions", nil, &resp)
-	return resp.ID, err
-}
-
 // OpenSessionWithID opens a session under a client-chosen id — the
 // form a consistent-hash router needs, since only a caller-supplied id
 // makes the session's shard placement reproducible. The returned
@@ -148,17 +122,12 @@ func (t HTTPTarget) OpenSessionWithID(ctx context.Context, id string) (created b
 	if err != nil {
 		return false, err
 	}
-	err = t.do(ctx, "POST", "/v1/contexts/"+t.Context+"/sessions", bytes.NewReader(body), nil)
+	err = t.Do(ctx, "POST", "/v1/contexts/"+t.Context+"/sessions", bytes.NewReader(body), nil)
 	var he *HTTPError
 	if errors.As(err, &he) && he.Status == http.StatusConflict && strings.Contains(he.Body, "session_exists") {
 		return false, nil
 	}
 	return err == nil, err
-}
-
-// CloseSession closes a session.
-func (t HTTPTarget) CloseSession(ctx context.Context, id string) error {
-	return t.do(ctx, "DELETE", "/v1/contexts/"+t.Context+"/sessions/"+id, nil, nil)
 }
 
 // ApplyBatch sends one delta batch as a single NDJSON line and decodes
@@ -181,7 +150,7 @@ func (t HTTPTarget) ApplyBatch(ctx context.Context, id string, atoms []datalog.A
 		Inserted int             `json:"inserted"`
 		Error    json.RawMessage `json:"error"`
 	}
-	if err := t.do(ctx, "POST", "/v1/contexts/"+t.Context+"/sessions/"+id+"/apply", bytes.NewReader(append(data, '\n')), &line); err != nil {
+	if err := t.Do(ctx, "POST", "/v1/contexts/"+t.Context+"/sessions/"+id+"/apply", bytes.NewReader(append(data, '\n')), &line); err != nil {
 		return err
 	}
 	if len(line.Error) > 0 {
@@ -238,24 +207,6 @@ func (t HTTPTarget) Answers(ctx context.Context, id, q, mode string) ([][]string
 	return out, nil
 }
 
-// SessionAssessment materializes the session's current assessment and
-// returns the quality-version tuple count per original relation.
-func (t HTTPTarget) SessionAssessment(ctx context.Context, id string) (map[string]int, error) {
-	var resp struct {
-		Versions map[string]struct {
-			Tuples [][]string `json:"tuples"`
-		} `json:"versions"`
-	}
-	if err := t.do(ctx, "GET", "/v1/contexts/"+t.Context+"/sessions/"+id+"/assessment", nil, &resp); err != nil {
-		return nil, err
-	}
-	out := make(map[string]int, len(resp.Versions))
-	for rel, v := range resp.Versions {
-		out[rel] = len(v.Tuples)
-	}
-	return out, nil
-}
-
 // WireInstance renders a storage instance in the wire's
 // relation → tuple-list form (all terms ground constants).
 func WireInstance(db *storage.Instance) map[string][][]string {
@@ -273,138 +224,4 @@ func WireInstance(db *storage.Instance) map[string][][]string {
 		out[name] = tuples
 	}
 	return out
-}
-
-// HTTPStressSpec parameterizes RunHTTPStress: Writers concurrent
-// delta streams and Readers concurrent snapshot readers hammering one
-// session of a quality-workload context (the schema NewQualityWorkload
-// builds).
-type HTTPStressSpec struct {
-	Target HTTPTarget
-	// Writers is the number of concurrent writer goroutines; each
-	// applies BatchesPerWriter delta batches of PatientsPerBatch new
-	// patients (one measurement per day each).
-	Writers, BatchesPerWriter, PatientsPerBatch int
-	// Readers is the number of concurrent reader goroutines; each
-	// streams the full measurement relation ReadsPerReader times and
-	// verifies batch atomicity, hitting the materialized assessment
-	// every third read.
-	Readers, ReadsPerReader int
-	// Days and Wards must match the QualitySpec the served context was
-	// generated from.
-	Days, Wards int
-}
-
-// HTTPStressResult reports what the stress run did.
-type HTTPStressResult struct {
-	SessionID string
-	Batches   int // apply batches acknowledged
-	Reads     int // answer streams fully consumed
-	Tuples    int // answer tuples observed across all reads
-}
-
-// StressDelta builds writer w's i-th delta batch: PatientsPerBatch
-// new patients, each with a ward assignment, measurement-time members
-// with day rollups, and one measurement per day. Patient names embed
-// (w, i), so batches are disjoint across writers and iterations and a
-// snapshot reader can verify each batch is visible atomically.
-func StressDelta(spec HTTPStressSpec, w, i int) []datalog.Atom {
-	timeCat := hm.CategoryPredName("Time")
-	dayTime := hm.RollupPredName("Time", "Day")
-	var delta []datalog.Atom
-	for j := 0; j < spec.PatientsPerBatch; j++ {
-		patient := fmt.Sprintf("w%db%dp%d", w, i, j)
-		ward := fmt.Sprintf("GW%d", j%spec.Wards)
-		if j%2 == 1 {
-			ward = fmt.Sprintf("BW%d", j%spec.Wards)
-		}
-		for day := 0; day < spec.Days; day++ {
-			dn := dayName(day)
-			tm := fmt.Sprintf("%s-%s", dn, patient)
-			delta = append(delta,
-				datalog.A(timeCat, datalog.C(tm)),
-				datalog.A(dayTime, datalog.C(dn), datalog.C(tm)),
-				datalog.A("PatientWard", datalog.C(ward), datalog.C(dn), datalog.C(patient)),
-				datalog.A("Measurements", datalog.C(tm), datalog.C(patient), datalog.C("37.0")),
-			)
-		}
-	}
-	return delta
-}
-
-// CheckApplyAtomicity verifies a snapshot of the full Measurements
-// relation never shows a half-applied batch: every patient (base or
-// delta) contributes exactly days measurements, so any other count
-// means a reader caught a batch mid-apply. tuples are (time, patient,
-// value) rows.
-func CheckApplyAtomicity(tuples [][]string, days int) error {
-	per := map[string]int{}
-	for _, tup := range tuples {
-		if len(tup) != 3 {
-			return fmt.Errorf("stress: bad answer arity %d", len(tup))
-		}
-		per[tup[1]]++
-	}
-	for p, n := range per {
-		if n != days {
-			return fmt.Errorf("stress: patient %s shows %d of %d measurements — half-applied delta observed", p, n, days)
-		}
-	}
-	return nil
-}
-
-// RunHTTPStress opens one session and fans Writers+Readers concurrent
-// clients out over it (everyone runs at once — the pool is sized to
-// the task count). Writers stream disjoint delta batches; readers
-// stream consistent snapshots and fail the run on any atomicity
-// violation. The session is closed on the way out.
-func RunHTTPStress(ctx context.Context, spec HTTPStressSpec) (*HTTPStressResult, error) {
-	if spec.Writers < 1 || spec.Readers < 1 || spec.Days < 1 || spec.Wards < 1 {
-		return nil, fmt.Errorf("gen: invalid stress spec %+v", spec)
-	}
-	id, err := spec.Target.OpenSession(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res := &HTTPStressResult{SessionID: id}
-	tasks := spec.Writers + spec.Readers
-	counts, err := par.Map(ctx, par.New(tasks), tasks, func(task int) ([2]int, error) {
-		if task < spec.Writers {
-			for i := 0; i < spec.BatchesPerWriter; i++ {
-				if err := spec.Target.ApplyBatch(ctx, id, StressDelta(spec, task, i)); err != nil {
-					return [2]int{}, fmt.Errorf("writer %d batch %d: %w", task, i, err)
-				}
-			}
-			return [2]int{spec.BatchesPerWriter, 0}, nil
-		}
-		reader := task - spec.Writers
-		tuples := 0
-		for i := 0; i < spec.ReadsPerReader; i++ {
-			got, err := spec.Target.Answers(ctx, id, "meas(t, p, v) <- Measurements(t, p, v).", "raw")
-			if err != nil {
-				return [2]int{}, fmt.Errorf("reader %d read %d: %w", reader, i, err)
-			}
-			if err := CheckApplyAtomicity(got, spec.Days); err != nil {
-				return [2]int{}, err
-			}
-			tuples += len(got)
-			if i%3 == 2 {
-				if _, err := spec.Target.SessionAssessment(ctx, id); err != nil {
-					return [2]int{}, fmt.Errorf("reader %d assessment: %w", reader, err)
-				}
-			}
-		}
-		return [2]int{0, tuples}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range counts {
-		res.Batches += c[0]
-		if i >= spec.Writers {
-			res.Reads += spec.ReadsPerReader
-		}
-		res.Tuples += c[1]
-	}
-	return res, spec.Target.CloseSession(ctx, id)
 }

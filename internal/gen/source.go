@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"net/http"
@@ -61,15 +60,4 @@ func (h *FixtureHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_, _ = w.Write(data)
-}
-
-// Refresh drives POST .../sessions/{id}/refresh and reports whether
-// the refresh changed the session and whether it rebuilt.
-func (t HTTPTarget) Refresh(ctx context.Context, id string) (changed, rebuilt bool, err error) {
-	var out struct {
-		Changed bool `json:"changed"`
-		Rebuilt bool `json:"rebuilt"`
-	}
-	err = t.do(ctx, http.MethodPost, "/v1/contexts/"+t.Context+"/sessions/"+id+"/refresh", nil, &out)
-	return out.Changed, out.Rebuilt, err
 }

@@ -75,7 +75,7 @@ func (w *StreamingWorkload) Tick(i int) (delta []datalog.Atom, clean int) {
 				ward = fmt.Sprintf("GW%d", rng.Intn(spec.Base.Wards))
 				clean++
 			}
-			dn := dayName(day)
+			dn := DayName(day)
 			tm := timeName(day, p)
 			val := fmt.Sprintf("%.1f", 36.0+rng.Float64()*3)
 			delta = append(delta,

@@ -143,7 +143,7 @@ func NewQualityWorkload(spec QualitySpec) (*QualityWorkload, error) {
 				ward = fmt.Sprintf("GW%d", rng.Intn(spec.Wards))
 				clean++
 			}
-			dayName := dayName(day)
+			dayName := DayName(day)
 			if err := o.AddFact("PatientWard", ward, dayName, patient); err != nil {
 				return nil, err
 			}
@@ -200,17 +200,19 @@ func timeDimension(days int) (*hm.Dimension, error) {
 	}
 	d := hm.NewDimension(s)
 	for i := 0; i < days; i++ {
-		if err := d.AddMember("Day", dayName(i)); err != nil {
+		if err := d.AddMember("Day", DayName(i)); err != nil {
 			return nil, err
 		}
 	}
 	return d, nil
 }
 
-func dayName(i int) string { return fmt.Sprintf("d%03d", i) }
+// DayName is the name of the i-th Day member the quality workload
+// generates.
+func DayName(i int) string { return fmt.Sprintf("d%03d", i) }
 
 func timeName(day, patient int) string {
-	return fmt.Sprintf("%s-t%04d", dayName(day), patient)
+	return fmt.Sprintf("%s-t%04d", DayName(day), patient)
 }
 
 // registerTimes adds the measurement time members and their rollups
@@ -222,7 +224,7 @@ func registerTimes(dim *hm.Dimension, patients, days int) error {
 			if err := dim.AddMember("Time", tm); err != nil {
 				return err
 			}
-			if err := dim.AddRollup(tm, dayName(day)); err != nil {
+			if err := dim.AddRollup(tm, DayName(day)); err != nil {
 				return err
 			}
 		}

@@ -2,9 +2,12 @@ package load
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -13,6 +16,19 @@ import (
 	"repro/internal/server"
 	"repro/mdqa"
 )
+
+// readLoadJSON reads a LOAD_<n>.json file back.
+func readLoadJSON(path string) ([]Report, *Hardware, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	var doc loadDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return doc.Runs, &doc.Hardware, nil
+}
 
 func TestZipfCDFShapes(t *testing.T) {
 	uniform := zipfCDF(4, 0)
@@ -84,7 +100,7 @@ func TestOpenLoopRunAgainstServer(t *testing.T) {
 	if err := WriteLoadJSON(path, []Report{rep}); err != nil {
 		t.Fatal(err)
 	}
-	runs, hw, err := ReadLoadJSON(path)
+	runs, hw, err := readLoadJSON(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +141,7 @@ func TestRunSeedControlsMix(t *testing.T) {
 // TestReadCommittedLoadJSON pins that the committed LOAD_9.json still
 // reads back, its "_hardware" annotation included.
 func TestReadCommittedLoadJSON(t *testing.T) {
-	runs, hw, err := ReadLoadJSON("../../LOAD_9.json")
+	runs, hw, err := readLoadJSON("../../LOAD_9.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,19 +114,6 @@ func WriteLoadJSON(path string, runs []Report) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadLoadJSON reads a LOAD_<n>.json file back.
-func ReadLoadJSON(path string) ([]Report, *Hardware, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var doc loadDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return doc.Runs, &doc.Hardware, nil
-}
-
 // FormatReport renders a human-readable block for terminal output.
 func FormatReport(r Report) string {
 	line := func(kind string, s Summary, errs int64) string {

@@ -52,9 +52,6 @@ func OpenStore(root string, opts Options) (*Store, error) {
 	return &Store{root: root, opts: opts}, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // safeName guards path components built from context and session
 // names.
 func safeName(name string) error {
@@ -441,9 +438,6 @@ func (s *Store) ReadSessionAt(context, sid string, target uint64, base *datalog.
 	}
 	return meta, st, nil
 }
-
-// Sync forces the live segment to stable storage (shutdown flushes).
-func (l *SessionLog) Sync() error { return l.w.Sync() }
 
 // Close seals the live segment. The log is unusable afterwards; a
 // later OpenSession resumes in a fresh generation.

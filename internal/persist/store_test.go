@@ -11,6 +11,9 @@ import (
 	"repro/internal/wal"
 )
 
+// Root returns the store's root directory.
+func (s *Store) Root() string { return s.root }
+
 func testAtoms(tag string) []datalog.Atom {
 	return []datalog.Atom{
 		{Pred: "treats@v1", Args: []datalog.Term{datalog.C(tag), datalog.C("hep")}},

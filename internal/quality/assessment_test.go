@@ -139,7 +139,7 @@ func checkAssessment(t *testing.T, sess *quality.Session, orig map[string]bool, 
 	if ok != history || (ok && v.Seq != wantSeq) {
 		t.Fatalf("assessment version %d (ok=%v), want %d (ok=%v)", v.Seq, ok, wantSeq, history)
 	}
-	snap := sess.Snapshot()
+	snap, _, _ := sess.View()
 	want := oracleVersion(snap, sess.VersionPred("Measurements"))
 	got := a.Versions["Measurements"]
 	if got.Schema().String() != "Measurements_q(Time, Patient, Value)" {

@@ -159,7 +159,7 @@ func TestParallelSessionConcurrentSnapshotReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				snap := sess.Snapshot()
+				snap, _, _ := sess.View()
 				as, err := eval.EvalQuery(q, snap)
 				if err != nil {
 					errs <- err

@@ -127,10 +127,11 @@ type versionDef struct {
 // NewContext builds and validates a context around the MD ontology.
 // Every mapping, quality rule and version rule is safety-checked up
 // front (qerr.ErrUnsafeRule), and duplicate or empty version
-// definitions are rejected, so a returned Context cannot fail
-// validation later. The Config's slices are copied: callers may reuse
-// or extend a Config to build further contexts without aliasing (two
-// contexts built from one ontology never share option state).
+// definitions are rejected; only the check that needs the compiled
+// program, checkRuleHeads, waits for Prepare. The Config's slices are
+// copied: callers may reuse or extend a Config to build further
+// contexts without aliasing (two contexts built from one ontology
+// never share option state).
 func NewContext(o *core.Ontology, cfg Config) (*Context, error) {
 	if o == nil {
 		return nil, fmt.Errorf("quality: nil ontology")
@@ -446,6 +447,9 @@ func (c *Context) compile() (*Prepared, error) {
 	for _, rel := range c.vorder {
 		evalProg.Add(c.versions[rel].rules...)
 	}
+	if err := checkRuleHeads(comp.Program, evalProg.Rules); err != nil {
+		return nil, err
+	}
 	eng, err := engine.Prepare(engine.Spec{
 		Program:      comp.Program,
 		Base:         base,
@@ -476,10 +480,45 @@ func (c *Context) compile() (*Prepared, error) {
 	return p, nil
 }
 
+// checkRuleHeads rejects a rule whose head predicate a TGD, EGD or NC
+// of the compiled program reads, positively or under negation. The
+// chase runs before the mappings, quality rules and version rules, so
+// it would never see the facts such a rule derives.
+func checkRuleHeads(prog *datalog.Program, rules []*eval.Rule) error {
+	readBy := map[string]string{} // predicate → the first dependency reading it
+	read := func(kind, id string, atoms ...datalog.Atom) {
+		for _, a := range atoms {
+			if _, ok := readBy[a.Pred]; !ok {
+				readBy[a.Pred] = kind + " " + id
+			}
+		}
+	}
+	for _, t := range prog.TGDs {
+		read("TGD", t.ID, t.Body...)
+	}
+	for _, e := range prog.EGDs {
+		read("EGD", e.ID, e.Body...)
+	}
+	for _, n := range prog.NCs {
+		for _, l := range n.Body {
+			read("NC", n.ID, l.Atom)
+		}
+	}
+	for _, r := range rules {
+		if dep, ok := readBy[r.Head.Pred]; ok {
+			return fmt.Errorf("quality: %w", &qerr.UnsafeRuleError{
+				Rule:   r.ID,
+				Reason: fmt.Sprintf("%s reads its head %s, but the chase runs before the rules and never sees what they derive", dep, r.Head.Pred),
+			})
+		}
+	}
+	return nil
+}
+
 // NewSession opens an assessment session: the instance under
 // assessment is merged into a private clone of the static context,
 // chased to saturation and evaluated. Apply then extends the session
-// incrementally as new data arrives; Snapshot and Assessment serve
+// incrementally as new data arrives; View and Assessment serve
 // concurrent readers. Cancellation of ctx is checked once per chase
 // round and eval stratum round.
 func (p *Prepared) NewSession(ctx context.Context, d *storage.Instance) (*Session, error) {
@@ -735,16 +774,6 @@ func (s *Session) entryAtLocked(seq uint64) (*history.Entry, error) {
 		return nil, fmt.Errorf("quality: version %d not yet applied (latest %d)", seq, latest)
 	}
 	return e, nil
-}
-
-// Snapshot returns a frozen, consistent view of the contextual
-// instance as of the last Apply, safe for concurrent readers. The
-// session lock pairs the read with Apply and Refresh (which may swap
-// the underlying engine session on a source-removal rebuild).
-func (s *Session) Snapshot() *storage.Instance {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.Snapshot()
 }
 
 // View returns the latest frozen contextual snapshot paired with its

@@ -92,7 +92,9 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 						t.Fatalf("%s: apply tick %d: %v", name, i, err)
 					}
 				}
-				if !restored.Snapshot().Equal(ref.Snapshot()) {
+				got, _, _ := restored.View()
+				want, _, _ := ref.View()
+				if !got.Equal(want) {
 					t.Fatalf("%s: contextual instance differs from uninterrupted run", name)
 				}
 				if got, want := restored.ChaseRounds(), ref.ChaseRounds(); got != want {

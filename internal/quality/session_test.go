@@ -177,7 +177,7 @@ func TestSessionConcurrentSnapshotReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				snap := sess.Snapshot()
+				snap, _, _ := sess.View()
 				as, err := eval.EvalQuery(q, snap)
 				if err != nil {
 					errs <- err

@@ -302,14 +302,19 @@ func Answer(ctx context.Context, prog *datalog.Program, db *storage.Instance, q 
 	if err != nil {
 		return nil, err
 	}
-	raw, err := eval.EvalUCQ(ctx, ucq, db)
-	if err != nil {
-		return nil, err
-	}
 	certain := datalog.NewAnswerSet()
-	for _, a := range raw.All() {
-		if !a.HasNull() {
-			certain.Add(a)
+	for _, d := range ucq {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		err := eval.EvalQueryFunc(d, db, func(a datalog.Answer) bool {
+			if !a.HasNull() {
+				certain.Add(a)
+			}
+			return true
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return certain, nil

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -156,5 +157,53 @@ func TestAnswerStreamWriteCount(t *testing.T) {
 	writes, bytes := ln.writes.Load()-w0, ln.bytes.Load()-b0
 	if limit := bytes/1024 + 4; writes > limit {
 		t.Fatalf("%d rows (%d bytes) took %d socket writes, want at most %d", rows, bytes, writes, limit)
+	}
+}
+
+// TestAnswerStreamBound: a ?q= cross product with just over maxAnswers
+// answers streams exactly maxAnswers answer lines, then a
+// bound_exceeded error line in place of the count line.
+func TestAnswerStreamBound(t *testing.T) {
+	ts := newHospitalServer(t)
+	rows := int(math.Sqrt(maxAnswers)) + 1 // rows² is just over maxAnswers
+	tuples := make([][]string, rows)
+	for i := range tuples {
+		tuples[i] = []string{fmt.Sprintf("Sep/5-%05d", i), "Tom Waits", "37.5"}
+	}
+	body, err := json.Marshal(SessionCreateRequest{Instance: WireInstance{"Measurements": tuples}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, created := do(t, "POST", ts.URL+"/v1/contexts/hospital/sessions", string(body))
+	if status != http.StatusOK {
+		t.Fatalf("create: %d %s", status, created)
+	}
+	var sr SessionResponse
+	if err := json.Unmarshal([]byte(created), &sr); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/contexts/hospital/sessions/" + sr.ID + "/answers?mode=raw&q=" +
+		queryEscape(`q(t, t2) <- Measurements(t, p, v), Measurements(t2, p2, v2).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	answers := 0
+	var last AnswerLine
+	for sc.Scan() {
+		last = AnswerLine{}
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("line %d: %v", answers+1, err)
+		}
+		if last.Answer != nil {
+			answers++
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if answers != maxAnswers || last.Error == nil || last.Error.Code != "bound_exceeded" {
+		t.Fatalf("%d answer lines, last line %+v; want %d answers, then a bound_exceeded error", answers, last, maxAnswers)
 	}
 }

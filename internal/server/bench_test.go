@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"testing"
 
 	"repro/internal/gen"
@@ -29,7 +32,11 @@ func BenchmarkHTTPColdAssess(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := target.Assess(ctx, instance); err != nil {
+		body, err := json.Marshal(AssessRequest{Instance: instance})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := target.Do(ctx, http.MethodPost, "/v1/contexts/"+target.Context+"/assess", bytes.NewReader(body), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,11 +48,11 @@ func BenchmarkHTTPWarmApply(b *testing.B) {
 	ts := newWorkloadServer(b, n/4, days, wards, 0)
 	target := gen.HTTPTarget{BaseURL: ts.URL, Context: "ward"}
 	ctx := context.Background()
-	id, err := target.OpenSession(ctx)
+	id, err := openTargetSession(ctx, target)
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := gen.HTTPStressSpec{Days: days, Wards: wards, PatientsPerBatch: 1}
+	spec := httpStressSpec{Days: days, Wards: wards, PatientsPerBatch: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	tick := 0
@@ -55,16 +62,16 @@ func BenchmarkHTTPWarmApply(b *testing.B) {
 		// benchmark.
 		if tick == 10 {
 			b.StopTimer()
-			if err := target.CloseSession(ctx, id); err != nil {
+			if err := closeTargetSession(ctx, target, id); err != nil {
 				b.Fatal(err)
 			}
-			if id, err = target.OpenSession(ctx); err != nil {
+			if id, err = openTargetSession(ctx, target); err != nil {
 				b.Fatal(err)
 			}
 			tick = 0
 			b.StartTimer()
 		}
-		if err := target.ApplyBatch(ctx, id, gen.StressDelta(spec, i, tick)); err != nil {
+		if err := target.ApplyBatch(ctx, id, stressDelta(spec, i, tick)); err != nil {
 			b.Fatal(err)
 		}
 		tick++

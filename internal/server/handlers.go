@@ -582,6 +582,13 @@ func (s *Server) handleSessionAssess(w http.ResponseWriter, r *http.Request) {
 // buffers, after the first, while the iterator keeps producing rows.
 const answerFlushEvery = 50 * time.Millisecond
 
+// maxAnswers bounds the answers one request streams. The evaluator
+// keeps a key per distinct answer it has produced, so an unbounded
+// query (a cross product over the session's relations) would grow the
+// heap until the client disconnects; at about 100 bytes a key, the
+// cap holds that set near 27 MB.
+const maxAnswers = 1 << 18
+
 // handleAnswers streams quality-query answers off a consistent
 // snapshot as NDJSON: one line per answer, a terminal count line, and
 // early termination when the client disconnects. ?q= is either the
@@ -599,7 +606,8 @@ const answerFlushEvery = 50 * time.Millisecond
 // The check runs as each row is written, so a row written just before
 // a long gap in the iterator waits for the next row or the end of the
 // stream. No goroutine flushes on a timer: it would need a lock around
-// every write to the ResponseWriter.
+// every write to the ResponseWriter. A stream stops after maxAnswers
+// answers with a bound_exceeded error line.
 func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sess, err := s.lookup(r)
@@ -695,7 +703,8 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 // streamAnswers writes seq as NDJSON answer lines and the terminal
 // count line, flushing as handleAnswers describes. It reports the
 // answer count, and false when the stream ended early: on an iterator
-// error (written as an error line) or a gone client.
+// error or an answer past maxAnswers (each written as an error line),
+// or a gone client.
 func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, contextName string, seq iter.Seq2[mdqa.Answer, error]) (int, bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
@@ -709,6 +718,12 @@ func (s *Server) streamAnswers(ctx context.Context, w http.ResponseWriter, conte
 		}
 		if ctx.Err() != nil {
 			return count, false // client gone; stop the evaluation
+		}
+		if count == maxAnswers {
+			s.streamError(w, enc, contextName, &mdqa.BoundExceededError{
+				Op: fmt.Sprintf("answer stream (at most %d answers per request)", maxAnswers),
+			})
+			return count, false
 		}
 		_ = enc.Encode(answerTuple{Answer: termStrings(ans.Terms)})
 		count++

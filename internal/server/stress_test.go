@@ -2,10 +2,15 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/datalog"
 	"repro/internal/gen"
+	"repro/internal/hm"
+	"repro/internal/par"
 	"repro/internal/quality"
 	"repro/mdqa"
 )
@@ -43,6 +48,146 @@ func newWorkloadServer(t testing.TB, patients, days, wards, parallelism int) *ht
 	return ts
 }
 
+// httpStressSpec parameterizes runHTTPStress: Writers concurrent
+// delta streams and Readers concurrent snapshot readers hammering one
+// session of a quality-workload context (the schema
+// gen.NewQualityWorkload builds).
+type httpStressSpec struct {
+	Target gen.HTTPTarget
+	// Writers is the number of concurrent writer goroutines; each
+	// applies BatchesPerWriter delta batches of PatientsPerBatch new
+	// patients (one measurement per day each).
+	Writers, BatchesPerWriter, PatientsPerBatch int
+	// Readers is the number of concurrent reader goroutines; each
+	// streams the full measurement relation ReadsPerReader times and
+	// verifies batch atomicity, hitting the materialized assessment
+	// every third read.
+	Readers, ReadsPerReader int
+	// Days and Wards must match the QualitySpec the served context was
+	// generated from.
+	Days, Wards int
+}
+
+// httpStressResult reports what the stress run did.
+type httpStressResult struct {
+	Batches int // apply batches acknowledged
+	Reads   int // answer streams fully consumed
+}
+
+// stressDelta builds writer w's i-th delta batch: PatientsPerBatch
+// new patients, each with a ward assignment, measurement-time members
+// with day rollups, and one measurement per day. Patient names embed
+// (w, i), so batches are disjoint across writers and iterations and a
+// snapshot reader can verify each batch is visible atomically.
+func stressDelta(spec httpStressSpec, w, i int) []datalog.Atom {
+	timeCat := hm.CategoryPredName("Time")
+	dayTime := hm.RollupPredName("Time", "Day")
+	var delta []datalog.Atom
+	for j := 0; j < spec.PatientsPerBatch; j++ {
+		patient := fmt.Sprintf("w%db%dp%d", w, i, j)
+		ward := fmt.Sprintf("GW%d", j%spec.Wards)
+		if j%2 == 1 {
+			ward = fmt.Sprintf("BW%d", j%spec.Wards)
+		}
+		for day := 0; day < spec.Days; day++ {
+			dn := gen.DayName(day)
+			tm := fmt.Sprintf("%s-%s", dn, patient)
+			delta = append(delta,
+				datalog.A(timeCat, datalog.C(tm)),
+				datalog.A(dayTime, datalog.C(dn), datalog.C(tm)),
+				datalog.A("PatientWard", datalog.C(ward), datalog.C(dn), datalog.C(patient)),
+				datalog.A("Measurements", datalog.C(tm), datalog.C(patient), datalog.C("37.0")),
+			)
+		}
+	}
+	return delta
+}
+
+// checkApplyAtomicity verifies a snapshot of the full Measurements
+// relation never shows a half-applied batch: every patient (base or
+// delta) contributes exactly days measurements, so any other count
+// means a reader caught a batch mid-apply. tuples are (time, patient,
+// value) rows.
+func checkApplyAtomicity(tuples [][]string, days int) error {
+	per := map[string]int{}
+	for _, tup := range tuples {
+		if len(tup) != 3 {
+			return fmt.Errorf("stress: bad answer arity %d", len(tup))
+		}
+		per[tup[1]]++
+	}
+	for p, n := range per {
+		if n != days {
+			return fmt.Errorf("stress: patient %s shows %d of %d measurements — half-applied delta observed", p, n, days)
+		}
+	}
+	return nil
+}
+
+// runHTTPStress opens one session and fans Writers+Readers concurrent
+// clients out over it (everyone runs at once — the pool is sized to
+// the task count). Writers stream disjoint delta batches; readers
+// stream consistent snapshots and fail the run on any atomicity
+// violation. The session is closed on the way out.
+func runHTTPStress(ctx context.Context, spec httpStressSpec) (*httpStressResult, error) {
+	id, err := openTargetSession(ctx, spec.Target)
+	if err != nil {
+		return nil, err
+	}
+	res := &httpStressResult{}
+	tasks := spec.Writers + spec.Readers
+	counts, err := par.Map(ctx, par.New(tasks), tasks, func(task int) (int, error) {
+		if task < spec.Writers {
+			for i := 0; i < spec.BatchesPerWriter; i++ {
+				if err := spec.Target.ApplyBatch(ctx, id, stressDelta(spec, task, i)); err != nil {
+					return 0, fmt.Errorf("writer %d batch %d: %w", task, i, err)
+				}
+			}
+			return spec.BatchesPerWriter, nil
+		}
+		reader := task - spec.Writers
+		for i := 0; i < spec.ReadsPerReader; i++ {
+			got, err := spec.Target.Answers(ctx, id, "meas(t, p, v) <- Measurements(t, p, v).", "raw")
+			if err != nil {
+				return 0, fmt.Errorf("reader %d read %d: %w", reader, i, err)
+			}
+			if err := checkApplyAtomicity(got, spec.Days); err != nil {
+				return 0, err
+			}
+			if i%3 == 2 {
+				var ar AssessResponse
+				if err := spec.Target.Do(ctx, http.MethodGet, "/v1/contexts/"+spec.Target.Context+"/sessions/"+id+"/assessment", nil, &ar); err != nil {
+					return 0, fmt.Errorf("reader %d assessment: %w", reader, err)
+				}
+			}
+		}
+		return 0, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range counts {
+		res.Batches += c
+		if i >= spec.Writers {
+			res.Reads += spec.ReadsPerReader
+		}
+	}
+	return res, closeTargetSession(ctx, spec.Target, id)
+}
+
+// openTargetSession opens a session over the server's default input
+// for t's context and returns its id.
+func openTargetSession(ctx context.Context, t gen.HTTPTarget) (string, error) {
+	var resp SessionResponse
+	err := t.Do(ctx, http.MethodPost, "/v1/contexts/"+t.Context+"/sessions", nil, &resp)
+	return resp.ID, err
+}
+
+// closeTargetSession closes session id of t's context.
+func closeTargetSession(ctx context.Context, t gen.HTTPTarget, id string) error {
+	return t.Do(ctx, http.MethodDelete, "/v1/contexts/"+t.Context+"/sessions/"+id, nil, nil)
+}
+
 // TestStressWritersReaders is the acceptance stress: 4 concurrent
 // writers streaming delta batches and 8 concurrent snapshot readers
 // against one session, under -race in CI. Readers verify batch
@@ -51,7 +196,7 @@ func newWorkloadServer(t testing.TB, patients, days, wards, parallelism int) *ht
 func TestStressWritersReaders(t *testing.T) {
 	const days, wards = 3, 2
 	ts := newWorkloadServer(t, 24, days, wards, 0)
-	spec := gen.HTTPStressSpec{
+	spec := httpStressSpec{
 		Target:           gen.HTTPTarget{BaseURL: ts.URL, Context: "ward"},
 		Writers:          4,
 		BatchesPerWriter: 6,
@@ -61,7 +206,7 @@ func TestStressWritersReaders(t *testing.T) {
 		Days:             days,
 		Wards:            wards,
 	}
-	res, err := gen.RunHTTPStress(context.Background(), spec)
+	res, err := runHTTPStress(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,19 +220,19 @@ func TestStressWritersReaders(t *testing.T) {
 	// After the dust settles, the session holds the base plus every
 	// batch: (24 + 4*6*3) patients x 3 days measurements.
 	target := spec.Target
-	id, err := target.OpenSession(context.Background())
+	id, err := openTargetSession(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		if err := target.CloseSession(context.Background(), id); err != nil {
+		if err := closeTargetSession(context.Background(), target, id); err != nil {
 			t.Error(err)
 		}
 	}()
 	// The stressed session was closed; a fresh session only sees the
 	// base instance again — verify against the stressed session's
 	// final state instead via a second stress-session read before it
-	// closed. That read happened inside RunHTTPStress; here just
+	// closed. That read happened inside runHTTPStress; here just
 	// confirm the server is still healthy and consistent.
 	got, err := target.Answers(context.Background(), id, "meas(t, p, v) <- Measurements(t, p, v).", "raw")
 	if err != nil {
@@ -96,7 +241,7 @@ func TestStressWritersReaders(t *testing.T) {
 	if len(got) != 24*days {
 		t.Fatalf("fresh session must see the base instance: want %d tuples, got %d", 24*days, len(got))
 	}
-	if err := gen.CheckApplyAtomicity(got, days); err != nil {
+	if err := checkApplyAtomicity(got, days); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,7 +254,7 @@ func TestSnapshotConsistencyDuringApply(t *testing.T) {
 	for _, parallelism := range []int{1, 0} {
 		const days, wards = 4, 2
 		ts := newWorkloadServer(t, 12, days, wards, parallelism)
-		spec := gen.HTTPStressSpec{
+		spec := httpStressSpec{
 			Target:           gen.HTTPTarget{BaseURL: ts.URL, Context: "ward"},
 			Writers:          1,
 			BatchesPerWriter: 12,
@@ -119,7 +264,7 @@ func TestSnapshotConsistencyDuringApply(t *testing.T) {
 			Days:             days,
 			Wards:            wards,
 		}
-		if _, err := gen.RunHTTPStress(context.Background(), spec); err != nil {
+		if _, err := runHTTPStress(context.Background(), spec); err != nil {
 			t.Fatalf("parallelism=%d: %v", parallelism, err)
 		}
 	}

@@ -7,6 +7,14 @@ import (
 	dl "repro/internal/datalog"
 )
 
+// Positions returns all graph positions, sorted.
+func (g *DependencyGraph) Positions() []dl.Position {
+	out := make([]dl.Position, len(g.positions))
+	copy(out, g.positions)
+	dl.SortPositions(out)
+	return out
+}
+
 func prog(tgds ...*dl.TGD) *dl.Program {
 	p := dl.NewProgram()
 	for _, t := range tgds {

@@ -104,14 +104,6 @@ func varPositions(atoms []datalog.Atom) map[datalog.Term][]datalog.Position {
 	return out
 }
 
-// Positions returns all graph positions, sorted.
-func (g *DependencyGraph) Positions() []datalog.Position {
-	out := make([]datalog.Position, len(g.positions))
-	copy(out, g.positions)
-	datalog.SortPositions(out)
-	return out
-}
-
 // WeaklyAcyclic reports whether no cycle traverses a special edge —
 // Fagin et al.'s sufficient condition for chase termination.
 func (g *DependencyGraph) WeaklyAcyclic() bool {

@@ -258,10 +258,6 @@ func (p *Plan) atomCost(db *Instance, a datalog.Atom, boundSlots []bool) float64
 	return cost
 }
 
-// Vars returns the plan's variables in slot order. The slice is owned
-// by the plan.
-func (p *Plan) Vars() []datalog.Term { return p.vars }
-
 // Slot returns the register slot of variable v, or -1 when v does not
 // occur in the plan's conjunction.
 func (p *Plan) Slot(v datalog.Term) int {
@@ -270,10 +266,6 @@ func (p *Plan) Slot(v datalog.Term) int {
 	}
 	return -1
 }
-
-// Interner returns the interner the plan's constants were compiled
-// against.
-func (p *Plan) Interner() *datalog.Interner { return p.in }
 
 // Retarget returns a copy of the plan bound to a descendant interner
 // (see datalog.Interner.DescendsFrom). Forks preserve every id the

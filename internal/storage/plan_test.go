@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -29,11 +30,24 @@ func planTestInstance(t *testing.T) *Instance {
 func collectRun(p *Plan, db *Instance, init dl.Subst, vars []dl.Term) []string {
 	var out []string
 	p.Run(db, init, func(s dl.Subst) bool {
-		out = append(out, s.Key(vars))
+		out = append(out, substKey(s, vars))
 		return true
 	})
 	sort.Strings(out)
 	return out
+}
+
+// substKey renders the terms s binds vars to as one string, kind
+// included, so two answers compare equal exactly when their terms do.
+func substKey(s dl.Subst, vars []dl.Term) string {
+	var b strings.Builder
+	for _, v := range vars {
+		t := s.Apply(v)
+		b.WriteByte(byte('0' + t.Kind))
+		b.WriteString(t.Name)
+		b.WriteByte('|')
+	}
+	return b.String()
 }
 
 // naiveMatch is the reference matcher compiled plans are checked
@@ -60,7 +74,7 @@ func naiveMatch(db *Instance, body []dl.Atom, s dl.Subst, fn func(dl.Subst)) {
 func collectNaive(db *Instance, body []dl.Atom, init dl.Subst, vars []dl.Term) []string {
 	var out []string
 	naiveMatch(db, body, init, func(s dl.Subst) {
-		out = append(out, s.Key(vars))
+		out = append(out, substKey(s, vars))
 	})
 	sort.Strings(out)
 	return out
@@ -159,7 +173,7 @@ func TestPlanExecuteRawRegisters(t *testing.T) {
 	regs := p.NewRegs()
 	n := 0
 	p.Execute(db, regs, func(rs []int32) bool {
-		for _, v := range p.Vars() {
+		for _, v := range p.vars {
 			if rs[p.Slot(v)] == dl.NoID {
 				t.Errorf("slot of %v unbound in complete match", v)
 			}

@@ -246,9 +246,6 @@ func (w *Writer) Sync() error {
 	return nil
 }
 
-// Fsyncs returns how many fsyncs this writer has issued.
-func (w *Writer) Fsyncs() int64 { return w.fsyncs }
-
 // Close syncs (in every mode — shutdown flushes are unconditional) and
 // closes the segment.
 func (w *Writer) Close() error {

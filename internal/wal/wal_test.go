@@ -11,6 +11,9 @@ import (
 	"repro/internal/datalog"
 )
 
+// Fsyncs returns how many fsyncs this writer has issued.
+func (w *Writer) Fsyncs() int64 { return w.fsyncs }
+
 func batch(preds ...string) []datalog.Atom {
 	var out []datalog.Atom
 	for i, p := range preds {

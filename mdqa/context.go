@@ -124,8 +124,9 @@ type Context struct {
 
 // NewContext builds and validates a quality context around the MD
 // ontology. Every rule is safety-checked up front (ErrUnsafeRule),
-// and duplicate or ill-formed version definitions are rejected, so a
-// returned Context cannot fail validation later.
+// and duplicate or ill-formed version definitions are rejected. The
+// one check left to Prepare needs the compiled ontology: a rule whose
+// head a TGD, EGD or NC reads fails there with ErrUnsafeRule.
 func NewContext(o *Ontology, opts ...Option) (*Context, error) {
 	var cfg quality.Config
 	for _, opt := range opts {
@@ -169,7 +170,11 @@ func (c *Context) DeclaredPreds() map[string]int { return c.q.DeclaredPreds() }
 // its chase join plans, the merged static context and the stratified
 // derived-layer program — caching the result for the context's
 // lifetime. Any number of goroutines can open sessions from the
-// returned Prepared.
+// returned Prepared. The chase runs before the mappings, quality rules
+// and version rules, so a rule whose head a dependency of the compiled
+// ontology reads (positively or under negation) would feed the chase
+// nothing: Prepare rejects it with an *UnsafeRuleError naming the rule
+// and the dependency.
 func (c *Context) Prepare(ctx context.Context) (*Prepared, error) {
 	p, err := c.q.Prepare(ctx)
 	if err != nil {

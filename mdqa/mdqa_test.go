@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/mdqa"
@@ -212,6 +213,36 @@ func TestStreamingEarlyStopAndDedup(t *testing.T) {
 	var ur *mdqa.UnknownRelationError
 	if _, err := snap.VersionTuples("CitySales"); !errors.As(err, &ur) || ur.Relation != "CitySales" {
 		t.Errorf("VersionTuples without a declared version = %v, want UnknownRelationError", err)
+	}
+}
+
+// TestMappingReadByOntologyRejected is the README's Geo probe with a
+// mapping into the relation the upward rule reads. The chase runs
+// before the mappings, so the rule would never see the mapped
+// CitySales row and Sales_q would come back empty: Prepare must
+// reject the context instead, naming the mapping and the rule.
+func TestMappingReadByOntologyRejected(t *testing.T) {
+	o := buildSalesOntology(t)
+	mapping := mdqa.NewRule("map-sales",
+		mdqa.NewAtom("CitySales", mdqa.Var("w"), mdqa.Var("i")),
+		mdqa.NewAtom("Sales", mdqa.Var("w"), mdqa.Var("i")))
+	version := mdqa.NewRule("sales-q",
+		mdqa.NewAtom("Sales_q", mdqa.Var("w"), mdqa.Var("i")),
+		mdqa.NewAtom("Sales", mdqa.Var("w"), mdqa.Var("i")),
+		mdqa.NewAtom("CountrySales", mdqa.Const("Canada"), mdqa.Var("i")))
+	qc, err := mdqa.NewContext(o,
+		mdqa.WithMapping(mapping),
+		mdqa.WithQualityVersion("Sales", "Sales_q", version))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = qc.Prepare(context.Background())
+	var ue *mdqa.UnsafeRuleError
+	if !errors.Is(err, mdqa.ErrUnsafeRule) || !errors.As(err, &ue) {
+		t.Fatalf("Prepare = %v, want ErrUnsafeRule", err)
+	}
+	if ue.Rule != "map-sales" || !strings.Contains(ue.Reason, "TGD up") {
+		t.Errorf("UnsafeRuleError = %+v, want rule map-sales and dependency TGD up", ue)
 	}
 }
 
