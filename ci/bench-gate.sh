@@ -4,9 +4,12 @@
 # Builds internal/benchsuite's test binary at <base-rev> (in a
 # temporary git worktree) and at this checkout, runs both in
 # alternating pairs on the same machine, switching which side runs
-# first, and hands the two outputs to ci/benchcmp. Every benchmark
-# runs at GOMAXPROCS 1 and 2 (-test.cpu): width 1 has no code path of
-# its own in the engines, so only running it keeps it gated. The gate
+# first, and hands the two outputs to ci/benchcmp. The gated
+# benchmarks are ColdAssess, WarmAssess, AdhocQuery, AsOfAnswers and
+# Scaling_DetQA (DeterministicWSQAns, the only one that runs the
+# top-down query answerer), each at n=400. Every benchmark runs at
+# GOMAXPROCS 1 and 2 (-test.cpu): width 1 has no code path of its own
+# in the engines, so only running it keeps it gated. The gate
 # fails when a benchmark present at both commits has a median
 # change/base ns/op ratio above 1.30 over the pairs, or when no
 # benchmark matches; a benchmark only one side has is skipped. A
@@ -23,7 +26,7 @@ set -euo pipefail
 PAIRS=10
 BENCHTIME=0.5s
 CPU=1,2
-BENCH='^Benchmark(ColdAssess|WarmAssess|AdhocQuery|AsOfAnswers)$/n=400'
+BENCH='^Benchmark(ColdAssess|WarmAssess|AdhocQuery|AsOfAnswers|Scaling_DetQA)$/n=400'
 
 cd "$(dirname "$0")/.."
 root=$PWD

@@ -360,26 +360,6 @@ func BenchmarkDurableWarmApply(b *testing.B) {
 
 // ---- Ablations (the engine's design choices) ----
 
-// BenchmarkAblation_RestrictedVsOblivious compares the two chase
-// variants on the downward-navigating hospital ontology.
-func BenchmarkAblation_RestrictedVsOblivious(b *testing.B) {
-	o := hospital.NewOntology(hospital.Options{WithRuleNine: true})
-	comp, err := o.Compile(core.CompileOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, variant := range []chase.Variant{chase.Restricted, chase.Oblivious} {
-		b.Run(variant.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := chase.Run(context.Background(), comp.Program, comp.Instance, chase.Options{Variant: variant}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_MemoOnOff measures DetQA's ground-subgoal
 // memoization on a query with repeated subgoals.
 func BenchmarkAblation_MemoOnOff(b *testing.B) {
@@ -393,32 +373,6 @@ func BenchmarkAblation_MemoOnOff(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := qa.Answer(context.Background(), prog, db, q, qa.Options{DisableMemo: disable}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_SubsumptionOnOff measures rewriting with and
-// without subsumption pruning on a rule set with redundancy.
-func BenchmarkAblation_SubsumptionOnOff(b *testing.B) {
-	o := hospital.NewOntology(hospital.Options{WithRuleNine: true})
-	comp, err := o.Compile(core.CompileOptions{TransitiveRollups: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := datalog.NewQuery(datalog.A("Q", datalog.V("u"), datalog.V("d")),
-		datalog.A("PatientUnit", datalog.V("u"), datalog.V("d"), datalog.C(hospital.TomWaits)))
-	for _, disable := range []bool{false, true} {
-		name := "subsumption"
-		if disable {
-			name = "no-subsumption"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := rewrite.Rewrite(comp.Program, q, rewrite.Options{DisableSubsumption: disable}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,7 +2,8 @@
 // completion by enforcing tuple-generating dependencies (with fresh
 // labeled nulls for existential variables), equality-generating
 // dependencies (by merging nulls, reporting hard conflicts), and
-// negative-constraint checking.
+// negative-constraint checking. It is the restricted chase: a TGD
+// trigger fires only when its head has no extension into the instance.
 //
 // The paper uses the chase both as the semantics of its
 // multidimensional ontologies (Section III) and as the engine behind
@@ -11,7 +12,7 @@
 // executable counterpart of the non-deterministic WeaklyStickyQAns
 // algorithm it cites.
 //
-// The package has two entry layers. Run/Saturate are the one-shot API:
+// The package has two entry layers. Run is the one-shot API:
 // chase a program over a copy of an instance to its fixpoint. Compile
 // and State are the prepared/incremental API behind them: a
 // CompiledProgram lowers every dependency onto join plans exactly once
@@ -30,42 +31,14 @@ import (
 	"repro/internal/storage"
 )
 
-// Variant selects the chase flavor.
-type Variant uint8
-
-const (
-	// Restricted (standard) chase fires a TGD trigger only when the
-	// head is not already satisfied by the instance. It produces
-	// smaller results and terminates on all the ontologies in this
-	// repository.
-	Restricted Variant = iota
-	// Oblivious chase fires every trigger exactly once regardless of
-	// head satisfaction. It is simpler but produces more nulls; it is
-	// included for the ablation benchmarks.
-	Oblivious
-)
-
-// String names the variant.
-func (v Variant) String() string {
-	if v == Oblivious {
-		return "oblivious"
-	}
-	return "restricted"
-}
-
 // Options configures a chase run.
 type Options struct {
-	Variant Variant
 	// MaxRounds bounds the number of chase rounds (0 = DefaultMaxRounds).
 	MaxRounds int
 	// MaxAtoms aborts the chase when the instance exceeds this many
 	// tuples (0 = DefaultMaxAtoms), guarding against non-terminating
 	// programs.
 	MaxAtoms int
-	// NullPrefix names invented nulls (default "n").
-	NullPrefix string
-	// Trace records every TGD application in Result.Steps.
-	Trace bool
 	// Parallelism bounds the worker pool that fans TGD trigger
 	// discovery, EGD body matching and NC checking out across
 	// goroutines (0 = runtime.GOMAXPROCS(0); 1 runs every unit on the
@@ -84,6 +57,9 @@ const DefaultMaxRounds = 10_000
 // DefaultMaxAtoms bounds instance growth when Options.MaxAtoms is 0.
 const DefaultMaxAtoms = 5_000_000
 
+// nullPrefix names the invented labeled nulls: n0, n1, ...
+const nullPrefix = "n"
+
 // ViolationKind classifies constraint violations found during the
 // chase. It is an alias of the shared qerr vocabulary so violations
 // travel unchanged into typed errors and through the mdqa facade.
@@ -98,13 +74,6 @@ const (
 
 // Violation records one constraint violation.
 type Violation = qerr.Violation
-
-// Step records one TGD application (provenance), when Options.Trace is
-// set.
-type Step struct {
-	Rule  string
-	Added []datalog.Atom
-}
 
 // Result is the outcome of a chase run.
 type Result struct {
@@ -124,8 +93,6 @@ type Result struct {
 	// Saturated reports whether a fixpoint was reached (false when a
 	// bound aborted the run).
 	Saturated bool
-	// Steps is the provenance trace (only with Options.Trace).
-	Steps []Step
 }
 
 // Consistent reports whether no violations were found.
@@ -172,22 +139,22 @@ func validateRules(prog *datalog.Program) error {
 // collide with nulls already present in the instance's rows (the
 // interner may also remember nulls an EGD merged away; those do not
 // count, so numbering depends on the stored tuples alone).
-func freshCounter(db *storage.Instance, prefix string) *datalog.Counter {
+func freshCounter(db *storage.Instance) *datalog.Counter {
 	in := db.Interner()
 	max := -1
 	for _, name := range db.RelationNames() {
 		for _, row := range db.Relation(name).Rows() {
 			for _, id := range row {
 				t := in.TermOf(id)
-				if t.IsNull() && strings.HasPrefix(t.Name, prefix) {
-					if k, err := strconv.Atoi(t.Name[len(prefix):]); err == nil && k > max {
+				if t.IsNull() && strings.HasPrefix(t.Name, nullPrefix) {
+					if k, err := strconv.Atoi(t.Name[len(nullPrefix):]); err == nil && k > max {
 						max = k
 					}
 				}
 			}
 		}
 	}
-	c := datalog.NewCounter(prefix)
+	c := datalog.NewCounter(nullPrefix)
 	for i := 0; i <= max; i++ {
 		c.Next()
 	}

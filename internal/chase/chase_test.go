@@ -2,6 +2,7 @@ package chase
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -156,30 +157,63 @@ func TestChaseRestrictedDoesNotDuplicateSatisfiedHeads(t *testing.T) {
 	}
 }
 
-func TestChaseObliviousFiresEverything(t *testing.T) {
+// mergeProbeProgram is R(x) → ∃z S(x,z) with the EGD
+// S(x,z), T(x,y) → z = y: the null invented for R(a) is merged into b
+// once T(a,b) is present.
+func mergeProbeProgram() *dl.Program {
 	prog := dl.NewProgram()
-	prog.AddTGD(ruleEight())
-	restr, err := Run(context.Background(), prog, hospitalEDB(), Options{Variant: Restricted})
+	prog.AddTGD(dl.NewTGD("r",
+		[]dl.Atom{dl.A("S", dl.V("x"), dl.V("z"))},
+		[]dl.Atom{dl.A("R", dl.V("x"))}))
+	prog.AddEGD(dl.NewEGD("key", dl.V("z"), dl.V("y"), []dl.Atom{
+		dl.A("S", dl.V("x"), dl.V("z")),
+		dl.A("T", dl.V("x"), dl.V("y")),
+	}))
+	return prog
+}
+
+// TestChaseEGDMergedNullNotReinvented pins the restricted firing
+// condition across an EGD merge: the merge resets the trigger memo, so
+// the next full round re-enumerates R(a)'s trigger, and only head
+// satisfaction (S(a,b) after the merge) keeps it from inventing a new
+// null that the EGD would merge again, round after round.
+func TestChaseEGDMergedNullNotReinvented(t *testing.T) {
+	wantS := [][]dl.Term{{dl.C("a"), dl.C("b")}}
+	db := storage.NewInstance()
+	db.MustInsert("R", dl.C("a"))
+	db.MustInsert("T", dl.C("a"), dl.C("b"))
+	res, err := Run(context.Background(), mergeProbeProgram(), db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obl, err := Run(context.Background(), prog, hospitalEDB(), Options{Variant: Oblivious})
+	if !res.Saturated || res.Rounds != 2 || res.NullsCreated != 1 {
+		t.Errorf("Run: saturated=%v rounds=%d nulls=%d; want true, 2, 1", res.Saturated, res.Rounds, res.NullsCreated)
+	}
+	if got := res.Instance.Relation("S").Tuples(); !reflect.DeepEqual(got, wantS) {
+		t.Errorf("Run: S = %v, want %v", got, wantS)
+	}
+
+	base := storage.NewInstance()
+	base.MustInsert("R", dl.C("a"))
+	st, err := NewState(mergeProbeProgram(), base, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obl.NullsCreated <= restr.NullsCreated {
-		t.Errorf("oblivious chase must invent more nulls: restricted=%d oblivious=%d",
-			restr.NullsCreated, obl.NullsCreated)
+	if err := st.Chase(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	// Helen/W1/Sep6 satisfied head is re-derived obliviously.
-	count := 0
-	for _, tup := range obl.Instance.Relation("Shifts").Tuples() {
-		if tup[0] == dl.C("W1") && tup[1] == dl.C("Sep/6") && tup[2] == dl.C("Helen") {
-			count++
-		}
+	info, err := st.Extend(context.Background(), []dl.Atom{dl.A("T", dl.C("a"), dl.C("b"))})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if count != 2 {
-		t.Errorf("oblivious chase: want 2 Helen tuples (original + invented), got %d", count)
+	if info.Fired != 0 || info.Merged != 1 || !info.Saturated {
+		t.Errorf("Extend: %+v; want Fired 0, Merged 1, Saturated", *info)
+	}
+	if n := st.Result().NullsCreated; n != 1 {
+		t.Errorf("Extend: nulls created = %d, want 1", n)
+	}
+	if got := st.Instance().Relation("S").Tuples(); !reflect.DeepEqual(got, wantS) {
+		t.Errorf("Extend: S = %v, want %v", got, wantS)
 	}
 }
 
@@ -376,23 +410,6 @@ func TestChaseMultiRuleFixpoint(t *testing.T) {
 	}
 }
 
-func TestChaseTrace(t *testing.T) {
-	prog := dl.NewProgram()
-	prog.AddTGD(ruleSeven())
-	res, err := Run(context.Background(), prog, hospitalEDB(), Options{Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Steps) != 4 {
-		t.Fatalf("trace steps = %d, want 4", len(res.Steps))
-	}
-	for _, st := range res.Steps {
-		if st.Rule != "r7" || len(st.Added) != 1 {
-			t.Errorf("unexpected step %+v", st)
-		}
-	}
-}
-
 func TestChaseMaxAtomsBound(t *testing.T) {
 	// A non-terminating program: ∃y Next(x,y) <- Next(y0,x) keeps
 	// inventing successors; the atom bound must stop it.
@@ -478,11 +495,11 @@ func TestChaseDoesNotMutateInput(t *testing.T) {
 func TestChaseFreshNullsAvoidCollisions(t *testing.T) {
 	db := storage.NewInstance()
 	// Instance already contains n0; invented nulls must not collide.
-	db.MustInsert("WorkingSchedules", dl.C("Standard"), dl.C("Sep/9"), dl.C("Mark"), dl.N("0"))
+	db.MustInsert("WorkingSchedules", dl.C("Standard"), dl.C("Sep/9"), dl.C("Mark"), dl.N("n0"))
 	db.MustInsert("UnitWard", dl.C("Standard"), dl.C("W1"))
 	prog := dl.NewProgram()
 	prog.AddTGD(ruleEight())
-	res, err := Run(context.Background(), prog, db, Options{NullPrefix: ""})
+	res, err := Run(context.Background(), prog, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,6 +511,9 @@ func TestChaseFreshNullsAvoidCollisions(t *testing.T) {
 		if c > 1 {
 			t.Errorf("null %v used %d times: collision with pre-existing null", term, c)
 		}
+	}
+	if count[dl.N("n0")] > 0 {
+		t.Error("an invented null reuses the pre-existing n0")
 	}
 }
 
@@ -522,8 +542,5 @@ func TestViolationStrings(t *testing.T) {
 	}
 	if EGDConflict.String() != "egd-conflict" {
 		t.Errorf("EGDConflict.String = %q", EGDConflict.String())
-	}
-	if Restricted.String() != "restricted" || Oblivious.String() != "oblivious" {
-		t.Error("variant names wrong")
 	}
 }

@@ -103,47 +103,6 @@ func TestQuickChaseDeterministic(t *testing.T) {
 	}
 }
 
-func TestQuickRestrictedSubsetOfOblivious(t *testing.T) {
-	// Every atom the restricted chase derives is derived by the
-	// oblivious chase too, up to null renaming — compare null-free
-	// projections, which are invariant.
-	f := func(w chainWorld) bool {
-		restr, err := Run(context.Background(), navProgram(), w.DB, Options{Variant: Restricted})
-		if err != nil || !restr.Saturated {
-			return false
-		}
-		obl, err := Run(context.Background(), navProgram(), w.DB, Options{Variant: Oblivious})
-		if err != nil || !obl.Saturated {
-			return false
-		}
-		// Null-free atoms of the restricted result must appear in the
-		// oblivious result.
-		for _, name := range restr.Instance.RelationNames() {
-			rel := restr.Instance.Relation(name)
-			for _, tup := range rel.Tuples() {
-				hasNull := false
-				for _, term := range tup {
-					if term.IsNull() {
-						hasNull = true
-						break
-					}
-				}
-				if hasNull {
-					continue
-				}
-				if !obl.Instance.ContainsAtom(dl.Atom{Pred: name, Args: tup}) {
-					return false
-				}
-			}
-		}
-		// And the oblivious chase fires at least as often.
-		return obl.Fired >= restr.Fired
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickUpwardDerivesExactJoin(t *testing.T) {
 	// R1 must equal the join of R0 and Up computed independently.
 	f := func(w chainWorld) bool {

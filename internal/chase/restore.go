@@ -15,12 +15,11 @@ import (
 // Trigger memos and semi-naive watermarks are deliberately absent. A
 // restored state re-enters through one full re-match round with fresh
 // memos — exactly the path the live engine already takes after every
-// EGD merge — and the restricted chase keeps that sound: at a fixpoint
+// EGD merge — and head satisfaction keeps that sound: at a fixpoint
 // every enumerable trigger is head-satisfied (a trigger whose head
 // were unsatisfied would fire and insert, contradicting saturation),
 // so the full round skips them all, refires nothing, and invents no
-// fresh nulls. The oblivious variant has no such property (its memo IS
-// the fire-once guarantee), which is why RestoreState rejects it.
+// fresh nulls.
 type Restored struct {
 	// Rounds, Fired, Merged and NullsCreated restore the cumulative
 	// Result counters.
@@ -61,17 +60,13 @@ func (st *State) Export() Restored {
 // the compile interner, exactly as for NewState. The state resumes
 // with the recorded counters and violations and re-enters through a
 // full re-match round on the next Chase/Extend call (see Restored for
-// why that is sound only for the restricted variant; any other variant
-// is rejected).
+// why that is sound).
 func (cp *CompiledProgram) RestoreState(inst *storage.Instance, opts Options, r Restored) (*State, error) {
-	if opts.Variant != Restricted {
-		return nil, fmt.Errorf("chase: restore requires the restricted variant (got %s): the %s chase relies on trigger memos, which are not persisted", opts.Variant, opts.Variant)
-	}
 	if inst.Frozen() {
 		return nil, fmt.Errorf("chase: cannot restore over a frozen snapshot instance")
 	}
 	st := cp.NewState(inst, opts)
-	st.fresh = datalog.NewCounterAt(st.opts.NullPrefix, r.FreshPos)
+	st.fresh = datalog.NewCounterAt(nullPrefix, r.FreshPos)
 	st.res.Rounds = r.Rounds
 	st.res.Fired = r.Fired
 	st.res.Merged = r.Merged

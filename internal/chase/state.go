@@ -160,10 +160,11 @@ func compileTGDPlan(tgd *datalog.TGD, db *storage.Instance) *tgdPlan {
 // Extend call — match semi-naively: a TGD body is only re-evaluated
 // against homomorphisms that use at least one tuple inserted since the
 // last round (the delta frontier), replacing the full-plan re-matching
-// of the one-shot chase. The trigger memo remains as the multi-pivot
-// dedup and the oblivious-chase fire-once guarantee, but it is no
-// longer the only firewall against re-deriving the whole fixpoint
-// every round.
+// of the one-shot chase. The trigger memo dedups triggers reached
+// through several pivots or rounds; head satisfaction, the restricted
+// chase's firing condition, is what keeps a trigger re-enumerated
+// after the memo is reset (by an EGD merge or a bound abort) from
+// firing again.
 //
 // A State is single-writer: Chase and Extend must not be called
 // concurrently. Concurrent readers use Instance().Snapshot() between
@@ -171,7 +172,6 @@ func compileTGDPlan(tgd *datalog.TGD, db *storage.Instance) *tgdPlan {
 // discipline).
 type State struct {
 	cp   *CompiledProgram
-	opts Options
 	inst *storage.Instance
 	// pool bounds the workers that fan trigger discovery and EGD/NC
 	// body matching out per round (Options.Parallelism). Only the
@@ -208,9 +208,9 @@ type tgdState struct {
 	body  *storage.Plan
 	delta []*storage.Plan
 	head  *storage.Plan
-	// fired memoizes triggers already applied (hashed register
-	// snapshots), so each trigger fires at most once. EGD merges
-	// invalidate it.
+	// fired memoizes triggers already enumerated (hashed register
+	// snapshots), so a trigger is checked for firing once until an
+	// EGD merge or a bound abort resets the memo.
 	fired    triggerMemo
 	headRegs []int32
 	exIDs    []int32
@@ -253,15 +253,11 @@ func (cp *CompiledProgram) NewState(inst *storage.Instance, opts Options) *State
 	if opts.MaxAtoms <= 0 {
 		opts.MaxAtoms = DefaultMaxAtoms
 	}
-	if opts.NullPrefix == "" {
-		opts.NullPrefix = "n"
-	}
 	st := &State{
 		cp:          cp,
-		opts:        opts,
 		inst:        inst,
 		pool:        par.New(opts.Parallelism),
-		fresh:       freshCounter(inst, opts.NullPrefix),
+		fresh:       freshCounter(inst),
 		res:         &Result{Instance: inst},
 		watermark:   map[string]int{},
 		full:        true,
@@ -486,7 +482,7 @@ func (st *State) applyTGD(ctx context.Context, ts *tgdState, full bool, roundSta
 	in := st.inst.Interner()
 	applied := 0
 	for _, tr := range ts.triggers {
-		if st.opts.Variant == Restricted && st.headSatisfied(ts, tr) {
+		if st.headSatisfied(ts, tr) {
 			continue
 		}
 		for i := range ts.tp.ex {
@@ -495,7 +491,6 @@ func (st *State) applyTGD(ctx context.Context, ts *tgdState, full bool, roundSta
 			ts.exIDs[i] = in.ID(nu)
 		}
 		inserted := 0
-		var added []datalog.Atom
 		for _, hp := range ts.tp.heads {
 			row := ts.rowBuf[:len(hp.items)]
 			for i, it := range hp.items {
@@ -517,20 +512,11 @@ func (st *State) applyTGD(ctx context.Context, ts *tgdState, full bool, roundSta
 			}
 			if isNew {
 				inserted++
-				if st.opts.Trace {
-					added = append(added, datalog.Atom{
-						Pred: hp.pred,
-						Args: in.Terms(row, make([]datalog.Term, 0, len(row))),
-					})
-				}
 			}
 		}
 		if inserted > 0 {
 			applied++
 			st.res.Fired++
-			if st.opts.Trace {
-				st.res.Steps = append(st.res.Steps, Step{Rule: ts.tp.tgd.ID, Added: added})
-			}
 		}
 		if st.inst.TotalTuples() > st.maxAtoms {
 			return -1, nil

@@ -1,6 +1,8 @@
 package datalog
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +135,85 @@ func TestRenameApart(t *testing.T) {
 	}
 }
 
+// TestPieces pins the piece-unification step shared by top-down query
+// answering and UCQ rewriting. Each rule stands for one already
+// renamed apart from the goals.
+func TestPieces(t *testing.T) {
+	// ∃u InstitutionUnit(i,u), PatientUnit(u,d,p) ← DischargePatients(i,d,p):
+	// the paper's rule (9), two head atoms sharing an existential.
+	ruleNine := NewTGD("r9",
+		[]Atom{A("InstitutionUnit", V("i"), V("u")), A("PatientUnit", V("u"), V("d"), V("p"))},
+		[]Atom{A("DischargePatients", V("i"), V("d"), V("p"))})
+	shift := NewTGD("r8", []Atom{A("Shift", V("x"), V("z"))}, []Atom{A("Works", V("x"))})
+	cases := []struct {
+		name    string
+		goal    Atom
+		rest    []Atom
+		rule    *TGD
+		protect []Term
+		stop    bool     // yield returns false
+		want    []string // resolvents, in yield order
+	}{{
+		name:    "one-head rule",
+		goal:    A("P", V("w"), C("K")),
+		rest:    []Atom{A("Q", V("w"))},
+		rule:    NewTGD("r", []Atom{A("P", V("x"), V("y"))}, []Atom{A("B", V("x"), V("y"))}),
+		protect: []Term{V("w")},
+		want:    []string{"B(x, K), Q(x)"},
+	}, {
+		name: "existential bound to a constant",
+		goal: A("Shift", V("w"), C("Night")),
+		rule: shift,
+	}, {
+		name:    "protected term captured by an existential",
+		goal:    A("Shift", V("w"), V("s")),
+		rule:    shift,
+		protect: []Term{V("s")},
+	}, {
+		name:    "unprotected term bound to an existential",
+		goal:    A("Shift", V("w"), V("s")),
+		rule:    shift,
+		protect: []Term{V("w")},
+		want:    []string{"Works(x)"},
+	}, {
+		name: "existential equated with a frontier variable",
+		goal: A("Shift", V("w"), V("w")),
+		rule: shift,
+	}, {
+		name: "two existentials equated",
+		goal: A("Pair", V("w"), V("w")),
+		rule: NewTGD("r", []Atom{A("Pair", V("z1"), V("z2"))}, []Atom{A("B", V("x"))}),
+	}, {
+		name:    "two-head rule absorbs a second goal",
+		goal:    A("PatientUnit", V("e"), V("t"), C("Tom Waits")),
+		rest:    []Atom{A("InstitutionUnit", C("H1"), V("e")), A("Day", V("t"))},
+		rule:    ruleNine,
+		protect: []Term{V("t")},
+		want:    []string{`DischargePatients(H1, d, "Tom Waits"), Day(d)`},
+	}, {
+		name: "yield stops the enumeration",
+		goal: A("P", V("w"), C("K")),
+		rule: NewTGD("r", []Atom{A("P", V("x"), V("y")), A("P", V("y"), V("x"))}, []Atom{A("B", V("x"), V("y"))}),
+		stop: true,
+		want: []string{"B(x, K)"}, // not the second head's B(K, y)
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var got []string
+			done := Pieces(c.goal, c.rest, c.rule, c.protect, func(sigma Subst, resolvent []Atom) bool {
+				got = append(got, AtomsString(resolvent))
+				return !c.stop
+			})
+			if done == c.stop {
+				t.Errorf("Pieces returned %v, want %v", done, !c.stop)
+			}
+			if strings.Join(got, " | ") != strings.Join(c.want, " | ") {
+				t.Errorf("resolvents %q, want %q", got, c.want)
+			}
+		})
+	}
+}
+
 // TestAtomSubsumes checks subsumption between single atoms, the
 // one-atom case of ConjunctionSubsumes.
 func TestAtomSubsumes(t *testing.T) {
@@ -173,6 +254,27 @@ func TestConjunctionSubsumesSharedNames(t *testing.T) {
 	}
 	if !ConjunctionSubsumes(b, a) {
 		t.Error("P(x,y) subsumes P(x,k)")
+	}
+}
+
+// TestConjunctionSubsumesFailsFast pins the candidate ordering: a's
+// last atom matches nothing in b, and trying a's atoms in source order
+// would first assign its twelve P atoms to b's in every one of 12^12
+// ways.
+func TestConjunctionSubsumesFailsFast(t *testing.T) {
+	a := []Atom{A("Q", C("c"))}
+	b := []Atom{A("Q", C("c"))}
+	for i := 0; i < 12; i++ {
+		v := V(fmt.Sprintf("v%d", i))
+		a = append(a, A("P", v, v))
+		b = append(b, A("P", C("c"), C("c")))
+	}
+	a = append(a, A("R", C("c")))
+	if ConjunctionSubsumes(a, b) {
+		t.Error("R(c) has no image in b")
+	}
+	if !ConjunctionSubsumes(a[:len(a)-1], b) {
+		t.Error("without R(c), a maps into b")
 	}
 }
 

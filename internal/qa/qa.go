@@ -215,89 +215,22 @@ func (r *resolver) proveGround(g datalog.Atom, depth int) bool {
 	return proven
 }
 
-// applyRule resolves goal g via one TGD: it unifies g with each head
-// atom in turn; when existential variables capture shared goal
-// variables, the other goals mentioning them are absorbed into the
-// same piece (they must be co-produced by the same rule firing). It
-// reports whether the search ran to exhaustion.
+// applyRule resolves goal g via one TGD, through each of its piece
+// unifiers (datalog.Pieces), protecting the answer and condition
+// variables from capture by invented values. It reports whether the
+// search ran to exhaustion.
 func (r *resolver) applyRule(g datalog.Atom, rest []datalog.Atom, s datalog.Subst, tgd *datalog.TGD, depth int, onSuccess func(datalog.Subst) bool) bool {
+	protect := make([]datalog.Term, 0, len(r.ansVars)+2*len(r.conds))
+	for _, av := range r.ansVars {
+		protect = append(protect, s.Apply(av))
+	}
+	for _, c := range r.conds {
+		protect = append(protect, s.Apply(c.L), s.Apply(c.R))
+	}
 	ren := datalog.RenameApart(tgd, r.fresh)
-	exVars := map[datalog.Term]bool{}
-	for _, z := range ren.ExistentialVars() {
-		exVars[z] = true
-	}
-	for _, head := range ren.Head {
-		sigma, ok := datalog.Unify(g, head, datalog.NewSubst())
-		if !ok {
-			continue
-		}
-		if !r.resolvePiece(ren, exVars, sigma, rest, s, depth, onSuccess) {
-			return false
-		}
-	}
-	return true
-}
-
-// resolvePiece grows the piece until no remaining goal mentions an
-// existential marker, then recurses on body + remaining goals.
-func (r *resolver) resolvePiece(ren *datalog.TGD, exVars map[datalog.Term]bool, sigma datalog.Subst, rest []datalog.Atom, s datalog.Subst, depth int, onSuccess func(datalog.Subst) bool) bool {
-	// An existential bound to a constant or null is unsound — the
-	// invented value cannot be a known one.
-	markers := map[datalog.Term]bool{}
-	for z := range exVars {
-		img := sigma.Apply(z)
-		if !img.IsVar() {
-			return true
-		}
-		markers[img] = true
-	}
-	// Find a remaining goal mentioning a marker.
-	pending := -1
-	for i, goal := range rest {
-		ga := sigma.ApplyAtom(goal)
-		for _, tm := range ga.Args {
-			if tm.IsVar() && markers[tm] {
-				pending = i
-				break
-			}
-		}
-		if pending >= 0 {
-			break
-		}
-	}
-	if pending < 0 {
-		// Piece closed. Certain answers must not bind answer or
-		// condition variables to invented values.
-		for _, av := range r.ansVars {
-			if img := sigma.Apply(s.Apply(av)); img.IsVar() && markers[img] {
-				return true
-			}
-		}
-		for _, c := range r.conds {
-			for _, tm := range []datalog.Term{c.L, c.R} {
-				if img := sigma.Apply(s.Apply(tm)); img.IsVar() && markers[img] {
-					return true
-				}
-			}
-		}
-		newGoals := append(sigma.ApplyAtoms(ren.Body), sigma.ApplyAtoms(rest)...)
-		return r.resolve(newGoals, s.Compose(sigma), depth, onSuccess)
-	}
-	// Absorb the pending goal into the piece via some head atom.
-	goal := sigma.ApplyAtom(rest[pending])
-	remaining := make([]datalog.Atom, 0, len(rest)-1)
-	remaining = append(remaining, rest[:pending]...)
-	remaining = append(remaining, rest[pending+1:]...)
-	for _, head := range ren.Head {
-		sigma2, ok := datalog.Unify(goal, sigma.ApplyAtom(head), sigma)
-		if !ok {
-			continue
-		}
-		if !r.resolvePiece(ren, exVars, sigma2, remaining, s, depth, onSuccess) {
-			return false
-		}
-	}
-	return true
+	return datalog.Pieces(g, rest, ren, protect, func(sigma datalog.Subst, resolvent []datalog.Atom) bool {
+		return r.resolve(resolvent, s.Compose(sigma), depth, onSuccess)
+	})
 }
 
 // emit evaluates the query conditions and extracts one answer; it

@@ -186,11 +186,17 @@ type BoundExceededError struct {
 	Atoms  int    // instance size when the run stopped, when known
 }
 
-// Error renders the operation and the progress made.
+// Error renders the operation and, for a run that made rounds or
+// atoms, the progress made; a bound with neither (the answer stream's)
+// is just exceeded.
 func (e *BoundExceededError) Error() string {
 	var b strings.Builder
 	if e.Op != "" {
 		fmt.Fprintf(&b, "%s: ", e.Op)
+	}
+	if e.Rounds == 0 && e.Atoms == 0 {
+		b.WriteString("bound exceeded")
+		return b.String()
 	}
 	b.WriteString(ErrBoundExceeded.Error())
 	fmt.Fprintf(&b, " (rounds=%d", e.Rounds)

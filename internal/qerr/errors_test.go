@@ -70,6 +70,10 @@ func TestErrorRendering(t *testing.T) {
 	if !strings.Contains(b.Error(), "rounds=2") || !strings.Contains(b.Error(), "atoms=9") {
 		t.Errorf("Error() = %q misses progress detail", b.Error())
 	}
+	// A bound that counts neither rounds nor atoms names no fixpoint.
+	if got, want := (&BoundExceededError{Op: "answer stream"}).Error(), "answer stream: bound exceeded"; got != want {
+		t.Errorf("Error() = %q, want %q", got, want)
+	}
 	if (&InconsistentError{}).Error() == "" {
 		t.Error("empty InconsistentError must still render")
 	}

@@ -30,8 +30,6 @@ type Options struct {
 	// (0 = DefaultMaxRewritings); recursive rule sets are not
 	// FO-rewritable and hit this bound.
 	MaxRewritings int
-	// DisableSubsumption keeps subsumed CQs (ablation benchmark).
-	DisableSubsumption bool
 }
 
 // DefaultMaxRewritings bounds the UCQ size.
@@ -41,6 +39,16 @@ const DefaultMaxRewritings = 10_000
 // conjunctive queries over extensional predicates (and any predicates
 // the rules cannot produce). Queries with negated atoms are rejected.
 func Rewrite(prog *datalog.Program, q *datalog.Query, opts Options) ([]*datalog.Query, error) {
+	ucq, err := unfold(prog, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return pruneSubsumed(ucq), nil
+}
+
+// unfold is Rewrite without the subsumption pruning: every CQ the
+// unfoldings reach, up to the canonicalKey dedup.
+func unfold(prog *datalog.Program, q *datalog.Query, opts Options) ([]*datalog.Query, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -73,9 +81,6 @@ func Rewrite(prog *datalog.Program, q *datalog.Query, opts Options) ([]*datalog.
 			}
 		}
 	}
-	if !opts.DisableSubsumption {
-		result = pruneSubsumed(result)
-	}
 	return result, nil
 }
 
@@ -101,98 +106,26 @@ func rewriteStep(prog *datalog.Program, q *datalog.Query, fresh *datalog.Counter
 	return out
 }
 
-// unfoldVia unfolds query atom i through the (renamed) rule,
-// considering every head atom and growing pieces when existential
-// markers capture shared variables.
+// unfoldVia unfolds query atom i through the (renamed) rule, once per
+// piece unifier (datalog.Pieces); the answer and condition variables
+// survive into the rewritten query, so they are protected.
 func unfoldVia(q *datalog.Query, i int, ren *datalog.TGD) []*datalog.Query {
-	exVars := map[datalog.Term]bool{}
-	for _, z := range ren.ExistentialVars() {
-		exVars[z] = true
-	}
-	var out []*datalog.Query
-	goal := q.Body[i]
 	rest := make([]datalog.Atom, 0, len(q.Body)-1)
 	rest = append(rest, q.Body[:i]...)
 	rest = append(rest, q.Body[i+1:]...)
-	for _, head := range ren.Head {
-		sigma, ok := datalog.Unify(goal, head, datalog.NewSubst())
-		if !ok {
-			continue
-		}
-		out = append(out, growPiece(q, ren, exVars, sigma, rest)...)
-	}
-	return out
-}
-
-// growPiece checks marker soundness, absorbs goals captured by
-// existential markers, and emits the unfolded CQ when the piece is
-// closed.
-func growPiece(q *datalog.Query, ren *datalog.TGD, exVars map[datalog.Term]bool, sigma datalog.Subst, rest []datalog.Atom) []*datalog.Query {
-	markers := map[datalog.Term]bool{}
-	for z := range exVars {
-		img := sigma.Apply(z)
-		if !img.IsVar() {
-			return nil // existential bound to a constant: unsound
-		}
-		markers[img] = true
-	}
-	// Protected variables must not be captured: answer variables and
-	// condition variables survive into the rewritten query.
-	for _, av := range q.Head.Vars() {
-		if img := sigma.Apply(av); img.IsVar() && markers[img] {
-			return nil
-		}
-	}
+	protect := q.Head.Vars()
 	for _, c := range q.Conds {
-		for _, tm := range []datalog.Term{c.L, c.R} {
-			if tm.IsVar() {
-				if img := sigma.Apply(tm); img.IsVar() && markers[img] {
-					return nil
-				}
-			}
-		}
-	}
-	// A remaining goal mentioning a marker must join the piece.
-	pending := -1
-	for j, g := range rest {
-		ga := sigma.ApplyAtom(g)
-		for _, tm := range ga.Args {
-			if tm.IsVar() && markers[tm] {
-				pending = j
-				break
-			}
-		}
-		if pending >= 0 {
-			break
-		}
-	}
-	if pending < 0 {
-		body := append(sigma.ApplyAtoms(ren.Body), sigma.ApplyAtoms(rest)...)
-		nq := &datalog.Query{
-			Head: sigma.ApplyAtom(q.Head),
-			Body: body,
-		}
-		for _, c := range q.Conds {
-			nq.Conds = append(nq.Conds, datalog.Comparison{
-				Op: c.Op,
-				L:  sigma.Apply(c.L),
-				R:  sigma.Apply(c.R),
-			})
-		}
-		return []*datalog.Query{nq}
+		protect = append(protect, c.L, c.R)
 	}
 	var out []*datalog.Query
-	goal := sigma.ApplyAtom(rest[pending])
-	remaining := make([]datalog.Atom, 0, len(rest)-1)
-	remaining = append(remaining, rest[:pending]...)
-	remaining = append(remaining, rest[pending+1:]...)
-	for _, head := range ren.Head {
-		sigma2, ok := datalog.Unify(goal, sigma.ApplyAtom(head), sigma)
-		if !ok {
-			continue
+	datalog.Pieces(q.Body[i], rest, ren, protect, func(sigma datalog.Subst, body []datalog.Atom) bool {
+		nq := &datalog.Query{Head: sigma.ApplyAtom(q.Head), Body: body}
+		for _, c := range q.Conds {
+			nq.Conds = append(nq.Conds, datalog.Comparison{Op: c.Op, L: sigma.Apply(c.L), R: sigma.Apply(c.R)})
 		}
-		out = append(out, growPiece(q, ren, exVars, sigma2, remaining)...)
-	}
+		out = append(out, nq)
+		return true
+	})
 	return out
 }
 

@@ -267,7 +267,7 @@ func TestSubsumptionPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpruned, err := Rewrite(prog, q, Options{DisableSubsumption: true})
+	unpruned, err := unfold(prog, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,4 +206,7 @@ func TestAnswerStreamBound(t *testing.T) {
 	if answers != maxAnswers || last.Error == nil || last.Error.Code != "bound_exceeded" {
 		t.Fatalf("%d answer lines, last line %+v; want %d answers, then a bound_exceeded error", answers, last, maxAnswers)
 	}
+	if want := "answer stream (at most 262144 answers per request): bound exceeded"; last.Error.Message != want {
+		t.Errorf("error message %q, want %q", last.Error.Message, want)
+	}
 }

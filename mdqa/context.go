@@ -30,12 +30,6 @@ func WithAtomBound(n int) Option {
 	return func(cfg *quality.Config) { cfg.Chase.MaxAtoms = n }
 }
 
-// WithChaseVariant selects the chase flavor (RestrictedChase is the
-// default; ObliviousChase exists for ablation studies).
-func WithChaseVariant(v ChaseVariant) Option {
-	return func(cfg *quality.Config) { cfg.Chase.Variant = v }
-}
-
 // WithReferentialNCs compiles referential negative constraints for
 // every categorical attribute, so dangling category references are
 // reported as violations.

@@ -193,15 +193,6 @@ func NewPlanCache(capacity int) *PlanCache { return storage.NewPlanCache(capacit
 
 // ---- Chase ----
 
-// ChaseVariant selects the chase flavor (restricted or oblivious).
-type ChaseVariant = chase.Variant
-
-// Chase variants.
-const (
-	RestrictedChase = chase.Restricted
-	ObliviousChase  = chase.Oblivious
-)
-
 // ChaseOptions configures a chase run.
 type ChaseOptions = chase.Options
 
