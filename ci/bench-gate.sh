@@ -5,16 +5,17 @@
 # temporary git worktree) and at this checkout, runs both in
 # alternating pairs on the same machine, switching which side runs
 # first, and hands the two outputs to ci/benchcmp. The gated
-# benchmarks are ColdAssess, WarmAssess, AdhocQuery, AsOfAnswers and
+# benchmarks are ColdAssess, WarmAssess, AdhocQuery, AsOfAnswers,
 # Scaling_DetQA (DeterministicWSQAns, the only one that runs the
-# top-down query answerer), each at n=400. Every benchmark runs at
-# GOMAXPROCS 1 and 2 (-test.cpu): width 1 has no code path of its own
-# in the engines, so only running it keeps it gated. The gate
-# fails when a benchmark present at both commits has a median
-# change/base ns/op ratio above 1.30 over the pairs, or when no
-# benchmark matches; a benchmark only one side has is skipped. A
-# <base-rev> that does not resolve (the all-zero "before" of a new
-# branch) falls back to HEAD^.
+# top-down query answerer) and RecursiveEval (init and extend of a
+# recursive stratum, which the hospital rules never reach), each at
+# n=400. Every benchmark runs at GOMAXPROCS 1 and 2 (-test.cpu): width
+# 1 has no code path of its own in the engines, so only running it
+# keeps it gated. The gate fails when a benchmark present at both
+# commits has a median change/base ns/op ratio above 1.30 over the
+# pairs, or when no benchmark matches; a benchmark only one side has
+# is skipped. A <base-rev> that does not resolve (the all-zero
+# "before" of a new branch) falls back to HEAD^.
 #
 # The raw outputs are left in bench-gate-base.txt and
 # bench-gate-change.txt at the repo root.
@@ -26,7 +27,7 @@ set -euo pipefail
 PAIRS=10
 BENCHTIME=0.5s
 CPU=1,2
-BENCH='^Benchmark(ColdAssess|WarmAssess|AdhocQuery|AsOfAnswers|Scaling_DetQA)$/n=400'
+BENCH='^Benchmark(ColdAssess|WarmAssess|AdhocQuery|AsOfAnswers|Scaling_DetQA|RecursiveEval)$/n=400'
 
 cd "$(dirname "$0")/.."
 root=$PWD

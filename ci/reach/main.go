@@ -12,7 +12,10 @@
 // strips every shipped binary, and it follows interface dispatch and
 // reflection exactly, so reach carries no call graph of its own.
 // Inlining is off (-gcflags=all=-l): an inlined callee leaves no
-// symbol behind.
+// symbol behind. The pass keeps every method of a type it marks
+// <UsedInIface> whose name and signature match a method some
+// interface in the binary has (Reset(), Len() int), so reach cannot
+// see such a method go uncalled.
 //
 // A declaration may stay unreached when ci/reach/allow.txt names it.
 // The file takes one entry a line, the name as reach prints it and

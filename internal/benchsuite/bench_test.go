@@ -10,12 +10,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/datalog"
+	"repro/internal/eval"
 	"repro/internal/gen"
 	"repro/internal/hospital"
 	"repro/internal/persist"
@@ -354,6 +356,76 @@ func BenchmarkDurableWarmApply(b *testing.B) {
 					})
 				})
 			}
+		})
+	}
+}
+
+// BenchmarkRecursiveEval measures the derived layer's recursive
+// stratum, which the hospital rules never reach: Reach = Edge⁺ by
+// linear recursion over a seeded DAG of n/4 nodes, a chain through
+// every node plus 3n/4 random forward edges, so Reach holds every
+// forward pair. init is NewState + Init over the DAG. extend is one
+// Extend of ten edges that lengthen the chain by ten nodes, each
+// reached from every node before it, on a state rebuilt off-timer
+// every warmResetTicks ticks.
+func BenchmarkRecursiveEval(b *testing.B) {
+	ctx := context.Background()
+	x, y, z := datalog.V("x"), datalog.V("y"), datalog.V("z")
+	prog := eval.NewProgram()
+	prog.Add(
+		eval.NewRule("edge", datalog.A("Reach", x, y), datalog.A("Edge", x, y)),
+		eval.NewRule("step", datalog.A("Reach", x, z), datalog.A("Reach", x, y), datalog.A("Edge", y, z)))
+	strata, err := prog.Stratify()
+	if err != nil {
+		b.Fatal(err)
+	}
+	node := func(i int) datalog.Term { return datalog.C(fmt.Sprintf("v%d", i)) }
+	for _, n := range []int{100, 400, 1600} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			nodes := n / 4
+			rng := rand.New(rand.NewSource(int64(n)))
+			dag := storage.NewInstance()
+			for i := 0; i+1 < nodes; i++ {
+				dag.MustInsert("Edge", node(i), node(i+1))
+			}
+			for k := 0; k < 3*n/4; k++ {
+				i := rng.Intn(nodes - 1)
+				dag.MustInsert("Edge", node(i), node(i+1+rng.Intn(nodes-1-i)))
+			}
+			initState := func() *eval.State {
+				st := eval.NewState(strata, dag.CloneDetached())
+				if err := st.Init(ctx); err != nil {
+					b.Fatal(err)
+				}
+				if got, want := st.Instance().Relation("Reach").Len(), nodes*(nodes-1)/2; got != want {
+					b.Fatalf("Init derived %d Reach rows, want %d", got, want)
+				}
+				return st
+			}
+			b.Run("init", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					initState()
+				}
+			})
+			b.Run("extend", func(b *testing.B) {
+				var st *eval.State
+				warmLoop(b, func() { st = initState() }, func(t int) {
+					last := nodes + 10*t // chain length before this tick
+					in := st.Instance().Interner()
+					facts := make([]eval.Fact, 10)
+					for k := range facts {
+						facts[k] = eval.Fact{Pred: "Edge", Row: []int32{in.ID(node(last + k - 1)), in.ID(node(last + k))}}
+					}
+					derived, err := st.Extend(ctx, facts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if want := 10*last + 45; len(derived) != want {
+						b.Fatalf("Extend derived %d rows, want %d", len(derived), want)
+					}
+				})
+			})
 		})
 	}
 }

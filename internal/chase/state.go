@@ -25,15 +25,10 @@ type CompiledProgram struct {
 
 // tgdPlan is the immutable compiled form of one TGD.
 type tgdPlan struct {
-	tgd  *datalog.TGD
-	body *storage.Plan
-	// delta[i] re-matches the full body with body[i]'s variables
-	// pre-bound from a delta row; pivot[i] seeds those bindings. All
-	// delta plans share the body plan's register space (CompilePlan
-	// assigns slots by first occurrence, independent of the bound-
-	// variable declaration).
-	delta []*storage.Plan
-	pivot []storage.Proj
+	tgd *datalog.TGD
+	// body matches triggers: full rounds and delta-window pivots, all
+	// in the full body plan's register space.
+	body *storage.PivotPlan
 	// head decides restricted-chase head satisfaction: frontier
 	// variables seeded from trigger registers, existential variables
 	// left free.
@@ -117,18 +112,13 @@ func compileTGDPlan(tgd *datalog.TGD, db *storage.Instance) *tgdPlan {
 	in := db.Interner()
 	tp := &tgdPlan{
 		tgd:  tgd,
-		body: storage.CompilePlan(db, tgd.Body),
+		body: storage.CompilePivotPlan(db, tgd.Body),
 		head: storage.CompilePlan(db, tgd.Head, tgd.FrontierVars()...),
 		ex:   tgd.ExistentialVars(),
 	}
+	body := tp.body.Full()
 	for _, v := range tgd.FrontierVars() {
-		tp.headSeed = append(tp.headSeed, [2]int{tp.head.Slot(v), tp.body.Slot(v)})
-	}
-	tp.delta = make([]*storage.Plan, len(tgd.Body))
-	tp.pivot = make([]storage.Proj, len(tgd.Body))
-	for i, a := range tgd.Body {
-		tp.delta[i] = storage.CompilePlan(db, tgd.Body, a.Vars()...)
-		tp.pivot[i] = tp.body.CompileProj(a)
+		tp.headSeed = append(tp.headSeed, [2]int{tp.head.Slot(v), body.Slot(v)})
 	}
 	exIdx := map[string]int{}
 	for i, z := range tp.ex {
@@ -140,8 +130,8 @@ func compileTGDPlan(tgd *datalog.TGD, db *storage.Instance) *tgdPlan {
 			switch {
 			case !t.IsVar():
 				hp.items[i] = headItem{kind: hConst, id: in.ID(t)}
-			case tp.body.Slot(t) >= 0:
-				hp.items[i] = headItem{kind: hSlot, slot: tp.body.Slot(t)}
+			case body.Slot(t) >= 0:
+				hp.items[i] = headItem{kind: hSlot, slot: body.Slot(t)}
 			default:
 				hp.items[i] = headItem{kind: hEx, ex: exIdx[t.Name]}
 			}
@@ -204,10 +194,9 @@ type State struct {
 // retargeted onto the state's interner plus reusable register banks
 // and the trigger memo.
 type tgdState struct {
-	tp    *tgdPlan
-	body  *storage.Plan
-	delta []*storage.Plan
-	head  *storage.Plan
+	tp   *tgdPlan
+	body *storage.PivotPlan
+	head *storage.Plan
 	// fired memoizes triggers already enumerated (hashed register
 	// snapshots), so a trigger is checked for firing once until an
 	// EGD merge or a bound abort resets the memo.
@@ -272,11 +261,7 @@ func (cp *CompiledProgram) NewState(inst *storage.Instance, opts Options) *State
 			tp:    tp,
 			body:  tp.body.Retarget(in),
 			head:  tp.head.Retarget(in),
-			delta: make([]*storage.Plan, len(tp.delta)),
 			fired: newTriggerMemo(),
-		}
-		for i, dp := range tp.delta {
-			ts.delta[i] = dp.Retarget(in)
 		}
 		ts.headRegs = ts.head.NewRegs()
 		ts.exIDs = make([]int32, len(tp.ex))
@@ -313,11 +298,8 @@ func (st *State) Result() *Result { return st.res }
 func (st *State) Replan() {
 	for _, ts := range st.tgds {
 		tgd := ts.tp.tgd
-		ts.body = storage.CompilePlan(st.inst, tgd.Body)
+		ts.body.Replan(st.inst)
 		ts.head = storage.CompilePlan(st.inst, tgd.Head, tgd.FrontierVars()...)
-		for i, a := range tgd.Body {
-			ts.delta[i] = storage.CompilePlan(st.inst, tgd.Body, a.Vars()...)
-		}
 	}
 	for _, es := range st.egds {
 		es.plan = storage.CompilePlan(st.inst, es.ep.egd.Body)
@@ -342,7 +324,7 @@ func (st *State) Chase(ctx context.Context) error {
 		st.full = false
 		// Rows at or beyond roundStart were inserted during this round
 		// and form the next round's delta frontier.
-		roundStart := st.relationLens()
+		roundStart := st.inst.Lens()
 
 		progress := false
 		for _, ts := range st.tgds {
@@ -380,15 +362,11 @@ func (st *State) Chase(ctx context.Context) error {
 		if st.full {
 			// The next full round re-enumerates everything; watermarks
 			// restart from zero.
-			for pred := range st.watermark {
-				st.watermark[pred] = 0
-			}
+			clear(st.watermark)
 		} else {
 			// Everything present at round start has now been matched
 			// (fully or via the delta frontier).
-			for pred, n := range roundStart {
-				st.watermark[pred] = n
-			}
+			st.watermark = roundStart
 		}
 
 		if atomBound {
@@ -400,9 +378,7 @@ func (st *State) Chase(ctx context.Context) error {
 			for _, ts := range st.tgds {
 				ts.fired = newTriggerMemo()
 			}
-			for pred := range st.watermark {
-				st.watermark[pred] = 0
-			}
+			clear(st.watermark)
 			return nil // Saturated stays false
 		}
 		if !progress {
@@ -412,15 +388,6 @@ func (st *State) Chase(ctx context.Context) error {
 	}
 
 	return st.checkNCs(ctx)
-}
-
-// relationLens snapshots every relation's current length.
-func (st *State) relationLens() map[string]int {
-	lens := make(map[string]int, len(st.inst.RelationNames()))
-	for _, name := range st.inst.RelationNames() {
-		lens[name] = st.inst.Relation(name).Len()
-	}
-	return lens
 }
 
 // ExtendInfo reports what one Extend call did.
@@ -525,83 +492,34 @@ func (st *State) applyTGD(ctx context.Context, ts *tgdState, full bool, roundSta
 	return applied, nil
 }
 
-// tgdUnit is one discovery work unit of a TGD: a shard of the full
-// body plan (pivot < 0) or a chunk of one pivot's delta window. Units
-// are ordered (pivot, chunk/shard); the merge walks them in that
-// order, which is the plans' own enumeration order at every width.
-type tgdUnit struct {
-	pivot  int
-	shard  int
-	nshard int
-	lo, hi int
-}
-
-// discover fans one TGD's trigger discovery out across the pool.
-// Workers only read (plan execution over the frozen round view) and
-// record raw register snapshots per unit; the caller deduplicates
-// through the shared trigger memo in unit order afterwards, so the
-// resulting trigger list does not depend on the pool width.
+// discover fans one TGD's trigger discovery out across the pool: the
+// body's round units (full shards, or chunks of each pivot's window
+// [watermark, roundStart)) run on workers that only read the frozen
+// round view and record raw register snapshots per unit. The caller
+// deduplicates through the shared trigger memo in unit order
+// afterwards, so the resulting trigger list does not depend on the
+// pool width.
 func (st *State) discover(ctx context.Context, ts *tgdState, full bool, roundStart map[string]int) error {
-	w := st.pool.Width()
-	var units []tgdUnit
-	if full {
-		for s := 0; s < w; s++ {
-			units = append(units, tgdUnit{pivot: -1, shard: s, nshard: w})
-		}
-	} else {
-		for i := range ts.delta {
-			proj := &ts.tp.pivot[i]
-			rel := st.inst.Relation(proj.Pred)
-			if rel == nil {
-				continue
-			}
-			lo, hi := st.watermark[proj.Pred], roundStart[proj.Pred]
-			if lo >= hi {
-				continue
-			}
-			for _, c := range par.Chunks(hi-lo, w) {
-				units = append(units, tgdUnit{pivot: i, lo: lo + c[0], hi: lo + c[1]})
-			}
-		}
-	}
+	units := ts.body.Units(st.pool.Width(), full, st.watermark, roundStart)
 	if len(units) == 0 {
 		return nil
 	}
 	snaps, err := par.Map(ctx, st.pool, len(units), func(t int) ([][]int32, error) {
-		u := &units[t]
 		var arena datalog.Int32Arena
 		var local [][]int32
-		collect := func(regs []int32) bool {
-			local = append(local, arena.Copy(regs))
-			return true
-		}
-		regs := ts.body.NewRegs()
-		if u.pivot < 0 {
+		ts.body.Run(st.inst, units[t], ts.body.Full().NewRegs(), func(regs []int32) bool {
 			// Full rounds start with a fresh memo (the initial round,
 			// and EGD merges/bound aborts reset it), so there is
-			// nothing to probe — stage every match.
-			ts.body.ExecuteShard(st.inst, regs, u.shard, u.nshard, collect)
-		} else {
-			// Delta rounds probe the quiescent memo read-only so
-			// triggers memoized in earlier rounds are not re-staged
-			// through other pivots; add still dedups authoritatively
-			// at merge.
-			collectNew := func(regs []int32) bool {
-				if ts.fired.has(regs) {
-					return true
-				}
-				return collect(regs)
+			// nothing to probe. Delta rounds probe the quiescent memo
+			// read-only so triggers memoized in earlier rounds are not
+			// re-staged through other pivots; add still dedups
+			// authoritatively at merge.
+			if !full && ts.fired.has(regs) {
+				return true
 			}
-			proj := &ts.tp.pivot[u.pivot]
-			rows := st.inst.Relation(proj.Pred).Rows()
-			for _, row := range rows[u.lo:u.hi] {
-				ts.body.ResetRegs(regs)
-				if !proj.Bind(row, regs) {
-					continue
-				}
-				ts.delta[u.pivot].Execute(st.inst, regs, collectNew)
-			}
-		}
+			local = append(local, arena.Copy(regs))
+			return true
+		})
 		return local, nil
 	})
 	if err != nil {

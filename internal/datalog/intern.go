@@ -154,7 +154,3 @@ func (a *Int32Arena) Copy(src []int32) []int32 {
 	a.buf = append(a.buf, src...)
 	return a.buf[start : start+n : start+n]
 }
-
-// Reset drops the arena's current chunk so retired rows can be
-// collected once their owners drop them.
-func (a *Int32Arena) Reset() { a.buf = nil }

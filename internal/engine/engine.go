@@ -247,10 +247,7 @@ func (s *Session) Apply(ctx context.Context, delta []datalog.Atom) (*ApplyResult
 	}
 
 	ci := s.chase.Instance()
-	lens := map[string]int{}
-	for _, name := range ci.RelationNames() {
-		lens[name] = ci.Relation(name).Len()
-	}
+	lens := ci.Lens()
 
 	info, err := s.chase.Extend(ctx, delta)
 	if err != nil {

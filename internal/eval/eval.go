@@ -208,46 +208,22 @@ type Fact struct {
 	Row  []int32
 }
 
-// compiledRule is a rule lowered onto one register space: the base
-// plan and every delta plan share slot assignments (CompilePlan
-// assigns slots by first occurrence in the body, independent of the
-// bound-variable declaration), so a single set of head/negation
-// projections serves all of them.
+// compiledRule is a rule lowered onto one register space: the body's
+// pivot plan (full plan and every delta plan) and the head and
+// negation projections compiled against its full plan.
 type compiledRule struct {
-	r    *Rule
-	plan *storage.Plan // full body, nothing pre-bound
-	head storage.Proj
-	negs []storage.Proj
-	// deltaPlans[i] re-evaluates the full body with body[i]'s
-	// variables pre-bound from a delta fact; nil when body[i] cannot
-	// receive delta facts (cold evaluation: non-IDB atoms of the
-	// stratum; incremental state: every atom gets a plan).
-	deltaPlans []*storage.Plan
-	pivotProj  []storage.Proj // body[i] as a projection, for seeding registers
-	maxAr      int            // widest head or negated atom: projection scratch size
+	r     *Rule
+	body  *storage.PivotPlan
+	head  storage.Proj
+	negs  []storage.Proj
+	maxAr int // widest head or negated atom: projection scratch size
 }
 
-// compileRule lowers one rule. idb names the predicates that can grow
-// during the stratum's own fixpoint; allDelta additionally compiles a
-// delta plan for every body atom, which incremental evaluation needs
-// because delta facts can arrive for any predicate, EDB included.
-func compileRule(r *Rule, db *storage.Instance, idb map[string]bool, allDelta bool) *compiledRule {
-	cr := &compiledRule{
-		r:    r,
-		plan: storage.CompilePlan(db, r.Body),
-	}
-	cr.head = cr.plan.CompileProj(r.Head)
+func compileRule(r *Rule, db *storage.Instance) *compiledRule {
+	cr := &compiledRule{r: r, body: storage.CompilePivotPlan(db, r.Body)}
+	cr.head = cr.body.Full().CompileProj(r.Head)
 	for _, n := range r.Negated {
-		cr.negs = append(cr.negs, cr.plan.CompileProj(n))
-	}
-	cr.deltaPlans = make([]*storage.Plan, len(r.Body))
-	cr.pivotProj = make([]storage.Proj, len(r.Body))
-	for i, a := range r.Body {
-		if !allDelta && !idb[a.Pred] {
-			continue
-		}
-		cr.deltaPlans[i] = storage.CompilePlan(db, r.Body, a.Vars()...)
-		cr.pivotProj[i] = cr.plan.CompileProj(a)
+		cr.negs = append(cr.negs, cr.body.Full().CompileProj(n))
 	}
 	cr.maxAr = len(r.Head.Args)
 	for _, n := range r.Negated {
@@ -270,7 +246,7 @@ func (cr *compiledRule) filters(db *storage.Instance, regs []int32, buf []int32)
 		}
 	}
 	for _, c := range cr.r.Conds {
-		ok, err := c.EvalTerms(cr.plan.TermAt(regs, c.L), cr.plan.TermAt(regs, c.R))
+		ok, err := c.EvalTerms(cr.body.Full().TermAt(regs, c.L), cr.body.Full().TermAt(regs, c.R))
 		if err != nil {
 			return false, fmt.Errorf("eval: rule %s: %w", cr.r.ID, err)
 		}
@@ -364,21 +340,13 @@ func (st *State) Reset(inst *storage.Instance) {
 // cardinalities have drifted far from what the original plans were
 // costed against. Slot assignment depends only on the body's source
 // order (first occurrence), never on atom order, so the existing
-// projections, register banks and pivot compilations all remain valid;
-// only the plans themselves are replaced. No-op before the first Init
-// compiles. Single-writer, like Init and Extend.
+// projections and register banks all remain valid; only the plans
+// themselves are replaced (storage.PivotPlan.Replan). No-op before the
+// first Init compiles. Single-writer, like Init and Extend.
 func (st *State) Replan() {
-	if st.comp == nil {
-		return
-	}
 	for _, comp := range st.comp {
 		for _, cr := range comp {
-			cr.plan = storage.CompilePlan(st.inst, cr.r.Body)
-			for i, a := range cr.r.Body {
-				if cr.deltaPlans[i] != nil {
-					cr.deltaPlans[i] = storage.CompilePlan(st.inst, cr.r.Body, a.Vars()...)
-				}
-			}
+			cr.body.Replan(st.inst)
 		}
 	}
 }
@@ -399,11 +367,7 @@ func (st *State) Init(ctx context.Context) error {
 			}
 			comp := make([]*compiledRule, len(rules))
 			for i, r := range rules {
-				// With negation, Extend is rejected, so only the
-				// stratum's own IDB pivots are needed; negation-free
-				// programs additionally compile a delta plan per body
-				// atom (Extend pivots on any atom, EDB included).
-				comp[i] = compileRule(r, st.inst, idb, !st.hasNeg)
+				comp[i] = compileRule(r, st.inst)
 				for _, a := range r.Body {
 					if idb[a.Pred] {
 						st.recursive[si] = true
@@ -414,162 +378,93 @@ func (st *State) Init(ctx context.Context) error {
 		}
 	}
 	for si, comp := range st.comp {
-		if err := ctx.Err(); err != nil {
+		if err := st.fixpoint(ctx, comp, st.recursive[si], nil); err != nil {
 			return err
-		}
-		if !st.recursive[si] {
-			// No rule reads what the stratum derives, so one full
-			// pass reaches its fixpoint and no delta is collected.
-			if err := st.fullRound(ctx, comp, nil); err != nil {
-				return err
-			}
-			continue
-		}
-
-		// Recursive strata: a full pass, then semi-naive rounds in
-		// which a rule re-fires only with at least one body atom
-		// matching the previous round's delta, pivoting on the
-		// stratum's own IDB predicates.
-		var delta []Fact
-		if err := st.fullRound(ctx, comp, &delta); err != nil {
-			return err
-		}
-		deltaByPred := map[string][][]int32{}
-		for len(delta) > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for pred := range deltaByPred {
-				deltaByPred[pred] = deltaByPred[pred][:0]
-			}
-			for _, f := range delta {
-				deltaByPred[f.Pred] = append(deltaByPred[f.Pred], f.Row)
-			}
-			var next []Fact
-			if err := st.deltaRound(ctx, comp, deltaByPred, &next); err != nil {
-				return err
-			}
-			delta = next
 		}
 	}
 	st.inited = true
 	return nil
 }
 
-// evalUnit is one work unit of a round: a shard of a rule's full-body
-// plan (pivot < 0) or a chunk of one pivot's delta rows. Units are
-// built in (rule index, pivot, chunk/shard) order, which fixes the
-// batch merge order.
-type evalUnit struct {
-	cr     *compiledRule
-	pivot  int // -1: full pass
-	shard  int // full pass: shard index
-	nshard int // full pass: shard count
-	lo, hi int // delta pass: row range within the pivot's delta
-}
-
-// fullRound runs every rule's full body once, sharded across the pool.
-// Newly derived facts are appended to *out when out is non-nil.
-func (st *State) fullRound(ctx context.Context, comp []*compiledRule, out *[]Fact) error {
+// fixpoint runs one stratum's rules to their fixpoint. A nil from
+// starts with a full round of every rule; otherwise the first round
+// pivots on the windows past from, the rows appended since that Lens.
+// Every later round pivots on the rows the round before it appended,
+// until a round has no work; a non-recursive stratum stops after its
+// first round, since none of its rules reads what it derives.
+//
+// A round fans the rules' units (storage.PivotPlan.Units, in rule
+// order) out on the pool: every worker matches against the round's
+// frozen instance view, filters, and stages head rows into the unit's
+// private batch, and the batches are merged in unit order on the
+// calling goroutine. Cancellation is checked once per unit (par.Map),
+// bounding latency by a single work unit rather than a whole round.
+func (st *State) fixpoint(ctx context.Context, comp []*compiledRule, recursive bool, from map[string]int) error {
 	w := st.pool.Width()
-	units := make([]evalUnit, 0, len(comp)*w)
-	for _, cr := range comp {
-		for s := 0; s < w; s++ {
-			units = append(units, evalUnit{cr: cr, pivot: -1, shard: s, nshard: w})
-		}
-	}
-	return st.runUnits(ctx, units, nil, out)
-}
-
-// deltaRound runs one semi-naive delta round over every rule, the
-// delta rows of each pivot chunked across the pool.
-func (st *State) deltaRound(ctx context.Context, comp []*compiledRule, deltaByPred map[string][][]int32, next *[]Fact) error {
-	units := make([]evalUnit, 0, len(comp))
-	for _, cr := range comp {
-		for i := range cr.r.Body {
-			if cr.deltaPlans[i] == nil {
-				continue
-			}
-			rows := deltaByPred[cr.pivotProj[i].Pred]
-			for _, c := range par.Chunks(len(rows), st.pool.Width()) {
-				units = append(units, evalUnit{cr: cr, pivot: i, lo: c[0], hi: c[1]})
-			}
-		}
-	}
-	return st.runUnits(ctx, units, deltaByPred, next)
-}
-
-// runUnits executes the units on the worker pool — every worker
-// matching against the round's frozen instance view and staging head
-// rows into the unit's private batch — then merges all batches in
-// unit order on the calling goroutine, appending each genuinely new
-// fact to *out when out is non-nil. Cancellation is checked once per
-// unit (par.Map), bounding latency by a single work unit rather than
-// a whole round.
-func (st *State) runUnits(ctx context.Context, units []evalUnit, deltaByPred map[string][][]int32, out *[]Fact) error {
-	if len(units) == 0 {
-		return nil
-	}
-	batches, err := par.Map(ctx, st.pool, len(units), func(t int) (*storage.Batch, error) {
-		u := &units[t]
-		cr := u.cr
-		regs := cr.plan.NewRegs()
-		buf := make([]int32, cr.maxAr)
-		b := &storage.Batch{}
-		var serr error
-		stage := func(regs []int32) bool {
-			ok, err := cr.filters(st.inst, regs, buf)
-			if err != nil {
-				serr = err
-				return false
-			}
-			if ok {
-				hb := buf[:cr.head.Len()]
-				cr.head.Project(regs, hb)
-				b.Add(cr.head.Pred, hb)
-			}
-			return true
-		}
-		if u.pivot < 0 {
-			cr.plan.ExecuteShard(st.inst, regs, u.shard, u.nshard, stage)
-			return b, serr
-		}
-		proj := &cr.pivotProj[u.pivot]
-		dp := cr.deltaPlans[u.pivot]
-		for _, row := range deltaByPred[proj.Pred][u.lo:u.hi] {
-			cr.plan.ResetRegs(regs)
-			if !proj.Bind(row, regs) {
-				continue
-			}
-			if !dp.Execute(st.inst, regs, stage) {
-				break // aborted on a filter error
-			}
-		}
-		return b, serr
-	})
-	if err != nil {
-		return err
-	}
-	var onNew func(pred string, row []int32)
-	if out != nil {
-		onNew = func(pred string, row []int32) {
-			*out = append(*out, Fact{Pred: pred, Row: row})
-		}
-	}
-	for _, b := range batches {
-		if _, err := st.inst.MergeBatch(b, onNew); err != nil {
+	for {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
+		full := from == nil
+		// A non-recursive full round reads no window and leaves none
+		// to a next round, so it takes no snapshot.
+		var to map[string]int
+		if !full || recursive {
+			to = st.inst.Lens()
+		}
+		var units []storage.Unit
+		var owner []*compiledRule // owner[t] is the rule of units[t]
+		for _, cr := range comp {
+			for _, u := range cr.body.Units(w, full, from, to) {
+				units = append(units, u)
+				owner = append(owner, cr)
+			}
+		}
+		if len(units) == 0 {
+			return nil
+		}
+		batches, err := par.Map(ctx, st.pool, len(units), func(t int) (*storage.Batch, error) {
+			cr := owner[t]
+			buf := make([]int32, cr.maxAr)
+			b := &storage.Batch{}
+			var serr error
+			cr.body.Run(st.inst, units[t], cr.body.Full().NewRegs(), func(regs []int32) bool {
+				ok, err := cr.filters(st.inst, regs, buf)
+				if err != nil {
+					serr = err
+					return false
+				}
+				if ok {
+					hb := buf[:cr.head.Len()]
+					cr.head.Project(regs, hb)
+					b.Add(cr.head.Pred, hb)
+				}
+				return true
+			})
+			return b, serr
+		})
+		if err != nil {
+			return err
+		}
+		for _, b := range batches {
+			if _, err := st.inst.MergeBatch(b); err != nil {
+				return err
+			}
+		}
+		if !recursive {
+			return nil
+		}
+		from = to
 	}
-	return nil
 }
 
 // Extend inserts the delta facts (rows in the instance's interner) and
 // grows the fixpoint incrementally: every stratum, in order, re-fires
-// its rules seeded by the incoming delta plus everything derived by
-// earlier strata during this call. It returns all newly derived facts
-// (not including the input delta) and requires a negation-free
-// program (see Incremental) and a prior Init.
+// its rules pivoting on the rows appended during this call — the new
+// delta facts plus everything earlier strata derived. It returns the
+// newly derived facts (not including the input delta), grouped by
+// relation in creation order, and requires a negation-free program
+// (see Incremental) and a prior Init.
 func (st *State) Extend(ctx context.Context, delta []Fact) ([]Fact, error) {
 	if !st.inited {
 		return nil, fmt.Errorf("eval: Extend before Init")
@@ -580,59 +475,25 @@ func (st *State) Extend(ctx context.Context, delta []Fact) ([]Fact, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// all accumulates every fact visible as a pivot: the input delta
-	// plus everything derived during this call.
-	all := make([]Fact, 0, len(delta))
+	start := st.inst.Lens()
 	for _, f := range delta {
-		isNew, err := st.inst.InsertRow(f.Pred, f.Row)
-		if err != nil {
+		if _, err := st.inst.InsertRow(f.Pred, f.Row); err != nil {
 			return nil, fmt.Errorf("eval: extend: %w", err)
 		}
-		if isNew {
-			all = append(all, f)
-		}
 	}
-	inserted := len(all)
-	// byPred indexes all by predicate as it grows, each fact once. A
-	// stratum's first round pivots on every row indexed so far (its
-	// rules have seen none of them); each later round pivots on the
-	// rows past the stratum's per-predicate cursors, which are what
-	// its previous round derived.
-	byPred := map[string][][]int32{}
-	indexed := 0
-	round := map[string][][]int32{}
+	derivedFrom := st.inst.Lens()
 	for si, comp := range st.comp {
-		if len(comp) == 0 {
-			continue
-		}
-		used := make(map[string]int, len(byPred))
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			for _, f := range all[indexed:] {
-				byPred[f.Pred] = append(byPred[f.Pred], f.Row)
-			}
-			indexed = len(all)
-			clear(round)
-			for pred, rows := range byPred {
-				if n := used[pred]; n < len(rows) {
-					round[pred] = rows[n:]
-					used[pred] = len(rows)
-				}
-			}
-			if len(round) == 0 {
-				break
-			}
-			if err := st.deltaRound(ctx, comp, round, &all); err != nil {
-				return nil, err
-			}
-			if !st.recursive[si] {
-				break // no rule of the stratum reads what it derived
-			}
+		if err := st.fixpoint(ctx, comp, st.recursive[si], start); err != nil {
+			return nil, err
 		}
 	}
-	return all[inserted:], nil
+	var derived []Fact
+	for _, name := range st.inst.RelationNames() {
+		for _, row := range st.inst.Relation(name).Rows()[derivedFrom[name]:] {
+			derived = append(derived, Fact{Pred: name, Row: row})
+		}
+	}
+	return derived, nil
 }
 
 // EvalQuery evaluates a conjunctive query (with optional negation and

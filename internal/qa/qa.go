@@ -17,6 +17,7 @@ package qa
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
@@ -266,9 +267,11 @@ type ChaseOptions struct {
 
 // CertainAnswersViaChase computes certain answers by chasing the
 // program to saturation and evaluating the query over the result,
-// discarding answers that contain labeled nulls. It is the executable
-// counterpart of the non-deterministic WeaklyStickyQAns and the oracle
-// that DeterministicWSQAns is validated against.
+// discarding answers that contain labeled nulls. A ≠ is certain only
+// between two constants (an invented null may equal any value in some
+// model), so a match whose ≠ reads a null is discarded too. It is the
+// executable counterpart of the non-deterministic WeaklyStickyQAns and
+// the oracle that DeterministicWSQAns is validated against.
 func CertainAnswersViaChase(ctx context.Context, prog *datalog.Program, db *storage.Instance, q *datalog.Query, opts ChaseOptions) (*datalog.AnswerSet, error) {
 	if len(q.Negated) > 0 {
 		return nil, fmt.Errorf("qa: query %s has negated atoms; certain-answer engines accept positive CQs only", q.Head.Pred)
@@ -287,10 +290,23 @@ func CertainAnswersViaChase(ctx context.Context, prog *datalog.Program, db *stor
 	if !res.Consistent() && !opts.AllowViolations {
 		return nil, fmt.Errorf("qa: %w", &qerr.InconsistentError{Violations: res.Violations})
 	}
+	// Evaluate with the ≠ variables appended to the head, so the null
+	// check covers them, then project back to the answer variables.
+	ext := *q
+	ext.Head.Args = slices.Clone(q.Head.Args)
+	for _, c := range q.Conds {
+		if c.Op == datalog.OpNe {
+			for _, t := range []datalog.Term{c.L, c.R} {
+				if t.IsVar() {
+					ext.Head.Args = append(ext.Head.Args, t)
+				}
+			}
+		}
+	}
 	answers := datalog.NewAnswerSet()
-	err = eval.EvalQueryFunc(q, res.Instance, func(ans datalog.Answer) bool {
+	err = eval.EvalQueryFunc(&ext, res.Instance, func(ans datalog.Answer) bool {
 		if !ans.HasNull() {
-			answers.Add(ans)
+			answers.Add(datalog.Answer{Terms: ans.Terms[:len(q.Head.Args)]})
 		}
 		return true
 	})

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	dl "repro/internal/datalog"
 	"repro/internal/hospital"
+	"repro/internal/rewrite"
 	"repro/internal/storage"
 )
 
@@ -329,6 +330,37 @@ func TestCertainAnswersViaChaseViolations(t *testing.T) {
 	}
 	if _, err := CertainAnswersViaChase(context.Background(), prog, db, q, ChaseOptions{AllowViolations: true}); err != nil {
 		t.Errorf("AllowViolations must evaluate anyway: %v", err)
+	}
+}
+
+// TestNeOnInventedNullNotCertain: under R(y) → ∃z S(y, z) over R(c),
+// the match of Q(y) <- S(y, x), x != "a" binds x to an invented null,
+// and a model with S(c, a) falsifies the ≠, so (c) is not certain.
+// Every certain-answer engine must return nothing.
+func TestNeOnInventedNullNotCertain(t *testing.T) {
+	ctx := context.Background()
+	db := storage.NewInstance()
+	db.MustInsert("R", dl.C("c"))
+	prog := dl.NewProgram()
+	prog.AddTGD(dl.NewTGD("t",
+		[]dl.Atom{dl.A("S", dl.V("y"), dl.V("z"))},
+		[]dl.Atom{dl.A("R", dl.V("y"))}))
+	q := dl.NewQuery(dl.A("Q", dl.V("y")), dl.A("S", dl.V("y"), dl.V("x"))).
+		WithCond(dl.OpNe, dl.V("x"), dl.C("a"))
+	oracle, err := CertainAnswersViaChase(ctx, prog, db, q, ChaseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := Answer(ctx, prog, db, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := rewrite.Answer(ctx, prog, db, q, rewrite.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle.Len() != 0 || det.Len() != 0 || rw.Len() != 0 {
+		t.Errorf("chase %v, DetQA %v, rewrite %v; want no certain answer", oracle, det, rw)
 	}
 }
 

@@ -205,22 +205,20 @@ func genStratWorld(r *rand.Rand) stratWorld {
 	for j := 0; j < 1+r.Intn(3); j++ {
 		body = append(body, atom(r.Intn(stratLevels), []string{"u", "v", "s"}))
 	}
+	vars := dl.VarsOfAtoms(body)
 	var ans []dl.Term
-	for _, v := range dl.VarsOfAtoms(body) {
+	for _, v := range vars {
 		if r.Intn(2) == 0 {
 			ans = append(ans, v)
 		}
 	}
 	w.Query = dl.NewQuery(dl.Atom{Pred: "Q", Args: ans}, body...)
-	// The condition reads answer variables only: the chase oracle
-	// evaluates ≠ on labeled nulls as on distinct values, which is not
-	// certain for a variable that stays a null.
-	if len(ans) > 0 && r.Intn(3) == 0 {
+	if len(vars) > 0 && r.Intn(3) == 0 {
 		rhs := dl.C(consts[r.Intn(len(consts))])
 		if r.Intn(2) == 0 {
-			rhs = ans[r.Intn(len(ans))]
+			rhs = vars[r.Intn(len(vars))]
 		}
-		w.Query.WithCond(dl.OpNe, ans[r.Intn(len(ans))], rhs)
+		w.Query.WithCond(dl.OpNe, vars[r.Intn(len(vars))], rhs)
 	}
 	return w
 }

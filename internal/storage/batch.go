@@ -39,34 +39,17 @@ func (b *Batch) Add(pred string, row []int32) {
 	b.cells = append(b.cells, row...)
 }
 
-// Len returns the number of staged rows.
-func (b *Batch) Len() int {
-	n := 0
-	for _, run := range b.runs {
-		n += run.count
-	}
-	return n
-}
-
-// Reset empties the batch for reuse, keeping its storage.
-func (b *Batch) Reset() {
-	b.cells = b.cells[:0]
-	b.runs = b.runs[:0]
-}
-
 // MergeBatch merges a staged batch into the instance in emission
 // order, creating relations as needed (synthetic attribute names,
 // like InsertRow). Rows are deduplicated against the existing slot
 // tables (and each other) exactly as row-at-a-time InsertRow would,
 // so the merged instance is indistinguishable from one built by
-// sequential inserts in the same order. onNew, when non-nil, receives
-// the relation name and arena-stored copy of every row that was
-// actually new (valid for the relation's lifetime, like Rows()
-// entries). It returns the number of new rows. MergeBatch is the
-// single-writer half of the parallel round protocol: workers stage
-// into private Batches against a frozen view, then one goroutine
-// merges every batch in unit order.
-func (db *Instance) MergeBatch(b *Batch, onNew func(pred string, stored []int32)) (int, error) {
+// sequential inserts in the same order; the new rows are the ones past
+// a Lens taken before the merge. It returns the number of new rows.
+// MergeBatch is the single-writer half of the parallel round protocol:
+// workers stage into private Batches against a frozen view, then one
+// goroutine merges every batch in unit order.
+func (db *Instance) MergeBatch(b *Batch) (int, error) {
 	added := 0
 	for _, run := range b.runs {
 		rel, err := db.ensure(run.pred, run.arity)
@@ -75,15 +58,12 @@ func (db *Instance) MergeBatch(b *Batch, onNew func(pred string, stored []int32)
 		}
 		for i := 0; i < run.count; i++ {
 			at := run.start + i*run.arity
-			stored, isNew, err := rel.insertRowStored(b.cells[at : at+run.arity])
+			isNew, err := rel.InsertRow(b.cells[at : at+run.arity])
 			if err != nil {
 				return added, fmt.Errorf("storage: merge batch: %w", err)
 			}
 			if isNew {
 				added++
-				if onNew != nil {
-					onNew(run.pred, stored)
-				}
 			}
 		}
 	}

@@ -22,7 +22,12 @@ func joinDB(t *testing.T, seed int64, rows int) *Instance {
 
 // TestExecuteShardPartitionsExecute pins the sharding contract: the
 // concatenation of shards 0..n-1 must reproduce Execute's matches in
-// Execute's order, for any shard count.
+// Execute's order, for any shard count. It pins the PivotPlan round
+// runner on the same join too: full units run in order reproduce
+// Execute; after rows are appended, the delta units over the windows
+// [from, to) enumerate one match sequence at every width, and as a
+// set those matches are exactly the full matches whose projection onto
+// some pivot atom is a window row.
 func TestExecuteShardPartitionsExecute(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		db := joinDB(t, seed, 30)
@@ -60,6 +65,62 @@ func TestExecuteShardPartitionsExecute(t *testing.T) {
 				}
 			}
 		}
+
+		pp := CompilePivotPlan(db, body)
+		widths := []int{1, 2, 3, 7}
+		roundMatches := func(width int, full bool, from, to map[string]int) [][]int32 {
+			var out [][]int32
+			for _, u := range pp.Units(width, full, from, to) {
+				out = append(out, collect(func(fn func([]int32) bool) {
+					pp.Run(db, u, pp.Full().NewRegs(), fn)
+				})...)
+			}
+			return out
+		}
+		for _, width := range widths {
+			if got := roundMatches(width, true, nil, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d width %d: full units %v, want %v", seed, width, got, want)
+			}
+		}
+
+		from := db.Lens()
+		grow := joinDB(t, seed+100, 6)
+		for _, name := range []string{"R", "S"} {
+			for _, tup := range grow.Relation(name).Tuples() {
+				db.MustInsert(name, tup...)
+			}
+		}
+		to := db.Lens()
+		delta := roundMatches(1, false, from, to)
+		for _, width := range widths[1:] {
+			if got := roundMatches(width, false, from, to); fmt.Sprint(got) != fmt.Sprint(delta) {
+				t.Fatalf("seed %d width %d: delta units %v, width 1 %v", seed, width, got, delta)
+			}
+		}
+		inWindow := map[string]bool{}
+		for _, name := range []string{"R", "S"} {
+			for _, row := range db.Relation(name).Rows()[from[name]:to[name]] {
+				inWindow[fmt.Sprint(name, row)] = true
+			}
+		}
+		wantDelta := map[string]bool{}
+		for _, m := range collect(func(fn func([]int32) bool) { plan.Execute(db, plan.NewRegs(), fn) }) {
+			for _, a := range body {
+				proj := plan.CompileProj(a)
+				row := make([]int32, proj.Len())
+				proj.Project(m, row)
+				if inWindow[fmt.Sprint(a.Pred, row)] {
+					wantDelta[fmt.Sprint(m)] = true
+				}
+			}
+		}
+		gotDelta := map[string]bool{}
+		for _, m := range delta {
+			gotDelta[fmt.Sprint(m)] = true
+		}
+		if len(wantDelta) == 0 || fmt.Sprint(gotDelta) != fmt.Sprint(wantDelta) {
+			t.Fatalf("seed %d: delta matches %v, want the full matches touching a window row %v", seed, gotDelta, wantDelta)
+		}
 	}
 }
 
@@ -83,7 +144,8 @@ func TestExecuteShardGroundBody(t *testing.T) {
 
 // TestMergeBatchMatchesSequentialInserts pins the single-writer merge
 // to row-at-a-time insertion: same dedup, same final relation, and
-// onNew fires exactly for the genuinely new rows, in batch order.
+// the window past a pre-merge Lens holds exactly the genuinely new
+// rows, in batch order.
 func TestMergeBatchMatchesSequentialInserts(t *testing.T) {
 	db := NewInstance()
 	in := db.Interner()
@@ -99,9 +161,6 @@ func TestMergeBatchMatchesSequentialInserts(t *testing.T) {
 	for i, row := range staged {
 		batch.Add(preds[i], row)
 	}
-	if batch.Len() != len(staged) {
-		t.Fatalf("batch len = %d, want %d", batch.Len(), len(staged))
-	}
 
 	seq := db.Clone()
 	var wantNew [][2]string
@@ -115,18 +174,22 @@ func TestMergeBatchMatchesSequentialInserts(t *testing.T) {
 		}
 	}
 
-	var gotNew [][2]string
-	added, err := db.MergeBatch(&batch, func(pred string, stored []int32) {
-		gotNew = append(gotNew, [2]string{pred, fmt.Sprint(stored)})
-	})
+	lens := db.Lens()
+	added, err := db.MergeBatch(&batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if added != len(wantNew) {
 		t.Fatalf("MergeBatch added %d, want %d", added, len(wantNew))
 	}
+	var gotNew [][2]string
+	for _, name := range db.RelationNames() {
+		for _, row := range db.Relation(name).Rows()[lens[name]:] {
+			gotNew = append(gotNew, [2]string{name, fmt.Sprint(row)})
+		}
+	}
 	if fmt.Sprint(gotNew) != fmt.Sprint(wantNew) {
-		t.Fatalf("onNew sequence %v, want %v", gotNew, wantNew)
+		t.Fatalf("new rows %v, want %v", gotNew, wantNew)
 	}
 	if !db.Equal(seq) {
 		t.Fatalf("merged instance differs from sequential inserts:\n%s\nvs\n%s", db, seq)
@@ -145,12 +208,6 @@ func TestMergeBatchMatchesSequentialInserts(t *testing.T) {
 			}
 		}
 	}
-
-	// Reset empties the batch for reuse.
-	batch.Reset()
-	if batch.Len() != 0 {
-		t.Fatalf("reset batch len = %d", batch.Len())
-	}
 }
 
 // TestInsertBatchFrozen verifies batch merges respect the snapshot
@@ -161,7 +218,7 @@ func TestInsertBatchFrozen(t *testing.T) {
 	snap := db.Snapshot()
 	var batch Batch
 	batch.Add("R", []int32{0, 1})
-	if _, err := snap.MergeBatch(&batch, nil); err == nil {
+	if _, err := snap.MergeBatch(&batch); err == nil {
 		t.Fatal("MergeBatch into frozen snapshot succeeded")
 	}
 }
@@ -169,13 +226,23 @@ func TestInsertBatchFrozen(t *testing.T) {
 // TestRandomBatchesMatchSequentialInserts stages random interleavings
 // of rows for relations of arity 2, 1 and 0, with duplicates within
 // and across batches, and checks every merge against row-at-a-time
-// InsertRow on a twin instance: same new-row count, same onNew
-// sequence, and the same rows in the same insertion order.
+// InsertRow on a twin instance: same new-row count, the same new rows
+// past each side's pre-merge Lens, and the same rows in the same
+// insertion order.
 func TestRandomBatchesMatchSequentialInserts(t *testing.T) {
 	rels := []struct {
 		name  string
 		arity int
 	}{{"R", 2}, {"T", 1}, {"Z", 0}}
+	newRows := func(inst *Instance, lens map[string]int) []string {
+		var out []string
+		for _, name := range inst.RelationNames() {
+			for _, row := range inst.Relation(name).Rows()[lens[name]:] {
+				out = append(out, fmt.Sprint(name, row))
+			}
+		}
+		return out
+	}
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db, seq := NewInstance(), NewInstance()
@@ -186,7 +253,7 @@ func TestRandomBatchesMatchSequentialInserts(t *testing.T) {
 		}
 		var batch Batch
 		for round := 0; round < 3; round++ {
-			batch.Reset()
+			batch = Batch{}
 			type staged struct {
 				pred string
 				row  []int32
@@ -201,27 +268,19 @@ func TestRandomBatchesMatchSequentialInserts(t *testing.T) {
 				batch.Add(rel.name, row)
 				rows = append(rows, staged{rel.name, row})
 			}
-			if batch.Len() != len(rows) {
-				t.Fatalf("seed %d: batch len %d, staged %d", seed, batch.Len(), len(rows))
-			}
-			var want []string
+			seqLens := seq.Lens()
 			for _, s := range rows {
-				isNew, err := seq.InsertRow(s.pred, s.row)
-				if err != nil {
+				if _, err := seq.InsertRow(s.pred, s.row); err != nil {
 					t.Fatal(err)
 				}
-				if isNew {
-					want = append(want, fmt.Sprint(s.pred, s.row))
-				}
 			}
-			var got []string
-			added, err := db.MergeBatch(&batch, func(pred string, stored []int32) {
-				got = append(got, fmt.Sprint(pred, stored))
-			})
+			want := newRows(seq, seqLens)
+			lens := db.Lens()
+			added, err := db.MergeBatch(&batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if added != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
+			if got := newRows(db, lens); added != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("seed %d round %d: merge added %d %v, sequential inserts %v", seed, round, added, got, want)
 			}
 		}
@@ -245,7 +304,7 @@ func TestMergeBatchArityMismatch(t *testing.T) {
 	var batch Batch
 	batch.Add("R", []int32{0, 1})
 	batch.Add("R", []int32{0})
-	if _, err := db.MergeBatch(&batch, nil); err == nil {
+	if _, err := db.MergeBatch(&batch); err == nil {
 		t.Fatal("merging a row of the wrong arity succeeded")
 	}
 	if got := db.Relation("R").Len(); got != 1 {

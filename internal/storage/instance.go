@@ -152,6 +152,19 @@ func (db *Instance) DeleteAtom(a datalog.Atom) bool {
 	return rel.Delete(a.Args)
 }
 
+// Lens snapshots every relation's row count. Relations only append
+// between rebuilds, so the rows of a relation past its count in an
+// earlier Lens are exactly the rows inserted since: the semi-naive
+// rounds of the chase and eval read their deltas as such windows (see
+// PivotPlan.Units).
+func (db *Instance) Lens() map[string]int {
+	lens := make(map[string]int, len(db.order))
+	for _, name := range db.order {
+		lens[name] = db.relations[name].Len()
+	}
+	return lens
+}
+
 // TotalTuples returns the number of tuples across all relations.
 func (db *Instance) TotalTuples() int {
 	n := 0

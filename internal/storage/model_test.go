@@ -175,8 +175,8 @@ func TestModelRelationOps(t *testing.T) {
 				}
 			case 3:
 				var batch Batch
-				wantAdded := 0
-				for i := rng.Intn(5); i >= 0; i-- {
+				wantAdded, n := 0, rng.Intn(5)+1
+				for i := 0; i < n; i++ {
 					tup := tuple()
 					batch.Add("R", w.rel.Interner().IDs(tup, nil))
 					var isNew bool
@@ -184,11 +184,11 @@ func TestModelRelationOps(t *testing.T) {
 						wantAdded++
 					}
 				}
-				op = fmt.Sprintf("%s.MergeBatch(%d rows)", w.what, batch.Len())
+				op = fmt.Sprintf("%s.MergeBatch(%d rows)", w.what, n)
 				// An instance holding only the writer, so clones merge
 				// through MergeBatch too.
 				inst := &Instance{relations: map[string]*Relation{"R": w.rel}, order: []string{"R"}, in: w.rel.in}
-				if added, err := inst.MergeBatch(&batch, nil); err != nil || added != wantAdded {
+				if added, err := inst.MergeBatch(&batch); err != nil || added != wantAdded {
 					t.Fatalf("seed %d step %d %s: added=%d err=%v, model added=%d", seed, step, op, added, err, wantAdded)
 				}
 			case 4, 5:

@@ -342,9 +342,6 @@ func (a *postingArena) grow(list []int, v int) []int {
 	return append(seg, v)
 }
 
-// Reset drops the current chunk so retired lists can be collected.
-func (a *postingArena) Reset() { *a = postingArena{} }
-
 // Insert adds a ground tuple. It returns true if the tuple was new, and
 // an error on arity mismatch or non-ground terms.
 func (r *Relation) Insert(tuple []datalog.Term) (bool, error) {
@@ -372,35 +369,25 @@ func (r *Relation) Insert(tuple []datalog.Term) (bool, error) {
 // from this relation's interner; the slice is copied. It reports
 // whether the row was new.
 func (r *Relation) InsertRow(ids []int32) (bool, error) {
-	_, isNew, err := r.insertRowStored(ids)
-	return isNew, err
-}
-
-// insertRowStored is the core of InsertRow: it validates, dedups and
-// stores the row, returning the arena-stored copy when the row was
-// new (nil otherwise). Batch merging uses the stored slice to build
-// delta-fact lists without re-copying.
-func (r *Relation) insertRowStored(ids []int32) ([]int32, bool, error) {
 	if r.frozen {
-		return nil, false, errFrozen(r.schema.Name)
+		return false, errFrozen(r.schema.Name)
 	}
 	if len(ids) != r.schema.Arity() {
-		return nil, false, fmt.Errorf("storage: %s expects %d attributes, got %d", r.schema.Name, r.schema.Arity(), len(ids))
+		return false, fmt.Errorf("storage: %s expects %d attributes, got %d", r.schema.Name, r.schema.Arity(), len(ids))
 	}
 	for _, id := range ids {
 		if id < 0 || int(id) >= r.in.Len() {
-			return nil, false, fmt.Errorf("storage: %s: row id %d outside interner range", r.schema.Name, id)
+			return false, fmt.Errorf("storage: %s: row id %d outside interner range", r.schema.Name, id)
 		}
 		if r.in.TermOf(id).IsVar() {
-			return nil, false, fmt.Errorf("storage: cannot insert non-ground row into %s", r.schema.Name)
+			return false, fmt.Errorf("storage: cannot insert non-ground row into %s", r.schema.Name)
 		}
 	}
 	if _, dup := r.lookupRow(ids); dup {
-		return nil, false, nil
+		return false, nil
 	}
-	stored := r.rowArena.Copy(ids)
-	r.appendRow(stored)
-	return stored, true, nil
+	r.appendRow(r.rowArena.Copy(ids))
+	return true, nil
 }
 
 // Contains reports whether the ground tuple is present. It allocates
