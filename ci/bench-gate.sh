@@ -11,10 +11,12 @@
 # recursive stratum, which the hospital rules never reach), each at
 # n=400. Every benchmark runs at GOMAXPROCS 1 and 2 (-test.cpu): width
 # 1 has no code path of its own in the engines, so only running it
-# keeps it gated. The gate fails when a benchmark present at both
-# commits has a median change/base ns/op ratio above 1.30 over the
-# pairs, or when no benchmark matches; a benchmark only one side has
-# is skipped. A <base-rev> that does not resolve (the all-zero
+# keeps it gated. Runs pass -test.benchmem. The gate fails when a
+# benchmark present at both commits has a median change/base ns/op
+# ratio above 1.30 over the pairs, or a median change/base B/op ratio
+# above 1.10 (bytes per op barely vary between runs, so they gate
+# allocation more tightly than time can be gated), or when no
+# benchmark matches; a benchmark only one side has is skipped. A <base-rev> that does not resolve (the all-zero
 # "before" of a new branch) falls back to HEAD^.
 #
 # The raw outputs are left in bench-gate-base.txt and
@@ -53,7 +55,7 @@ go test -c -o "$work/change.test" ./internal/benchsuite
 run() {
   (cd "$2/internal/benchsuite" &&
     "$work/$1.test" -test.run '^$' -test.bench "$BENCH" -test.cpu "$CPU" \
-      -test.benchtime "$BENCHTIME" -test.timeout 10m) >>"$root/bench-gate-$1.txt"
+      -test.benchtime "$BENCHTIME" -test.benchmem -test.timeout 10m) >>"$root/bench-gate-$1.txt"
 }
 
 : >"$root/bench-gate-base.txt"

@@ -500,7 +500,7 @@ func (st *State) applyTGD(ctx context.Context, ts *tgdState, full bool, roundSta
 // afterwards, so the resulting trigger list does not depend on the
 // pool width.
 func (st *State) discover(ctx context.Context, ts *tgdState, full bool, roundStart map[string]int) error {
-	units := ts.body.Units(st.pool.Width(), full, st.watermark, roundStart)
+	units := ts.body.Units(nil, st.pool.Width(), full, st.watermark, roundStart)
 	if len(units) == 0 {
 		return nil
 	}

@@ -396,11 +396,14 @@ func (st *State) Init(ctx context.Context) error {
 // A round fans the rules' units (storage.PivotPlan.Units, in rule
 // order) out on the pool: every worker matches against the round's
 // frozen instance view, filters, and stages head rows into the unit's
-// private batch, and the batches are merged in unit order on the
-// calling goroutine. Cancellation is checked once per unit (par.Map),
-// bounding latency by a single work unit rather than a whole round.
+// private batch, and one MergeBatch call on the calling goroutine
+// merges the round's batches in unit order. Cancellation is checked
+// once per unit (par.Map), bounding latency by a single work unit
+// rather than a whole round.
 func (st *State) fixpoint(ctx context.Context, comp []*compiledRule, recursive bool, from map[string]int) error {
 	w := st.pool.Width()
+	var units []storage.Unit
+	var owner []*compiledRule // owner[t] is the rule of units[t]
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -412,11 +415,10 @@ func (st *State) fixpoint(ctx context.Context, comp []*compiledRule, recursive b
 		if !full || recursive {
 			to = st.inst.Lens()
 		}
-		var units []storage.Unit
-		var owner []*compiledRule // owner[t] is the rule of units[t]
+		units, owner = units[:0], owner[:0]
 		for _, cr := range comp {
-			for _, u := range cr.body.Units(w, full, from, to) {
-				units = append(units, u)
+			units = cr.body.Units(units, w, full, from, to)
+			for len(owner) < len(units) {
 				owner = append(owner, cr)
 			}
 		}
@@ -446,10 +448,8 @@ func (st *State) fixpoint(ctx context.Context, comp []*compiledRule, recursive b
 		if err != nil {
 			return err
 		}
-		for _, b := range batches {
-			if _, err := st.inst.MergeBatch(b); err != nil {
-				return err
-			}
+		if _, err := st.inst.MergeBatch(batches...); err != nil {
+			return err
 		}
 		if !recursive {
 			return nil

@@ -16,6 +16,7 @@ package rewrite
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -119,13 +120,26 @@ func unfoldVia(q *datalog.Query, i int, ren *datalog.TGD) []*datalog.Query {
 	}
 	var out []*datalog.Query
 	datalog.Pieces(q.Body[i], rest, ren, protect, func(sigma datalog.Subst, body []datalog.Atom) bool {
-		nq := &datalog.Query{Head: sigma.ApplyAtom(q.Head), Body: body}
+		nq := &datalog.Query{Head: sigma.ApplyAtom(q.Head), Body: distinctAtoms(body)}
 		for _, c := range q.Conds {
 			nq.Conds = append(nq.Conds, datalog.Comparison{Op: c.Op, L: sigma.Apply(c.L), R: sigma.Apply(c.R)})
 		}
 		out = append(out, nq)
 		return true
 	})
+	return out
+}
+
+// distinctAtoms drops repeated atoms from body in place, keeping each
+// atom's first occurrence: a conjunction is idempotent, so the CQ means
+// the same and its join has fewer atoms.
+func distinctAtoms(body []datalog.Atom) []datalog.Atom {
+	out := body[:0]
+	for _, a := range body {
+		if !slices.ContainsFunc(out, a.Equal) {
+			out = append(out, a)
+		}
+	}
 	return out
 }
 

@@ -322,6 +322,25 @@ func TestCanonicalKeyDeduplicates(t *testing.T) {
 	if canonicalKey(q1) == canonicalKey(q3) {
 		t.Error("structurally different queries must differ")
 	}
+
+	// An unfolded body keeps each atom once: L2("c", x) <- L1(x), L1(x)
+	// unfolds Q(x) <- L2("c", x) to one L1 atom, not two.
+	prog := dl.NewProgram()
+	prog.AddTGD(dl.NewTGD("dup",
+		[]dl.Atom{dl.A("L2", dl.C("c"), dl.V("x"))},
+		[]dl.Atom{dl.A("L1", dl.V("x")), dl.A("L1", dl.V("x"))}))
+	q := dl.NewQuery(dl.A("Q", dl.V("x")), dl.A("L2", dl.C("c"), dl.V("x")))
+	ucq, err := Rewrite(prog, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, cq := range ucq {
+		got = append(got, cq.String())
+	}
+	if want := []string{q.String(), "Q(ρ0) <- L1(ρ0)"}; strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("UCQ = %q, want %q", got, want)
+	}
 }
 
 func TestRewriteStringsMentionRuleBodies(t *testing.T) {

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	dl "repro/internal/datalog"
@@ -70,7 +71,7 @@ func TestExecuteShardPartitionsExecute(t *testing.T) {
 		widths := []int{1, 2, 3, 7}
 		roundMatches := func(width int, full bool, from, to map[string]int) [][]int32 {
 			var out [][]int32
-			for _, u := range pp.Units(width, full, from, to) {
+			for _, u := range pp.Units(nil, width, full, from, to) {
 				out = append(out, collect(func(fn func([]int32) bool) {
 					pp.Run(db, u, pp.Full().NewRegs(), fn)
 				})...)
@@ -225,10 +226,15 @@ func TestInsertBatchFrozen(t *testing.T) {
 
 // TestRandomBatchesMatchSequentialInserts stages random interleavings
 // of rows for relations of arity 2, 1 and 0, with duplicates within
-// and across batches, and checks every merge against row-at-a-time
+// and across batches, splits each round's rows over several batches
+// merged in one call, and checks every merge against row-at-a-time
 // InsertRow on a twin instance: same new-row count, the same new rows
 // past each side's pre-merge Lens, and the same rows in the same
-// insertion order.
+// insertion order. Every other seed's first round stages at least ten
+// copies of each row it adds, so the cold fill reserves for far more
+// rows than arrive; after every merge each relation's slot table must
+// have the twin's size and its row capacity must stay within
+// 2·len+16, which only holds if the merge gives the surplus back.
 func TestRandomBatchesMatchSequentialInserts(t *testing.T) {
 	rels := []struct {
 		name  string
@@ -243,6 +249,10 @@ func TestRandomBatchesMatchSequentialInserts(t *testing.T) {
 		}
 		return out
 	}
+	type staged struct {
+		pred string
+		row  []int32
+	}
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db, seq := NewInstance(), NewInstance()
@@ -251,22 +261,50 @@ func TestRandomBatchesMatchSequentialInserts(t *testing.T) {
 			ids[i] = db.Interner().ID(dl.C(fmt.Sprintf("c%d", i)))
 			seq.Interner().ID(dl.C(fmt.Sprintf("c%d", i)))
 		}
-		var batch Batch
-		for round := 0; round < 3; round++ {
-			batch = Batch{}
-			type staged struct {
-				pred string
-				row  []int32
+		randRow := func() staged {
+			rel := rels[rng.Intn(len(rels))]
+			row := make([]int32, rel.arity)
+			for j := range row {
+				row[j] = ids[rng.Intn(len(ids))]
 			}
+			return staged{rel.name, row}
+		}
+		for round := 0; round < 3; round++ {
 			var rows []staged
-			for i := rng.Intn(40); i > 0; i-- {
-				rel := rels[rng.Intn(len(rels))]
-				row := make([]int32, rel.arity)
-				for j := range row {
-					row[j] = ids[rng.Intn(len(ids))]
+			if round == 0 && seed%2 == 1 {
+				// A few distinct rows, each staged 10 to 200 times in
+				// random order: at least ten staged rows per new row.
+				distinct := map[string]bool{}
+				for i := 1 + rng.Intn(4); i > 0; i-- {
+					s := randRow()
+					if distinct[fmt.Sprint(s)] {
+						continue
+					}
+					distinct[fmt.Sprint(s)] = true
+					for c := 10 + rng.Intn(191); c > 0; c-- {
+						rows = append(rows, s)
+					}
 				}
-				batch.Add(rel.name, row)
-				rows = append(rows, staged{rel.name, row})
+				rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+			} else {
+				for i := rng.Intn(40); i > 0; i-- {
+					rows = append(rows, randRow())
+				}
+			}
+			// Split the round over 1 to 4 batches at random cut points;
+			// a batch may be empty.
+			batches := make([]*Batch, 1+rng.Intn(4))
+			for i := range batches {
+				batches[i] = &Batch{}
+			}
+			cuts := make([]int, len(batches)-1)
+			for i := range cuts {
+				cuts[i] = rng.Intn(len(rows) + 1)
+			}
+			sort.Ints(cuts)
+			for i, s := range rows {
+				bi := sort.SearchInts(cuts, i+1)
+				batches[bi].Add(s.pred, s.row)
 			}
 			seqLens := seq.Lens()
 			for _, s := range rows {
@@ -276,12 +314,21 @@ func TestRandomBatchesMatchSequentialInserts(t *testing.T) {
 			}
 			want := newRows(seq, seqLens)
 			lens := db.Lens()
-			added, err := db.MergeBatch(&batch)
+			added, err := db.MergeBatch(batches...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := newRows(db, lens); added != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("seed %d round %d: merge added %d %v, sequential inserts %v", seed, round, added, got, want)
+			}
+			for _, name := range seq.RelationNames() {
+				a, b := db.Relation(name), seq.Relation(name)
+				if len(a.slots) != len(b.slots) {
+					t.Fatalf("seed %d round %d: %s has %d slots for %d rows, sequential inserts %d", seed, round, name, len(a.slots), a.Len(), len(b.slots))
+				}
+				if cap(a.rows) > 2*a.Len()+16 {
+					t.Fatalf("seed %d round %d: %s row capacity %d for %d rows", seed, round, name, cap(a.rows), a.Len())
+				}
 			}
 		}
 		for _, rel := range rels {

@@ -75,29 +75,30 @@ func (pp *PivotPlan) Retarget(in *datalog.Interner) *PivotPlan {
 	return out
 }
 
-// Units splits one round into work units for a pool of the given
-// width. A full round is width shards of the full plan. A delta round
-// pivots each body atom, in body order, on its relation's window
+// Units appends to dst the work units of one round for a pool of the
+// given width, and returns the extended slice; a caller that builds
+// rounds in a loop passes the previous round's slice cut to length 0.
+// A full round is width shards of the full plan. A delta round pivots
+// each body atom, in body order, on its relation's window
 // [from[pred], to[pred]) — the rows appended between two Lens
 // snapshots — chunked with par.Chunks. Unit boundaries depend only on
 // the width and the windows, and running the units in order
 // enumerates the same matches in the same order at every width.
-func (pp *PivotPlan) Units(width int, full bool, from, to map[string]int) []Unit {
-	var units []Unit
+func (pp *PivotPlan) Units(dst []Unit, width int, full bool, from, to map[string]int) []Unit {
 	if full {
 		for s := 0; s < width; s++ {
-			units = append(units, Unit{pivot: -1, shard: s, nshard: width})
+			dst = append(dst, Unit{pivot: -1, shard: s, nshard: width})
 		}
-		return units
+		return dst
 	}
 	for i := range pp.pivots {
 		pred := pp.pivots[i].Pred
 		lo, hi := from[pred], to[pred]
 		for _, c := range par.Chunks(hi-lo, width) {
-			units = append(units, Unit{pivot: i, lo: lo + c[0], hi: lo + c[1]})
+			dst = append(dst, Unit{pivot: i, lo: lo + c[0], hi: lo + c[1]})
 		}
 	}
-	return units
+	return dst
 }
 
 // Run enumerates the unit's matches into fn, with regs a register bank

@@ -55,7 +55,9 @@ func (s Schema) String() string {
 // copies on its first write after a snapshot (ensureOwned). A deep
 // Clone never appends into storage it did not carve: its rows and
 // posting lists are fresh and capacity-capped. rebuild (Delete,
-// ReplaceTerms) re-carves everything into fresh storage.
+// ReplaceTerms) re-carves everything into fresh storage, and a
+// MergeBatch cold fill (reserve, giveBack) only swaps in fresh
+// row-header arrays and slot tables.
 type Relation struct {
 	schema Schema
 	in     *datalog.Interner
@@ -66,7 +68,7 @@ type Relation struct {
 	// the row count. It holds no pointers, so the collector never
 	// scans it and one copy duplicates it.
 	slots   []int32
-	indexes []map[int32][]int // position -> term id -> tuple indices
+	indexes []map[int32][]int32 // position -> term id -> row indices
 	// A chunked arena backs the rows, so bulk loads and chase/eval
 	// insert storms cost one allocation per chunk instead of one per
 	// tuple. Stored rows are never written again: rebuilds re-carve.
@@ -110,7 +112,7 @@ func (r *Relation) ensureOwned() {
 		return
 	}
 	r.slots = slices.Clone(r.slots)
-	indexes := make([]map[int32][]int, len(r.indexes))
+	indexes := make([]map[int32][]int32, len(r.indexes))
 	for pos, idx := range r.indexes {
 		indexes[pos] = maps.Clone(idx)
 	}
@@ -134,12 +136,12 @@ func (r *Relation) keyBytes() int64 {
 }
 
 // rowBytes estimates the storage snapshots share as a prefix: each
-// row's slice header and cells, and one posting entry per row in every
-// position index.
+// row's slice header and cells, and one 4-byte posting entry per row
+// in every position index.
 func (r *Relation) rowBytes() int64 {
-	const sliceHdr, intSize = 24, 8
+	const sliceHdr = 24
 	n, arity := int64(len(r.rows)), int64(r.schema.Arity())
-	return n * (sliceHdr + 4*arity + intSize*arity)
+	return n * (sliceHdr + 4*arity + 4*arity)
 }
 
 // exclusiveBytes estimates the memory snapshot r holds that next, a
@@ -194,9 +196,9 @@ func NewRelation(schema Schema) *Relation {
 
 func newRelation(schema Schema, in *datalog.Interner) *Relation {
 	r := &Relation{schema: schema, in: in}
-	r.indexes = make([]map[int32][]int, schema.Arity())
+	r.indexes = make([]map[int32][]int32, schema.Arity())
 	for i := range r.indexes {
-		r.indexes[i] = map[int32][]int{}
+		r.indexes[i] = map[int32][]int32{}
 	}
 	r.maxBucket = make([]int, schema.Arity())
 	return r
@@ -225,17 +227,26 @@ func rowsEqual(a, b []int32) bool {
 
 // lookupRow returns the index of the row equal to ids, if present.
 func (r *Relation) lookupRow(ids []int32) (int, bool) {
+	row, _ := r.find(ids, datalog.HashInt32s(ids))
+	return row, row >= 0
+}
+
+// find probes the slot table for ids, whose row hash is h. It returns
+// the index of the equal row and its slot, or row -1 and the empty
+// slot where ids would go (-1 too while the table is empty), so an
+// insert after a miss hashes the row only once.
+func (r *Relation) find(ids []int32, h uint64) (row, slot int) {
 	if len(r.slots) == 0 {
-		return 0, false
+		return -1, -1
 	}
 	mask := len(r.slots) - 1
-	for i := slotOf(datalog.HashInt32s(ids), len(r.slots)); ; i = (i + 1) & mask {
+	for i := slotOf(h, len(r.slots)); ; i = (i + 1) & mask {
 		s := r.slots[i]
 		if s == 0 {
-			return 0, false
+			return -1, i
 		}
 		if rowsEqual(r.rows[s-1], ids) {
-			return int(s - 1), true
+			return int(s - 1), i
 		}
 	}
 }
@@ -247,43 +258,99 @@ func slotOf(h uint64, n int) int {
 	return int((h * 0x9e3779b97f4a7c15) >> (64 - bits.TrailingZeros(uint(n))))
 }
 
-// addSlot records row idx in slots, which must have a free slot.
-func addSlot(slots []int32, row []int32, idx int) {
+// freeSlot returns the first empty slot of slots on the probe path of
+// hash h; slots must have one.
+func freeSlot(slots []int32, h uint64) int {
 	mask := len(slots) - 1
-	i := slotOf(datalog.HashInt32s(row), len(slots))
+	i := slotOf(h, len(slots))
 	for slots[i] != 0 {
 		i = (i + 1) & mask
 	}
-	slots[i] = int32(idx + 1)
+	return i
 }
 
 // minSlots is the size of a relation's first slot table.
 const minSlots = 8
 
-// appendRow stores an already-deduplicated, arena-carved row. It keeps
-// the slot table at most half full, rebuilding it from rows at double
-// the size when it would not be. Posting lists grow through the
+// slotsFor is the slot-table size row-at-a-time inserts reach with n
+// rows: the smallest power of two at least max(minSlots, 2n).
+func slotsFor(n int) int {
+	if n <= minSlots/2 {
+		return minSlots
+	}
+	return 1 << bits.Len(uint(2*n-1))
+}
+
+// setSlots replaces the slot table with a fresh one of size slots
+// holding rows[:n], which must fill it at most half. It never writes
+// the table it replaces, so a snapshot sharing that table keeps its
+// view.
+func (r *Relation) setSlots(size, n int) {
+	slots := make([]int32, size)
+	for i, row := range r.rows[:n] {
+		slots[freeSlot(slots, datalog.HashInt32s(row))] = int32(i + 1)
+	}
+	r.slots = slots
+}
+
+// insert stores a copy of ids, carved from the row arena, unless an
+// equal row is present, and reports whether it did.
+func (r *Relation) insert(ids []int32) bool {
+	h := datalog.HashInt32s(ids)
+	row, slot := r.find(ids, h)
+	if row >= 0 {
+		return false
+	}
+	r.appendRow(r.rowArena.Copy(ids), h, slot)
+	return true
+}
+
+// appendRow stores a row that find(ids, h) just missed at slot. It
+// keeps the slot table at most half full, rebuilding it from rows at
+// double the size when it would not be. Posting lists grow through the
 // posting arena (chunk-carved segments instead of per-list heap
 // growth), and the per-position max-bucket statistic is maintained in
 // the same pass.
-func (r *Relation) appendRow(ids []int32) {
+func (r *Relation) appendRow(ids []int32, h uint64, slot int) {
 	r.ensureOwned()
 	idx := len(r.rows)
 	r.rows = append(r.rows, ids)
 	if 2*len(r.rows) > len(r.slots) {
-		slots := make([]int32, max(minSlots, 2*len(r.slots)))
-		for i, row := range r.rows[:idx] {
-			addSlot(slots, row, i)
-		}
-		r.slots = slots
+		r.setSlots(max(minSlots, 2*len(r.slots)), idx)
+		slot = freeSlot(r.slots, h)
 	}
-	addSlot(r.slots, ids, idx)
+	r.slots[slot] = int32(idx + 1)
 	for pos, id := range ids {
-		lst := r.postArena.grow(r.indexes[pos][id], idx)
+		lst := r.postArena.grow(r.indexes[pos][id], int32(idx))
 		r.indexes[pos][id] = lst
 		if len(lst) > r.maxBucket[pos] {
 			r.maxBucket[pos] = len(lst)
 		}
+	}
+}
+
+// reserve sizes an empty relation for n incoming rows: row headers
+// for 5n/4 (the slack append's growth leaves), and a slot table that
+// n rows fill at most half. The merge that reserves calls giveBack
+// once its rows are in.
+func (r *Relation) reserve(n int) {
+	r.ensureOwned()
+	r.rows = make([][]int32, 0, n+n/4)
+	r.slots = make([]int32, slotsFor(n))
+}
+
+// giveBack returns what a reservation sized for rows that dedup
+// dropped left unused: a slot table larger than row-at-a-time inserts
+// would have grown is rebuilt at their size, and row headers whose
+// capacity passed 2·len+16 are re-fitted to 5/4 of len. Both get
+// fresh arrays, so snapshots sharing the old ones keep their view.
+func (r *Relation) giveBack() {
+	n := len(r.rows)
+	if want := slotsFor(n); len(r.slots) > want {
+		r.setSlots(want, n)
+	}
+	if cap(r.rows) > 2*n+16 {
+		r.rows = append(make([][]int32, 0, n+n/4), r.rows...)
 	}
 }
 
@@ -310,17 +377,17 @@ func (r *Relation) BucketLen(pos int, id int32) int { return len(r.indexes[pos][
 // total waste is bounded by ~2× the live list volume plus one chunk
 // tail. The zero value is ready to use.
 type postingArena struct {
-	buf []int
+	buf []int32
 }
 
-// postingChunk is the chunk size in ints.
+// postingChunk is the chunk size in entries.
 const postingChunk = 1024
 
 // grow appends v to list, re-carving it from the arena when full. The
 // returned slice's spare capacity belongs exclusively to this list:
 // segments are capacity-capped at carve time and later carves start
 // beyond them.
-func (a *postingArena) grow(list []int, v int) []int {
+func (a *postingArena) grow(list []int32, v int32) []int32 {
 	if len(list) < cap(list) {
 		return append(list, v)
 	}
@@ -333,7 +400,7 @@ func (a *postingArena) grow(list []int, v int) []int {
 		if size < need {
 			size = need
 		}
-		a.buf = make([]int, 0, size)
+		a.buf = make([]int32, 0, size)
 	}
 	start := len(a.buf)
 	seg := a.buf[start : start : start+need]
@@ -357,12 +424,7 @@ func (r *Relation) Insert(tuple []datalog.Term) (bool, error) {
 		}
 	}
 	var buf [16]int32
-	ids := r.in.IDs(tuple, buf[:0])
-	if _, dup := r.lookupRow(ids); dup {
-		return false, nil
-	}
-	r.appendRow(r.rowArena.Copy(ids))
-	return true, nil
+	return r.insert(r.in.IDs(tuple, buf[:0])), nil
 }
 
 // InsertRow adds a tuple given as interned term ids. The ids must come
@@ -383,11 +445,7 @@ func (r *Relation) InsertRow(ids []int32) (bool, error) {
 			return false, fmt.Errorf("storage: cannot insert non-ground row into %s", r.schema.Name)
 		}
 	}
-	if _, dup := r.lookupRow(ids); dup {
-		return false, nil
-	}
-	r.appendRow(r.rowArena.Copy(ids))
-	return true, nil
+	return r.insert(ids), nil
 }
 
 // Contains reports whether the ground tuple is present. It allocates
@@ -470,9 +528,7 @@ func (r *Relation) rebuild(rows [][]int32, remap map[int32]int32) {
 				ids[i] = to
 			}
 		}
-		if _, dup := fresh.lookupRow(ids); !dup {
-			fresh.appendRow(fresh.rowArena.Copy(ids))
-		}
+		fresh.insert(ids)
 	}
 	*r = *fresh
 }
@@ -536,9 +592,11 @@ func (r *Relation) SortedView(schema Schema) (*Relation, error) {
 	out.rows = make([][]int32, 0, len(rows))
 	// Size the slot table once: appendRow rebuilds it only when it is
 	// more than half full.
-	out.slots = make([]int32, max(minSlots, 1<<bits.Len(uint(2*len(rows)))))
+	out.slots = make([]int32, slotsFor(len(rows)))
 	for _, row := range rows {
-		out.appendRow(row)
+		h := datalog.HashInt32s(row)
+		_, slot := out.find(row, h)
+		out.appendRow(row, h, slot)
 	}
 	out.frozen = true
 	return out, nil
@@ -655,7 +713,7 @@ func (r *Relation) Clone() *Relation {
 		in:      r.in,
 		rows:    make([][]int32, len(r.rows)),
 		slots:   slices.Clone(r.slots),
-		indexes: make([]map[int32][]int, len(r.indexes)),
+		indexes: make([]map[int32][]int32, len(r.indexes)),
 		// Stats are copied so the clone's planner sees the same picture;
 		// its appendRow keeps them current independently afterwards.
 		maxBucket: append([]int(nil), r.maxBucket...),
@@ -671,8 +729,8 @@ func (r *Relation) Clone() *Relation {
 	// Index posting lists sum to exactly one entry per row per
 	// position, so a single flat backing array serves each map.
 	for pos, index := range r.indexes {
-		m := make(map[int32][]int, len(index))
-		flat := make([]int, 0, len(r.rows))
+		m := make(map[int32][]int32, len(index))
+		flat := make([]int32, 0, len(r.rows))
 		for id, idxs := range index {
 			start := len(flat)
 			flat = append(flat, idxs...)

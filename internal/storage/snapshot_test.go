@@ -178,8 +178,13 @@ func TestPlanRetarget(t *testing.T) {
 // lengths, then keeps inserting while one reader per snapshot
 // re-reads it. The inserts append into posting lists with spare
 // capacity, add new keys at both positions and grow the slot table
-// twice, all past the lengths the snapshots captured. Run it under
-// -race.
+// twice, all past the lengths the snapshots captured. A MergeBatch
+// phase follows while the same readers keep reading: one call
+// cold-fills a new relation S from batches that stage every S row ten
+// times (so the merge reserves, then rebuilds S's slot table and
+// re-fits its row headers) and appends new R rows, and after a
+// snapshot of S, more batches append to S while a reader re-reads
+// that snapshot too. Run it under -race.
 func TestSnapshotReadsDuringInPlaceAppends(t *testing.T) {
 	db := NewInstance()
 	live, err := db.CreateRelation("R", "k", "v")
@@ -196,7 +201,7 @@ func TestSnapshotReadsDuringInPlaceAppends(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		rows = append(rows, []int32{in.ID(datalog.C(fmt.Sprintf("k%d", i%10))), in.ID(datalog.C(fmt.Sprintf("v%d", i/10)))})
 	}
-	for i := 400; i < 500; i++ {
+	for i := 400; i < 520; i++ {
 		rows = append(rows, []int32{in.ID(datalog.C(fmt.Sprintf("x%d", i))), in.ID(datalog.C(fmt.Sprintf("y%d", i)))})
 	}
 	insert := func(rows [][]int32) {
@@ -207,38 +212,45 @@ func TestSnapshotReadsDuringInPlaceAppends(t *testing.T) {
 		}
 	}
 
-	// frozen is one snapshot with what it held when it was taken.
+	// frozen is one snapshot of relation pred with what it held when
+	// it was taken: the first held of rows, and the k3 matches.
 	type frozen struct {
 		inst    *Instance
+		pred    string
+		rows    [][]int32
 		held    int
 		plan    *Plan
 		matches []int32 // v ids of the k3 rows, in posting-list order
 		sorted  [][]datalog.Term
 	}
-	k3 := datalog.A("R", datalog.C("k3"), datalog.V("v"))
-	var snaps []frozen
-	for _, held := range []int{40, 75, 100} {
-		insert(rows[live.Len():held])
+	freeze := func(pred string, rows [][]int32) frozen {
 		snap := db.Snapshot()
-		f := frozen{inst: snap, held: held, sorted: live.SortedTuples()}
+		rel := db.Relation(pred)
+		f := frozen{inst: snap, pred: pred, rows: rows, held: rel.Len(), sorted: rel.SortedTuples()}
+		k3 := datalog.A(pred, datalog.C("k3"), datalog.V("v"))
 		f.plan = CompileQueryPlan(snap, []datalog.Atom{k3})
-		for _, row := range rows[:held] {
+		for _, row := range rows[:f.held] {
 			if row[0] == in.ID(datalog.C("k3")) {
 				f.matches = append(f.matches, row[1])
 			}
 		}
-		snaps = append(snaps, f)
+		return f
+	}
+	var snaps []frozen
+	for _, held := range []int{40, 75, 100} {
+		insert(rows[live.Len():held])
+		snaps = append(snaps, freeze("R", rows))
 	}
 	if got := len(live.slots); got != 256 {
 		t.Fatalf("slot table has %d slots before the appends, want 256 (the appends must grow it twice)", got)
 	}
 
 	check := func(f frozen) error {
-		rel := f.inst.Relation("R")
+		rel := f.inst.Relation(f.pred)
 		if rel.Len() != f.held {
 			return fmt.Errorf("Len = %d, want %d", rel.Len(), f.held)
 		}
-		for i, row := range rows {
+		for i, row := range f.rows {
 			if got := rel.ContainsRow(row); got != (i < f.held) {
 				return fmt.Errorf("ContainsRow(row %d) = %v", i, got)
 			}
@@ -250,7 +262,7 @@ func TestSnapshotReadsDuringInPlaceAppends(t *testing.T) {
 			return true
 		})
 		if fmt.Sprint(matches) != fmt.Sprint(f.matches) {
-			return fmt.Errorf("plan %v matched %v, want %v", k3, matches, f.matches)
+			return fmt.Errorf("plan on %s matched %v, want %v", f.pred, matches, f.matches)
 		}
 		if got := rel.SortedTuples(); fmt.Sprint(got) != fmt.Sprint(f.sorted) {
 			return fmt.Errorf("SortedTuples = %v, want %v", got, f.sorted)
@@ -258,41 +270,91 @@ func TestSnapshotReadsDuringInPlaceAppends(t *testing.T) {
 		return nil
 	}
 
-	var ready, readers sync.WaitGroup
-	done := make(chan struct{})
-	for _, f := range snaps {
-		ready.Add(1)
-		readers.Add(1)
-		go func(f frozen) {
-			defer readers.Done()
-			first := true
-			for {
-				err := check(f)
-				if first {
-					ready.Done()
-					first = false
-				}
-				if err != nil {
-					t.Errorf("snapshot at %d rows: %v", f.held, err)
-					return
-				}
-				select {
-				case <-done:
-					if err := check(f); err != nil {
-						t.Errorf("snapshot at %d rows after the appends: %v", f.held, err)
+	// readWhile runs one reader per snapshot, re-reading it until write
+	// has returned and once more afterwards.
+	readWhile := func(snaps []frozen, write func()) {
+		var ready, readers sync.WaitGroup
+		done := make(chan struct{})
+		for _, f := range snaps {
+			ready.Add(1)
+			readers.Add(1)
+			go func(f frozen) {
+				defer readers.Done()
+				first := true
+				for {
+					err := check(f)
+					if first {
+						ready.Done()
+						first = false
 					}
-					return
-				default:
+					if err != nil {
+						t.Errorf("snapshot of %s at %d rows: %v", f.pred, f.held, err)
+						return
+					}
+					select {
+					case <-done:
+						if err := check(f); err != nil {
+							t.Errorf("snapshot of %s at %d rows after the writes: %v", f.pred, f.held, err)
+						}
+						return
+					default:
+					}
 				}
-			}
-		}(f)
+			}(f)
+		}
+		ready.Wait()
+		write()
+		close(done)
+		readers.Wait()
 	}
-	ready.Wait()
-	insert(rows[live.Len():])
-	close(done)
-	readers.Wait()
+
+	readWhile(snaps, func() { insert(rows[live.Len():500]) })
 	if got := len(live.slots); got != 1024 {
 		t.Fatalf("slot table has %d slots after the appends, want 1024", got)
+	}
+
+	// S row i is (k(i%10), s(i)); rows[:60] cold-fill S, the rest
+	// append to it.
+	var sRows [][]int32
+	for i := 0; i < 260; i++ {
+		sRows = append(sRows, []int32{in.ID(datalog.C(fmt.Sprintf("k%d", i%10))), in.ID(datalog.C(fmt.Sprintf("s%d", i)))})
+	}
+	// stage stages ten copies of each of rows for pred over three
+	// batches, the first copies in order into the first batch, and
+	// extra for R after them.
+	stage := func(rows [][]int32, pred string, extra [][]int32) []*Batch {
+		bs := []*Batch{{}, {}, {}}
+		for c := 0; c < 10; c++ {
+			for i, row := range rows {
+				bs[min(c, 1+(c+i)%2)].Add(pred, row)
+			}
+			if c == 0 {
+				for _, row := range extra {
+					bs[0].Add("R", row)
+				}
+			}
+		}
+		return bs
+	}
+	merge := func(bs []*Batch, want int) {
+		if added, err := db.MergeBatch(bs...); err != nil || added != want {
+			t.Fatalf("MergeBatch added %d, err %v; want %d", added, err, want)
+		}
+	}
+	readWhile(snaps, func() { merge(stage(sRows[:60], "S", rows[500:]), 80) })
+	srel := db.Relation("S")
+	if got, want := len(srel.slots), slotsFor(60); got != want || cap(srel.rows) > 2*60+16 {
+		t.Fatalf("S after its cold fill: %d slots (want %d), row capacity %d", got, want, cap(srel.rows))
+	}
+	if fmt.Sprint(srel.Rows()) != fmt.Sprint(sRows[:60]) || live.Len() != len(rows) {
+		t.Fatalf("merge stored S %v and %d R rows, want %v and %d", srel.Rows(), live.Len(), sRows[:60], len(rows))
+	}
+	readWhile(append(snaps, freeze("S", sRows)), func() {
+		merge(stage(sRows[60:140], "S", nil), 80)
+		merge(stage(sRows[140:], "S", nil), 120)
+	})
+	if got := len(srel.slots); got != slotsFor(len(sRows)) {
+		t.Fatalf("S has %d slots after the appends, want %d", got, slotsFor(len(sRows)))
 	}
 }
 
