@@ -116,25 +116,6 @@ func Run(ctx context.Context, prog *datalog.Program, db *storage.Instance, opts 
 	return st.Result(), nil
 }
 
-func validateRules(prog *datalog.Program) error {
-	for _, t := range prog.TGDs {
-		if err := t.Validate(); err != nil {
-			return err
-		}
-	}
-	for _, e := range prog.EGDs {
-		if err := e.Validate(); err != nil {
-			return err
-		}
-	}
-	for _, n := range prog.NCs {
-		if err := n.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // freshCounter returns a counter for null labels guaranteed not to
 // collide with nulls already present in the instance's rows (the
 // interner may also remember nulls an EGD merged away; those do not
@@ -181,60 +162,4 @@ const (
 type headAtomProj struct {
 	pred  string
 	items []headItem
-}
-
-// triggerMemo is a set of register snapshots, hash-bucketed so
-// membership tests allocate nothing; snapshots are carved out of a
-// chunked arena, so insertion allocates once per chunk rather than
-// once per trigger.
-type triggerMemo struct {
-	buckets map[uint64][][]int32
-	arena   datalog.Int32Arena
-}
-
-func newTriggerMemo() triggerMemo {
-	return triggerMemo{buckets: map[uint64][][]int32{}}
-}
-
-// add inserts the register snapshot, reporting whether it was new and
-// returning a copy owned by the memo (safe to retain). The snapshot
-// may be empty — a TGD with a fully ground body has a zero-slot
-// register bank and exactly one trigger — so newness is reported
-// separately rather than by a nil sentinel.
-func (m *triggerMemo) add(regs []int32) ([]int32, bool) {
-	h := datalog.HashInt32s(regs)
-	if m.hasHashed(h, regs) {
-		return nil, false
-	}
-	snap := m.arena.Copy(regs)
-	m.buckets[h] = append(m.buckets[h], snap)
-	return snap, true
-}
-
-// has reports whether the snapshot is already memoized, without
-// modifying the memo. Delta-round discovery workers probe the
-// quiescent memo so triggers memoized in earlier rounds are not
-// re-staged through other pivots (the authoritative dedup stays with
-// add on the merge goroutine).
-func (m *triggerMemo) has(regs []int32) bool {
-	return m.hasHashed(datalog.HashInt32s(regs), regs)
-}
-
-// hasHashed is has with the row hash precomputed, so add hashes once.
-func (m *triggerMemo) hasHashed(h uint64, regs []int32) bool {
-	for _, s := range m.buckets[h] {
-		if len(s) == len(regs) {
-			same := true
-			for i := range s {
-				if s[i] != regs[i] {
-					same = false
-					break
-				}
-			}
-			if same {
-				return true
-			}
-		}
-	}
-	return false
 }

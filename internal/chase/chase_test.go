@@ -173,10 +173,10 @@ func mergeProbeProgram() *dl.Program {
 }
 
 // TestChaseEGDMergedNullNotReinvented pins the restricted firing
-// condition across an EGD merge: the merge resets the trigger memo, so
-// the next full round re-enumerates R(a)'s trigger, and only head
-// satisfaction (S(a,b) after the merge) keeps it from inventing a new
-// null that the EGD would merge again, round after round.
+// condition across an EGD merge: the merge forces a full round, which
+// re-enumerates R(a)'s trigger, and only head satisfaction (S(a,b)
+// after the merge) keeps it from inventing a new null that the EGD
+// would merge again, round after round.
 func TestChaseEGDMergedNullNotReinvented(t *testing.T) {
 	wantS := [][]dl.Term{{dl.C("a"), dl.C("b")}}
 	db := storage.NewInstance()
@@ -436,9 +436,8 @@ func TestChaseMaxAtomsBound(t *testing.T) {
 }
 
 func TestChaseGroundBodyTGDFires(t *testing.T) {
-	// A TGD with a fully ground body has a zero-slot register bank;
-	// its single trigger must still fire (regression: the trigger memo
-	// once conflated the empty snapshot with "already fired").
+	// A TGD with a fully ground body has a zero-slot register bank and
+	// an empty register snapshot; its single trigger must still fire.
 	db := storage.NewInstance()
 	db.MustInsert("P", dl.C("a"))
 	prog := dl.NewProgram()
@@ -542,5 +541,65 @@ func TestViolationStrings(t *testing.T) {
 	}
 	if EGDConflict.String() != "egd-conflict" {
 		t.Errorf("EGDConflict.String = %q", EGDConflict.String())
+	}
+}
+
+// TestExtendRejectsBatchWhole checks that a batch with one atom that
+// cannot be inserted is rejected before any atom is: a non-ground
+// atom, and atoms whose arity clashes with the instance's relation,
+// the program, or an earlier atom of the batch over a new predicate.
+func TestExtendRejectsBatchWhole(t *testing.T) {
+	ctx := context.Background()
+	x := dl.V("x")
+	prog := dl.NewProgram()
+	prog.AddTGD(dl.NewTGD("t", []dl.Atom{dl.A("R", x)}, []dl.Atom{dl.A("S", x)}))
+	base := storage.NewInstance()
+	base.MustInsert("T", dl.C("a"), dl.C("b"))
+	st, err := NewState(prog, base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Chase(ctx); err != nil {
+		t.Fatal(err)
+	}
+	good := dl.A("S", dl.C("a"))
+	for _, bad := range []dl.Atom{
+		dl.A("S", x),
+		dl.A("T", dl.C("a")),
+		dl.A("R", dl.C("a"), dl.C("b")),
+		dl.A("U", dl.C("a"), dl.C("b")),
+	} {
+		batch := []dl.Atom{good, dl.A("U", dl.C("c")), bad}
+		if _, err := st.Extend(ctx, batch); err == nil {
+			t.Errorf("Extend accepted %s", dl.AtomsString(batch))
+		}
+		if n := st.Instance().TotalTuples(); n != 1 {
+			t.Fatalf("after rejecting %s the instance holds %d tuples, want 1", dl.AtomsString(batch), n)
+		}
+	}
+	if info, err := st.Extend(ctx, []dl.Atom{good}); err != nil || info.Inserted != 1 || info.Fired != 1 {
+		t.Errorf("Extend(%s) = %+v, %v; want one insert and one firing", good, info, err)
+	}
+}
+
+// TestTGDHeadArityClashIsError compiles against an empty base and
+// chases a clone of it holding a relation that clashes with a TGD
+// head, as a session does with its data: the chase returns an error
+// naming the TGD.
+func TestTGDHeadArityClashIsError(t *testing.T) {
+	x := dl.V("x")
+	prog := dl.NewProgram()
+	prog.AddTGD(dl.NewTGD("narrow", []dl.Atom{dl.A("R", x)}, []dl.Atom{dl.A("S", x)}))
+	base := storage.NewInstance()
+	cp, err := Compile(prog, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := base.CloneDetached()
+	inst.MustInsert("R", dl.C("a"), dl.C("b"))
+	inst.MustInsert("S", dl.C("a"))
+	err = cp.NewState(inst, Options{}).Chase(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "tgd narrow") {
+		t.Errorf("Chase = %v, want an error naming tgd narrow", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -191,8 +192,8 @@ func TestQuickIncrementalMatchesScratchExistential(t *testing.T) {
 
 // egdProgram anchors S0's invented null to the Val constant via an
 // EGD: a delta Val fact merges a null created while chasing the base,
-// exercising the EGD-merge fallback (full re-match round, cleared
-// memos, rebuilt row storage) in the incremental path. Two Val facts
+// exercising the EGD-merge fallback (full re-match round, rebuilt
+// row storage) in the incremental path. Two Val facts
 // with different constants for one (c, x) produce hard conflicts.
 func egdProgram() *dl.Program {
 	prog := navProgram()
@@ -259,6 +260,74 @@ func TestExtendCancellation(t *testing.T) {
 	cancel()
 	if _, err := st.Extend(ctx, w.Delta); err == nil {
 		t.Fatal("want cancellation error, got nil")
+	}
+}
+
+// countdownCtx reports cancellation from its (left+1)-th Err call on.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestChaseResumesAfterCancellation cancels a Chase at each of its
+// cancellation checks in turn, then extends the state with an
+// unrelated fact under a live context: the result must match the
+// reference over base ∪ delta. Out(a) is only derived in the full round
+// after the round-3 EGD merge rewrites B(a, ⊥) into B(a, c), a row below
+// the delta frontier, so a cancelled full round must leave the next
+// call to re-match in full.
+func TestChaseResumesAfterCancellation(t *testing.T) {
+	prog := dl.NewProgram()
+	prog.AddTGD(dl.NewTGD("k", []dl.Atom{dl.A("K", dl.V("x"), dl.C("c"))}, []dl.Atom{dl.A("K1", dl.V("x"))}))
+	prog.AddTGD(dl.NewTGD("k1", []dl.Atom{dl.A("K1", dl.V("x"))}, []dl.Atom{dl.A("K0", dl.V("x"))}))
+	prog.AddTGD(dl.NewTGD("b", []dl.Atom{dl.A("B", dl.V("x"), dl.V("z"))}, []dl.Atom{dl.A("A", dl.V("x"))}))
+	prog.AddTGD(dl.NewTGD("k0", []dl.Atom{dl.A("K0", dl.V("x"))}, []dl.Atom{dl.A("A", dl.V("x"))}))
+	prog.AddTGD(dl.NewTGD("out", []dl.Atom{dl.A("Out", dl.V("x"))},
+		[]dl.Atom{dl.A("B", dl.V("x"), dl.V("y")), dl.A("D", dl.V("y"))}))
+	prog.AddEGD(dl.NewEGD("key", dl.V("z"), dl.V("v"), []dl.Atom{
+		dl.A("B", dl.V("x"), dl.V("z")),
+		dl.A("K", dl.V("x"), dl.V("v")),
+	}))
+	base := storage.NewInstance()
+	base.MustInsert("A", dl.C("a"))
+	base.MustInsert("D", dl.C("c"))
+	delta := []dl.Atom{dl.A("Z", dl.C("q"))}
+	combined := base.Clone()
+	combined.MustInsert("Z", dl.C("q"))
+	want := naiveChase(prog, combined)
+
+	for _, p := range []int{1, 2} {
+		cutAfterMerge := false
+		for n := int64(0); ; n++ {
+			st, err := NewState(prog, base, Options{Parallelism: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := &countdownCtx{Context: context.Background()}
+			ctx.left.Store(n)
+			if err := st.Chase(ctx); err == nil {
+				break
+			}
+			if st.Result().Merged > 0 && st.Instance().Relation("Out") == nil {
+				cutAfterMerge = true
+			}
+			if _, err := st.Extend(context.Background(), delta); err != nil {
+				t.Fatalf("p=%d, cancelled at check %d: Extend: %v", p, n, err)
+			}
+			if d := diffNaive(st.Result(), want); d != "" {
+				t.Fatalf("p=%d, cancelled at check %d: Extend differs from the reference: %s", p, n, d)
+			}
+		}
+		if !cutAfterMerge {
+			t.Errorf("p=%d: no cancellation fell between the merge and Out(a)", p)
+		}
 	}
 }
 

@@ -300,63 +300,165 @@ func randChaseProgram(rng *rand.Rand) (prog *dl.Program, base *storage.Instance,
 	return prog, base, delta
 }
 
+// chaseAtWidths chases prog at widths 1, 2 and 4 and checks each
+// result against naiveChase: Run over the base against the reference
+// over the base, and NewState+Chase over the base followed by Extend
+// with the delta in two batches against the reference over
+// base ∪ delta. It returns the results in width order and the
+// reference over base ∪ delta.
+func chaseAtWidths(t *testing.T, seed int64, prog *dl.Program, base *storage.Instance, delta []dl.Atom) (runs, extended []*Result, wantAll naiveResult) {
+	t.Helper()
+	ctx := context.Background()
+	combined := base.Clone()
+	for _, a := range delta {
+		combined.MustInsert(a.Pred, a.Args...)
+	}
+	want, wantAll := naiveChase(prog, base), naiveChase(prog, combined)
+	if !want.saturated || !wantAll.saturated {
+		t.Fatalf("seed %d: reference chase did not saturate:\n%s", seed, prog)
+	}
+	for _, p := range []int{1, 2, 4} {
+		opts := Options{Parallelism: p}
+		res, err := Run(ctx, prog, base, opts)
+		if err != nil {
+			t.Fatalf("seed %d p=%d: Run: %v", seed, p, err)
+		}
+		if d := diffNaive(res, want); d != "" {
+			t.Fatalf("seed %d p=%d: Run differs from the reference: %s\nprogram:\n%s\nbase:\n%s", seed, p, d, prog, base)
+		}
+		st, err := NewState(prog, base, opts)
+		if err != nil {
+			t.Fatalf("seed %d p=%d: NewState: %v", seed, p, err)
+		}
+		if err := st.Chase(ctx); err != nil {
+			t.Fatalf("seed %d p=%d: Chase: %v", seed, p, err)
+		}
+		half := len(delta) / 2
+		for _, batch := range [][]dl.Atom{delta[:half], delta[half:]} {
+			if _, err := st.Extend(ctx, batch); err != nil {
+				t.Fatalf("seed %d p=%d: Extend: %v", seed, p, err)
+			}
+		}
+		if d := diffNaive(st.Result(), wantAll); d != "" {
+			t.Fatalf("seed %d p=%d: Chase+Extend differs from the reference over base ∪ delta: %s\nprogram:\n%s\nbase:\n%s\ndelta: %s",
+				seed, p, d, prog, base, dl.AtomsString(delta))
+		}
+		runs, extended = append(runs, res), append(extended, st.Result())
+	}
+	return runs, extended, wantAll
+}
+
 // TestRandomProgramsMatchNaiveChase chases seeded random programs (see
 // randChaseProgram), which internal/sticky must classify as weakly
-// acyclic and weakly sticky, at widths 1, 2 and 4 and checks each
-// result against naiveChase: Run over the base, and NewState+Chase
-// over the base followed by Extend with the delta in two batches,
-// against the reference over base ∪ delta.
+// acyclic and weakly sticky, through chaseAtWidths.
 func TestRandomProgramsMatchNaiveChase(t *testing.T) {
 	const programs = 300
-	ctx := context.Background()
 	var conflicts, merges int
 	for seed := int64(0); seed < programs; seed++ {
 		prog, base, delta := randChaseProgram(rand.New(rand.NewSource(seed)))
 		if rep := sticky.Classify(prog); !rep.WeaklyAcyclic || !rep.WeaklySticky {
 			t.Fatalf("seed %d: generated program is not weakly acyclic and weakly sticky (%s):\n%s", seed, rep, prog)
 		}
-		combined := base.Clone()
-		for _, a := range delta {
-			combined.MustInsert(a.Pred, a.Args...)
-		}
-		want, wantAll := naiveChase(prog, base), naiveChase(prog, combined)
-		if !want.saturated || !wantAll.saturated {
-			t.Fatalf("seed %d: reference chase did not saturate:\n%s", seed, prog)
-		}
-		for _, p := range []int{1, 2, 4} {
-			opts := Options{Parallelism: p}
-			res, err := Run(ctx, prog, base, opts)
-			if err != nil {
-				t.Fatalf("seed %d p=%d: Run: %v", seed, p, err)
-			}
-			if d := diffNaive(res, want); d != "" {
-				t.Fatalf("seed %d p=%d: Run differs from the reference: %s\nprogram:\n%s\nbase:\n%s", seed, p, d, prog, base)
-			}
-			st, err := NewState(prog, base, opts)
-			if err != nil {
-				t.Fatalf("seed %d p=%d: NewState: %v", seed, p, err)
-			}
-			if err := st.Chase(ctx); err != nil {
-				t.Fatalf("seed %d p=%d: Chase: %v", seed, p, err)
-			}
-			half := len(delta) / 2
-			for _, batch := range [][]dl.Atom{delta[:half], delta[half:]} {
-				if _, err := st.Extend(ctx, batch); err != nil {
-					t.Fatalf("seed %d p=%d: Extend: %v", seed, p, err)
-				}
-			}
-			if d := diffNaive(st.Result(), wantAll); d != "" {
-				t.Fatalf("seed %d p=%d: Chase+Extend differs from the reference over base ∪ delta: %s\nprogram:\n%s\nbase:\n%s\ndelta: %s",
-					seed, p, d, prog, base, dl.AtomsString(delta))
-			}
-			if p == 1 {
-				if wantAll.conflict {
-					conflicts++
-				} else if st.Result().Merged > 0 {
-					merges++
-				}
-			}
+		_, extended, wantAll := chaseAtWidths(t, seed, prog, base, delta)
+		if wantAll.conflict {
+			conflicts++
+		} else if extended[0].Merged > 0 {
+			merges++
 		}
 	}
 	t.Logf("%d programs: %d with an EGD conflict, %d merging nulls without one", programs, conflicts, merges)
+}
+
+// randRecursiveChaseProgram draws a recursive program over a
+// hierarchy: a Parent forest of 5 to 40 members (member i rolls up to
+// a random earlier member or is a root), a quarter of whose edges are
+// held back as the delta; Anc ← Parent, closed either by
+// Anc(x, z) ← Anc(x, y), Anc(y, z) or by Anc(x, z) ← Anc(x, y),
+// Parent(y, z); and the existential Tag(x, w) ← Anc(x, y). Each with
+// probability one half, it adds a two-atom existential head reading
+// Tag, and an EGD equating a member's tag with its parent's; with the
+// EGD, a few members carry a constant tag in the base, so merges reach
+// constants and two constants can clash. hasEGD reports the EGD.
+func randRecursiveChaseProgram(rng *rand.Rand) (prog *dl.Program, base *storage.Instance, delta []dl.Atom, hasEGD bool) {
+	x, y, z, w, v := dl.V("x"), dl.V("y"), dl.V("z"), dl.V("w"), dl.V("v")
+	prog = dl.NewProgram()
+	prog.AddTGD(dl.NewTGD("anc", []dl.Atom{dl.A("Anc", x, y)}, []dl.Atom{dl.A("Parent", x, y)}))
+	step := dl.A("Parent", y, z)
+	if rng.Intn(2) == 0 {
+		step = dl.A("Anc", y, z)
+	}
+	prog.AddTGD(dl.NewTGD("step", []dl.Atom{dl.A("Anc", x, z)}, []dl.Atom{dl.A("Anc", x, y), step}))
+	prog.AddTGD(dl.NewTGD("tag", []dl.Atom{dl.A("Tag", x, w)}, []dl.Atom{dl.A("Anc", x, y)}))
+	if rng.Intn(2) == 0 {
+		prog.AddTGD(dl.NewTGD("mark", []dl.Atom{dl.A("Mark", w, v), dl.A("Seen", v)}, []dl.Atom{dl.A("Tag", x, w)}))
+	}
+	hasEGD = rng.Intn(2) == 0
+	if hasEGD {
+		prog.AddEGD(dl.NewEGD("same", w, v, []dl.Atom{dl.A("Tag", x, w), dl.A("Parent", x, y), dl.A("Tag", y, v)}))
+	}
+
+	member := func(i int) dl.Term { return dl.C(fmt.Sprintf("m%d", i)) }
+	base = storage.NewInstance()
+	n := 5 + rng.Intn(36)
+	for i := 1; i < n; i++ {
+		if rng.Intn(8) == 0 {
+			continue // a root
+		}
+		edge := dl.A("Parent", member(i), member(rng.Intn(i)))
+		if rng.Intn(4) == 0 {
+			delta = append(delta, edge)
+		} else {
+			base.MustInsert(edge.Pred, edge.Args...)
+		}
+	}
+	if hasEGD {
+		for k := rng.Intn(3); k > 0; k-- {
+			base.MustInsert("Tag", member(rng.Intn(n)), dl.C(fmt.Sprintf("g%d", rng.Intn(2))))
+		}
+	}
+	return prog, base, delta, hasEGD
+}
+
+// TestRandomRecursiveProgramsMatchNaiveChase chases seeded recursive
+// programs (see randRecursiveChaseProgram), which internal/sticky must
+// classify as weakly sticky, through chaseAtWidths. Recursion is where
+// a trigger is enumerated again most often: a closure row found by one
+// rule in a round is a delta row of the next. Without the EGD, every
+// result must hold exactly one Tag row per member with a parent.
+func TestRandomRecursiveProgramsMatchNaiveChase(t *testing.T) {
+	const programs = 300
+	var merges int
+	for seed := int64(0); seed < programs; seed++ {
+		prog, base, delta, hasEGD := randRecursiveChaseProgram(rand.New(rand.NewSource(seed)))
+		if rep := sticky.Classify(prog); !rep.WeaklySticky {
+			t.Fatalf("seed %d: generated program is not weakly sticky (%s):\n%s", seed, rep, prog)
+		}
+		runs, extended, _ := chaseAtWidths(t, seed, prog, base, delta)
+		if hasEGD {
+			if extended[0].Merged > 0 {
+				merges++
+			}
+			continue
+		}
+		for i, res := range append(runs, extended...) {
+			children, tags := map[dl.Term]bool{}, map[dl.Term]int{}
+			for _, tup := range res.Instance.Relation("Parent").Tuples() {
+				children[tup[0]] = true
+			}
+			if rel := res.Instance.Relation("Tag"); rel != nil {
+				for _, tup := range rel.Tuples() {
+					tags[tup[0]]++
+				}
+			}
+			for m, k := range tags {
+				if k != 1 || !children[m] {
+					t.Fatalf("seed %d result %d: member %s has %d Tag rows (has a parent: %v)", seed, i, m, k, children[m])
+				}
+			}
+			if len(tags) != len(children) {
+				t.Fatalf("seed %d result %d: %d members tagged, %d have a parent", seed, i, len(tags), len(children))
+			}
+		}
+	}
+	t.Logf("%d programs: %d with the EGD merging nulls", programs, merges)
 }

@@ -12,14 +12,13 @@ import (
 // reported. Together with the saturated instance it is everything a
 // session needs to survive a process restart.
 //
-// Trigger memos and semi-naive watermarks are deliberately absent. A
-// restored state re-enters through one full re-match round with fresh
-// memos — exactly the path the live engine already takes after every
-// EGD merge — and head satisfaction keeps that sound: at a fixpoint
-// every enumerable trigger is head-satisfied (a trigger whose head
-// were unsatisfied would fire and insert, contradicting saturation),
-// so the full round skips them all, refires nothing, and invents no
-// fresh nulls.
+// Semi-naive watermarks are deliberately absent. A restored state
+// re-enters through one full re-match round — exactly the path the
+// live engine already takes after every EGD merge — and head
+// satisfaction keeps that sound: at a fixpoint every enumerable trigger
+// is head-satisfied (a trigger whose head were unsatisfied would fire
+// and insert, contradicting saturation), so the full round skips them
+// all, refires nothing, and invents no fresh nulls.
 type Restored struct {
 	// Rounds, Fired, Merged and NullsCreated restore the cumulative
 	// Result counters.

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/datalog"
@@ -21,6 +22,9 @@ type CompiledProgram struct {
 	tgds []*tgdPlan
 	egds []*egdPlan
 	ncs  []*ncPlan
+	// arity maps every predicate of the program to the arity all its
+	// atoms share (Validate checks that they agree).
+	arity map[string]int
 }
 
 // tgdPlan is the immutable compiled form of one TGD.
@@ -47,22 +51,30 @@ type egdPlan struct {
 
 // ncPlan is the immutable compiled form of one negative constraint.
 type ncPlan struct {
-	nc    *datalog.NC
-	plan  *storage.Plan
-	negs  []storage.Proj
-	maxAr int
+	nc     *datalog.NC
+	plan   *storage.Plan
+	filter storage.Filter
 }
 
-// Compile lowers the program onto join plans against db's interner.
-// The caller must own db (compilation interns the program's constants)
-// and must not intern further terms into db's interner from another
-// goroutine while the compiled program is shared. States execute the
-// plans against db, its clones, or detached clones (forked interners).
+// Compile validates the program (an empty one is fine) and lowers it
+// onto join plans against db's interner. It rejects a program whose
+// atoms disagree with the arity of one of db's relations. The caller
+// must own db (compilation interns the program's constants) and must
+// not intern further terms into db's interner from another goroutine
+// while the compiled program is shared. States execute the plans
+// against db, its clones, or detached clones (forked interners).
 func Compile(prog *datalog.Program, db *storage.Instance) (*CompiledProgram, error) {
-	if err := validateRules(prog); err != nil {
+	if err := prog.Validate(); err != nil && !errors.Is(err, datalog.ErrEmptyProgram) {
 		return nil, err
 	}
-	cp := &CompiledProgram{in: db.Interner()}
+	cp := &CompiledProgram{in: db.Interner(), arity: map[string]int{}}
+	for _, pi := range prog.Predicates() {
+		if rel := db.Relation(pi.Name); rel != nil && rel.Schema().Arity() != pi.Arity {
+			return nil, fmt.Errorf("chase: predicate %s used with arity %d, but relation %s has arity %d",
+				pi.Name, pi.Arity, pi.Name, rel.Schema().Arity())
+		}
+		cp.arity[pi.Name] = pi.Arity
+	}
 	for _, tgd := range prog.TGDs {
 		cp.tgds = append(cp.tgds, compileTGDPlan(tgd, db))
 	}
@@ -70,15 +82,8 @@ func Compile(prog *datalog.Program, db *storage.Instance) (*CompiledProgram, err
 		cp.egds = append(cp.egds, &egdPlan{egd: egd, plan: storage.CompilePlan(db, egd.Body)})
 	}
 	for _, nc := range prog.NCs {
-		pos := nc.PositiveBody()
-		np := &ncPlan{nc: nc, plan: storage.CompilePlan(db, pos)}
-		for _, na := range nc.NegativeBody() {
-			p := np.plan.CompileProj(na)
-			if p.Len() > np.maxAr {
-				np.maxAr = p.Len()
-			}
-			np.negs = append(np.negs, p)
-		}
+		np := &ncPlan{nc: nc, plan: storage.CompilePlan(db, nc.PositiveBody())}
+		np.filter = np.plan.CompileFilter(nc.NegativeBody(), nc.Conds)
 		cp.ncs = append(cp.ncs, np)
 	}
 	return cp, nil
@@ -150,11 +155,14 @@ func compileTGDPlan(tgd *datalog.TGD, db *storage.Instance) *tgdPlan {
 // Extend call — match semi-naively: a TGD body is only re-evaluated
 // against homomorphisms that use at least one tuple inserted since the
 // last round (the delta frontier), replacing the full-plan re-matching
-// of the one-shot chase. The trigger memo dedups triggers reached
-// through several pivots or rounds; head satisfaction, the restricted
-// chase's firing condition, is what keeps a trigger re-enumerated
-// after the memo is reset (by an EGD merge or a bound abort) from
-// firing again.
+// of the one-shot chase. A trigger can still be enumerated more than
+// once: through two pivots of one delta round, in a later round, or in
+// the full round after an EGD merge or a bound abort. Head
+// satisfaction, the restricted chase's firing condition, is the one
+// check that keeps it from firing again: once a trigger has been
+// processed its head holds (it fired and inserted the head rows, or
+// it was skipped because they were there), and rows are only removed
+// by EGD merges, after which a full round re-checks every trigger.
 //
 // A State is single-writer: Chase and Extend must not be called
 // concurrently. Concurrent readers use Instance().Snapshot() between
@@ -180,31 +188,28 @@ type State struct {
 	// watermark[pred] counts rows already processed as "old" by delta
 	// matching: every homomorphism entirely below the watermarks has
 	// been enumerated. full forces the next round to re-match complete
-	// bodies (initial run, and after EGD merges rebuild row storage).
+	// bodies (initial run, after EGD merges rebuild row storage, after
+	// a bound abort) and stays set until such a round completes; a
+	// full round reads no watermark.
 	watermark map[string]int
 	full      bool
 
-	reportedEGD map[string]bool
-	seenViol    map[Violation]bool
+	// seenViol holds every violation reported, so a conflict or NC
+	// match found again in a later pass, round or call is not repeated.
+	seenViol map[Violation]bool
 
 	maxRounds, maxAtoms int
 }
 
 // tgdState is the mutable per-state scratch of one TGD: plans
-// retargeted onto the state's interner plus reusable register banks
-// and the trigger memo.
+// retargeted onto the state's interner plus reusable register banks.
 type tgdState struct {
-	tp   *tgdPlan
-	body *storage.PivotPlan
-	head *storage.Plan
-	// fired memoizes triggers already enumerated (hashed register
-	// snapshots), so a trigger is checked for firing once until an
-	// EGD merge or a bound abort resets the memo.
-	fired    triggerMemo
+	tp       *tgdPlan
+	body     *storage.PivotPlan
+	head     *storage.Plan
 	headRegs []int32
 	exIDs    []int32
 	rowBuf   []int32
-	triggers [][]int32
 }
 
 type egdState struct {
@@ -243,25 +248,23 @@ func (cp *CompiledProgram) NewState(inst *storage.Instance, opts Options) *State
 		opts.MaxAtoms = DefaultMaxAtoms
 	}
 	st := &State{
-		cp:          cp,
-		inst:        inst,
-		pool:        par.New(opts.Parallelism),
-		fresh:       freshCounter(inst),
-		res:         &Result{Instance: inst},
-		watermark:   map[string]int{},
-		full:        true,
-		reportedEGD: map[string]bool{},
-		seenViol:    map[Violation]bool{},
-		maxRounds:   opts.MaxRounds,
-		maxAtoms:    opts.MaxAtoms,
+		cp:        cp,
+		inst:      inst,
+		pool:      par.New(opts.Parallelism),
+		fresh:     freshCounter(inst),
+		res:       &Result{Instance: inst},
+		watermark: map[string]int{},
+		full:      true,
+		seenViol:  map[Violation]bool{},
+		maxRounds: opts.MaxRounds,
+		maxAtoms:  opts.MaxAtoms,
 	}
 	in := inst.Interner()
 	for _, tp := range cp.tgds {
 		ts := &tgdState{
-			tp:    tp,
-			body:  tp.body.Retarget(in),
-			head:  tp.head.Retarget(in),
-			fired: newTriggerMemo(),
+			tp:   tp,
+			body: tp.body.Retarget(in),
+			head: tp.head.Retarget(in),
 		}
 		ts.headRegs = ts.head.NewRegs()
 		ts.exIDs = make([]int32, len(tp.ex))
@@ -291,10 +294,9 @@ func (st *State) Result() *Result { return st.res }
 // statistics (the compile-time plans were costed against the prepared
 // base, which an incrementally grown session can drift arbitrarily far
 // from). Slot assignment depends only on the body's source order, so
-// the compiled projections, register banks and — critically — the
-// trigger memos (hashed register snapshots keyed by slot layout) all
-// remain valid; each fired trigger stays fired. Single-writer, like
-// Chase and Extend; must not run concurrently with either.
+// the compiled projections, filters and register banks all remain
+// valid. Single-writer, like Chase and Extend; must not run
+// concurrently with either.
 func (st *State) Replan() {
 	for _, ts := range st.tgds {
 		tgd := ts.tp.tgd
@@ -310,8 +312,11 @@ func (st *State) Replan() {
 }
 
 // Chase runs the chase to fixpoint from the current frontier. The
-// error is non-nil only for context cancellation; bound-exceeded runs
-// leave Result().Saturated false with a nil error, matching Run.
+// error is non-nil for context cancellation, for a TGD head row that
+// does not fit its relation (an instance merged after Compile can hold
+// a relation whose arity clashes with the program) and for an NC
+// comparison that cannot be evaluated; bound-exceeded runs leave
+// Result().Saturated false with a nil error, matching Run.
 func (st *State) Chase(ctx context.Context) error {
 	st.res.Saturated = false
 	atomBound := false
@@ -320,8 +325,11 @@ func (st *State) Chase(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		// st.full stays set until the round completes: a full round
+		// cut short by an error is redone in full by the next call, as
+		// the watermark does not describe what it matched (a delta
+		// round cut short is redone from the unchanged watermark).
 		full := st.full
-		st.full = false
 		// Rows at or beyond roundStart were inserted during this round
 		// and form the next round's delta frontier.
 		roundStart := st.inst.Lens()
@@ -340,45 +348,36 @@ func (st *State) Chase(ctx context.Context) error {
 				progress = true
 			}
 		}
+		merged := 0
 		if !atomBound && len(st.egds) > 0 {
-			merged, hard, err := st.applyEGDs(ctx)
+			var hard []Violation
+			var err error
+			merged, hard, err = st.applyEGDs(ctx)
+			if merged > 0 {
+				// Merges rewrite row storage in place (indices shift),
+				// so delta bookkeeping is stale: fall back to one full
+				// round, also when a later EGD pass was cancelled.
+				progress = true
+				st.full = true
+			}
 			if err != nil {
 				return err
-			}
-			if merged > 0 {
-				progress = true
-				// Merges rewrite row storage in place (indices shift),
-				// so delta bookkeeping and memoized trigger bindings
-				// are both stale: fall back to one full round.
-				st.full = true
-				for _, ts := range st.tgds {
-					ts.fired = newTriggerMemo()
-				}
 			}
 			st.addViolations(hard)
 		}
 		st.res.Rounds++
 
-		if st.full {
-			// The next full round re-enumerates everything; watermarks
-			// restart from zero.
-			clear(st.watermark)
-		} else {
+		// A bound abort leaves this round's delta windows partially
+		// processed: like a merge, it forces a full re-match round in
+		// case the caller resumes, so nothing is silently skipped.
+		st.full = merged > 0 || atomBound
+		if !st.full {
 			// Everything present at round start has now been matched
 			// (fully or via the delta frontier).
 			st.watermark = roundStart
 		}
 
 		if atomBound {
-			// A bound abort leaves this round's delta windows partially
-			// processed and enumerated-but-unfired triggers memoized:
-			// force a full re-match round with fresh memos in case the
-			// caller resumes, so nothing is silently skipped.
-			st.full = true
-			for _, ts := range st.tgds {
-				ts.fired = newTriggerMemo()
-			}
-			clear(st.watermark)
 			return nil // Saturated stays false
 		}
 		if !progress {
@@ -406,8 +405,13 @@ type ExtendInfo struct {
 
 // Extend inserts the delta facts and chases to a new fixpoint,
 // re-matching only against the delta frontier. Facts must be ground;
-// unknown predicates create relations. It returns per-call statistics.
+// unknown predicates create relations. The whole batch is checked
+// before any fact is inserted, so a rejected batch leaves the state as
+// it was. It returns per-call statistics.
 func (st *State) Extend(ctx context.Context, delta []datalog.Atom) (*ExtendInfo, error) {
+	if err := st.checkDelta(delta); err != nil {
+		return nil, err
+	}
 	fired0, merged0 := st.res.Fired, st.res.Merged
 	info := &ExtendInfo{}
 	for _, a := range delta {
@@ -428,65 +432,96 @@ func (st *State) Extend(ctx context.Context, delta []datalog.Atom) (*ExtendInfo,
 	return info, nil
 }
 
+// checkDelta rejects a batch Extend could insert only in part: every
+// atom must be ground, and its arity must agree with the instance's
+// relation, with the program's atoms over its predicate, and with the
+// batch's earlier atoms over it.
+func (st *State) checkDelta(delta []datalog.Atom) error {
+	var fresh map[string]int // arities of predicates new to the instance and the program
+	for _, a := range delta {
+		if !a.IsGround() {
+			return fmt.Errorf("chase: extend: atom %s is not ground", a)
+		}
+		n := len(a.Args)
+		rel := st.inst.Relation(a.Pred)
+		ar, inProg := st.cp.arity[a.Pred]
+		switch {
+		case rel != nil && rel.Schema().Arity() != n:
+			return fmt.Errorf("chase: extend: atom %s: relation %s has arity %d", a, a.Pred, rel.Schema().Arity())
+		case inProg && ar != n:
+			return fmt.Errorf("chase: extend: atom %s: the program uses %s with arity %d", a, a.Pred, ar)
+		case rel == nil && !inProg:
+			if prev, ok := fresh[a.Pred]; ok && prev != n {
+				return fmt.Errorf("chase: extend: atom %s: the batch also holds %s with arity %d", a, a.Pred, prev)
+			}
+			if fresh == nil {
+				fresh = map[string]int{}
+			}
+			fresh[a.Pred] = n
+		}
+	}
+	return nil
+}
+
 // applyTGD enumerates this round's triggers of one TGD — full-plan in
-// a full round, delta-frontier-driven otherwise — and fires them. It
-// returns the number of applications, or -1 when MaxAtoms was
-// exceeded. Phase 1 (discovery) is sharded across the pool against
-// the frozen round view and merged in shard order, so the trigger
-// list, and therefore everything downstream (insertion order, null
-// labels), does not depend on the pool width; phase 2 (firing) always
-// runs on the caller goroutine.
+// a full round, delta-frontier-driven otherwise — and fires each whose
+// head is not satisfied. It returns the number of applications, or -1
+// when MaxAtoms was exceeded. Phase 1 (discovery) is sharded across
+// the pool against the frozen round view and merged in unit order, so
+// the trigger list, and therefore everything downstream (insertion
+// order, null labels), does not depend on the pool width; phase 2
+// (firing) always runs on the caller goroutine.
 func (st *State) applyTGD(ctx context.Context, ts *tgdState, full bool, roundStart map[string]int) (int, error) {
-	// Phase 1: enumerate new triggers, snapshotting register banks.
+	// Phase 1: enumerate triggers, snapshotting register banks.
 	// (Insertion happens afterwards so the enumeration never observes
 	// its own derivations mid-round.)
-	ts.triggers = ts.triggers[:0]
-	if err := st.discover(ctx, ts, full, roundStart); err != nil {
+	units, err := st.discover(ctx, ts, full, roundStart)
+	if err != nil {
 		return 0, err
 	}
 
-	// Phase 2: fire.
+	// Phase 2: fire, in unit order. A trigger enumerated twice is
+	// skipped the second time by headSatisfied.
 	in := st.inst.Interner()
 	applied := 0
-	for _, tr := range ts.triggers {
-		if st.headSatisfied(ts, tr) {
-			continue
-		}
-		for i := range ts.tp.ex {
-			nu := st.fresh.FreshNull()
-			st.res.NullsCreated++
-			ts.exIDs[i] = in.ID(nu)
-		}
-		inserted := 0
-		for _, hp := range ts.tp.heads {
-			row := ts.rowBuf[:len(hp.items)]
-			for i, it := range hp.items {
-				switch it.kind {
-				case hConst:
-					row[i] = it.id
-				case hSlot:
-					row[i] = tr[it.slot]
-				default:
-					row[i] = ts.exIDs[it.ex]
+	for _, triggers := range units {
+		for _, tr := range triggers {
+			if st.headSatisfied(ts, tr) {
+				continue
+			}
+			for i := range ts.tp.ex {
+				nu := st.fresh.FreshNull()
+				st.res.NullsCreated++
+				ts.exIDs[i] = in.ID(nu)
+			}
+			inserted := 0
+			for _, hp := range ts.tp.heads {
+				row := ts.rowBuf[:len(hp.items)]
+				for i, it := range hp.items {
+					switch it.kind {
+					case hConst:
+						row[i] = it.id
+					case hSlot:
+						row[i] = tr[it.slot]
+					default:
+						row[i] = ts.exIDs[it.ex]
+					}
+				}
+				isNew, err := st.inst.InsertRow(hp.pred, row)
+				if err != nil {
+					return 0, fmt.Errorf("chase: tgd %s: %w", ts.tp.tgd.ID, err)
+				}
+				if isNew {
+					inserted++
 				}
 			}
-			isNew, err := st.inst.InsertRow(hp.pred, row)
-			if err != nil {
-				// Head rows are ground by construction; an error here
-				// indicates an arity clash, which Validate should have
-				// caught — surface it loudly.
-				panic("chase: insert failed: " + err.Error())
+			if inserted > 0 {
+				applied++
+				st.res.Fired++
 			}
-			if isNew {
-				inserted++
+			if st.inst.TotalTuples() > st.maxAtoms {
+				return -1, nil
 			}
-		}
-		if inserted > 0 {
-			applied++
-			st.res.Fired++
-		}
-		if st.inst.TotalTuples() > st.maxAtoms {
-			return -1, nil
 		}
 	}
 	return applied, nil
@@ -495,44 +530,23 @@ func (st *State) applyTGD(ctx context.Context, ts *tgdState, full bool, roundSta
 // discover fans one TGD's trigger discovery out across the pool: the
 // body's round units (full shards, or chunks of each pivot's window
 // [watermark, roundStart)) run on workers that only read the frozen
-// round view and record raw register snapshots per unit. The caller
-// deduplicates through the shared trigger memo in unit order
-// afterwards, so the resulting trigger list does not depend on the
-// pool width.
-func (st *State) discover(ctx context.Context, ts *tgdState, full bool, roundStart map[string]int) error {
+// round view and record each match's register snapshot. It returns the
+// snapshots per unit, in unit order, so the trigger order does not
+// depend on the pool width.
+func (st *State) discover(ctx context.Context, ts *tgdState, full bool, roundStart map[string]int) ([][][]int32, error) {
 	units := ts.body.Units(nil, st.pool.Width(), full, st.watermark, roundStart)
 	if len(units) == 0 {
-		return nil
+		return nil, nil
 	}
-	snaps, err := par.Map(ctx, st.pool, len(units), func(t int) ([][]int32, error) {
+	return par.Map(ctx, st.pool, len(units), func(t int) ([][]int32, error) {
 		var arena datalog.Int32Arena
 		var local [][]int32
 		ts.body.Run(st.inst, units[t], ts.body.Full().NewRegs(), func(regs []int32) bool {
-			// Full rounds start with a fresh memo (the initial round,
-			// and EGD merges/bound aborts reset it), so there is
-			// nothing to probe. Delta rounds probe the quiescent memo
-			// read-only so triggers memoized in earlier rounds are not
-			// re-staged through other pivots; add still dedups
-			// authoritatively at merge.
-			if !full && ts.fired.has(regs) {
-				return true
-			}
 			local = append(local, arena.Copy(regs))
 			return true
 		})
 		return local, nil
 	})
-	if err != nil {
-		return err
-	}
-	for _, local := range snaps {
-		for _, s := range local {
-			if snap, isNew := ts.fired.add(s); isNew {
-				ts.triggers = append(ts.triggers, snap)
-			}
-		}
-	}
-	return nil
 }
 
 // headSatisfied reports whether the head conjunction already has a
@@ -591,15 +605,12 @@ func (st *State) applyEGDs(ctx context.Context) (int, []Violation, error) {
 				return
 			}
 			if a.IsConst() && b.IsConst() {
-				key := egd.ID + "§" + a.Name + "§" + b.Name
-				if !st.reportedEGD[key] {
-					st.reportedEGD[key] = true
-					hard = append(hard, Violation{
-						Kind:   EGDConflict,
-						ID:     egd.ID,
-						Detail: fmt.Sprintf("requires %s = %s", a, b),
-					})
-				}
+				// addViolations drops a conflict already reported.
+				hard = append(hard, Violation{
+					Kind:   EGDConflict,
+					ID:     egd.ID,
+					Detail: fmt.Sprintf("requires %s = %s", a, b),
+				})
 				return
 			}
 			// Merge the null into the other term; prefer keeping
@@ -676,38 +687,12 @@ func (st *State) collectEGDPairs(ctx context.Context, fold func(*datalog.EGD, da
 }
 
 // checkNCs evaluates negative constraints over the current instance,
-// appending violations not yet reported. Negated atoms are checked
-// under closed-world assumption. NC bodies are matched in shards
-// across the pool (read-only) and the found violations merged in (NC,
-// shard, match) order, so the report order does not depend on the
-// pool width.
+// appending violations not yet reported. Negated atoms and comparisons
+// are checked by each NC's filter, under closed-world assumption. NC
+// bodies are matched in shards across the pool (read-only) and the
+// found violations merged in (NC, shard, match) order, so the report
+// order does not depend on the pool width.
 func (st *State) checkNCs(ctx context.Context) error {
-	// matchNC evaluates one complete body match of ns, returning the
-	// violation when the NC fires (negated atoms absent, conditions
-	// hold). buf is projection scratch of at least ns.np.maxAr.
-	matchNC := func(ns *ncState, regs []int32, buf []int32) (Violation, bool) {
-		nc := ns.np.nc
-		for i := range ns.np.negs {
-			n := &ns.np.negs[i]
-			nb := buf[:n.Len()]
-			n.Project(regs, nb)
-			if st.inst.ContainsRow(n.Pred, nb) {
-				return Violation{}, false // negated atom present: body not satisfied
-			}
-		}
-		for _, c := range nc.Conds {
-			// Safety is validated up front, so EvalTerms cannot see
-			// unbound variables here.
-			ok, err := c.EvalTerms(ns.plan.TermAt(regs, c.L), ns.plan.TermAt(regs, c.R))
-			if err != nil || !ok {
-				return Violation{}, false
-			}
-		}
-		s := ns.plan.SubstAt(regs, datalog.NewSubst())
-		detail := datalog.AtomsString(s.ApplyAtoms(nc.PositiveBody()))
-		return Violation{Kind: NCViolation, ID: nc.ID, Detail: detail}, true
-	}
-
 	w := st.pool.Width()
 	type ncUnit struct {
 		ns    *ncState
@@ -725,16 +710,25 @@ func (st *State) checkNCs(ctx context.Context) error {
 	found, err := par.Map(ctx, st.pool, len(units), func(t int) ([]Violation, error) {
 		u := &units[t]
 		ns := u.ns
+		nc := ns.np.nc
 		regs := ns.plan.NewRegs()
-		buf := make([]int32, ns.np.maxAr)
+		buf := make([]int32, ns.np.filter.Width())
 		var local []Violation
+		var ferr error
 		ns.plan.ExecuteShard(st.inst, regs, u.shard, w, func(regs []int32) bool {
-			if v, ok := matchNC(ns, regs, buf); ok {
-				local = append(local, v)
+			ok, err := ns.np.filter.Pass(st.inst, regs, buf)
+			if err != nil {
+				ferr = fmt.Errorf("chase: nc %s: %w", nc.ID, err)
+				return false
+			}
+			if ok {
+				s := ns.plan.SubstAt(regs, datalog.NewSubst())
+				detail := datalog.AtomsString(s.ApplyAtoms(nc.PositiveBody()))
+				local = append(local, Violation{Kind: NCViolation, ID: nc.ID, Detail: detail})
 			}
 			return true
 		})
-		return local, nil
+		return local, ferr
 	})
 	if err != nil {
 		return err

@@ -116,7 +116,7 @@ func (in *Interner) DescendsFrom(anc *Interner) bool {
 }
 
 // HashInt32s is FNV-1a over a row of term ids (or any int32 slice),
-// the shared hash for row dedup buckets and trigger memos.
+// the shared row hash of relation dedup and snapshot row folds.
 func HashInt32s(row []int32) uint64 {
 	h := uint64(14695981039346656037)
 	for _, id := range row {

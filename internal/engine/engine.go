@@ -81,6 +81,10 @@ type Prepared struct {
 	// (TGD/EGD/NC bodies plus rule bodies) — the relations whose
 	// cardinality drift a session watches to decide when to re-plan.
 	planPreds map[string]bool
+	// ruleArity maps every predicate the rules use to its arity, so
+	// Apply rejects a batch the derived layer could take only in part
+	// before the chase inserts any of it.
+	ruleArity map[string]int
 }
 
 // Prepare validates and compiles the spec once. The returned Prepared
@@ -106,6 +110,17 @@ func Prepare(spec Spec) (*Prepared, error) {
 	if spec.Rules != nil && len(spec.Rules.Rules) > 0 {
 		if err := spec.Rules.Validate(); err != nil {
 			return nil, err
+		}
+		p.ruleArity = map[string]int{}
+		for _, r := range spec.Rules.Rules {
+			for _, atoms := range [][]datalog.Atom{{r.Head}, r.Body, r.Negated} {
+				for _, a := range atoms {
+					if n, ok := p.ruleArity[a.Pred]; ok && n != len(a.Args) {
+						return nil, fmt.Errorf("engine: rule %s: predicate %s used with arity %d and %d", r.ID, a.Pred, n, len(a.Args))
+					}
+					p.ruleArity[a.Pred] = len(a.Args)
+				}
+			}
 		}
 		p.strata, err = spec.Rules.Stratify()
 		if err != nil {
@@ -230,10 +245,21 @@ type ApplyResult struct {
 // an incremental chase from the delta frontier, then an incremental
 // (or, when incrementality is unsound, rebuilt) derived layer. It is
 // the only mutating entry point; readers holding earlier snapshots are
-// unaffected (copy-on-write).
+// unaffected (copy-on-write). A batch holding a non-ground atom, or an
+// atom whose arity disagrees with the chase program, the rules, the
+// chased instance or an earlier atom of the batch, is rejected whole.
 func (s *Session) Apply(ctx context.Context, delta []datalog.Atom) (*ApplyResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+
+	// The chase checks the batch against its own program and instance
+	// (chase.State.Extend); the rules' predicates, among them those
+	// only the rules derive, are checked here.
+	for _, a := range delta {
+		if n, ok := s.prep.ruleArity[a.Pred]; ok && n != len(a.Args) {
+			return nil, fmt.Errorf("engine: apply: atom %s: the rules use %s with arity %d", a, a.Pred, n)
+		}
+	}
 
 	replanned := false
 	if s.needReplan {

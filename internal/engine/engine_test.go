@@ -74,6 +74,17 @@ func TestSessionApplyStats(t *testing.T) {
 	}
 }
 
+// TestPrepareRejectsRuleArityClash: rules that use one predicate with
+// two arities are rejected at Prepare, so Apply has one arity to check
+// a batch atom over a rule predicate against.
+func TestPrepareRejectsRuleArityClash(t *testing.T) {
+	spec := testSpec(t, false)
+	spec.Rules.Add(eval.NewRule("wide", dl.A("M", dl.V("p"), dl.V("x")), dl.A("R1", dl.V("p"), dl.V("x"))))
+	if _, err := Prepare(spec); err == nil {
+		t.Fatal("Prepare accepted rules using M with arity 1 and 2")
+	}
+}
+
 func TestSessionNegationRebuild(t *testing.T) {
 	p, err := Prepare(testSpec(t, true))
 	if err != nil {

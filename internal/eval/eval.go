@@ -209,52 +209,23 @@ type Fact struct {
 }
 
 // compiledRule is a rule lowered onto one register space: the body's
-// pivot plan (full plan and every delta plan) and the head and
-// negation projections compiled against its full plan.
+// pivot plan (full plan and every delta plan), and the head projection
+// and the filter of negated atoms and comparisons compiled against its
+// full plan.
 type compiledRule struct {
-	r     *Rule
-	body  *storage.PivotPlan
-	head  storage.Proj
-	negs  []storage.Proj
-	maxAr int // widest head or negated atom: projection scratch size
+	r      *Rule
+	body   *storage.PivotPlan
+	head   storage.Proj
+	filter storage.Filter
+	maxAr  int // widest head or negated atom: projection scratch size
 }
 
 func compileRule(r *Rule, db *storage.Instance) *compiledRule {
 	cr := &compiledRule{r: r, body: storage.CompilePivotPlan(db, r.Body)}
 	cr.head = cr.body.Full().CompileProj(r.Head)
-	for _, n := range r.Negated {
-		cr.negs = append(cr.negs, cr.body.Full().CompileProj(n))
-	}
-	cr.maxAr = len(r.Head.Args)
-	for _, n := range r.Negated {
-		cr.maxAr = max(cr.maxAr, len(n.Args))
-	}
+	cr.filter = cr.body.Full().CompileFilter(r.Negated, r.Conds)
+	cr.maxAr = max(len(r.Head.Args), cr.filter.Width())
 	return cr
-}
-
-// filters checks the rule's negated atoms (closed world) and
-// comparisons against the register bank. buf is projection scratch of
-// at least cr.maxAr; each worker passes its own so one rule can be
-// filtered from many goroutines.
-func (cr *compiledRule) filters(db *storage.Instance, regs []int32, buf []int32) (bool, error) {
-	for i := range cr.negs {
-		n := &cr.negs[i]
-		nb := buf[:n.Len()]
-		n.Project(regs, nb)
-		if db.ContainsRow(n.Pred, nb) {
-			return false, nil
-		}
-	}
-	for _, c := range cr.r.Conds {
-		ok, err := c.EvalTerms(cr.body.Full().TermAt(regs, c.L), cr.body.Full().TermAt(regs, c.R))
-		if err != nil {
-			return false, fmt.Errorf("eval: rule %s: %w", cr.r.ID, err)
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // State is a resumable stratified evaluation: it owns an instance
@@ -431,9 +402,9 @@ func (st *State) fixpoint(ctx context.Context, comp []*compiledRule, recursive b
 			b := &storage.Batch{}
 			var serr error
 			cr.body.Run(st.inst, units[t], cr.body.Full().NewRegs(), func(regs []int32) bool {
-				ok, err := cr.filters(st.inst, regs, buf)
+				ok, err := cr.filter.Pass(st.inst, regs, buf)
 				if err != nil {
-					serr = err
+					serr = fmt.Errorf("eval: rule %s: %w", cr.r.ID, err)
 					return false
 				}
 				if ok {
@@ -543,38 +514,19 @@ func EvalQueryFuncPlanned(q *datalog.Query, db *storage.Instance, planner QueryP
 	} else {
 		plan = storage.CompileQueryPlan(db, q.Body)
 	}
-	negs := make([]storage.Proj, len(q.Negated))
-	for i, n := range q.Negated {
-		negs[i] = plan.CompileProbe(n)
-	}
-	maxAr := 0
-	for _, n := range negs {
-		if n.Len() > maxAr {
-			maxAr = n.Len()
-		}
-	}
-	buf := make([]int32, maxAr)
+	filter := plan.CompileFilter(q.Negated, q.Conds)
+	buf := make([]int32, filter.Width())
 	seen := map[string]bool{}
 	ansVars := q.Head.Args
 	var derr error
 	plan.Execute(db, plan.NewRegs(), func(regs []int32) bool {
-		for i := range negs {
-			n := &negs[i]
-			nb := buf[:n.Len()]
-			n.Project(regs, nb)
-			if db.ContainsRow(n.Pred, nb) {
-				return true
-			}
+		ok, err := filter.Pass(db, regs, buf)
+		if err != nil {
+			derr = err
+			return false
 		}
-		for _, c := range q.Conds {
-			ok, err := c.EvalTerms(plan.TermAt(regs, c.L), plan.TermAt(regs, c.R))
-			if err != nil {
-				derr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
+		if !ok {
+			return true
 		}
 		terms := make([]datalog.Term, len(ansVars))
 		for i, v := range ansVars {

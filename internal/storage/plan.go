@@ -30,6 +30,10 @@ type Plan struct {
 	vars  []datalog.Term
 	slots map[string]int // variable name -> slot
 	atoms []planAtom     // in execution order
+	// intern records the constructor: CompilePlan interns constants,
+	// CompileQueryPlan resolves unseen ones to the never-matching
+	// sentinel. Filters compiled against the plan follow the same mode.
+	intern bool
 }
 
 // planArg is one argument position of a plan atom.
@@ -100,8 +104,9 @@ func CompileQueryPlan(db *Instance, body []datalog.Atom, bound ...datalog.Term) 
 
 func compilePlan(db *Instance, body []datalog.Atom, bound []datalog.Term, intern bool) *Plan {
 	p := &Plan{
-		in:    db.in,
-		slots: map[string]int{},
+		in:     db.in,
+		slots:  map[string]int{},
+		intern: intern,
 	}
 	for _, a := range body {
 		for _, t := range a.Args {
@@ -587,15 +592,6 @@ func (p *Plan) CompileProj(a datalog.Atom) Proj {
 	return p.compileProj(a, true)
 }
 
-// CompileProbe compiles atom a for membership probes only, without
-// interning: constants the instance has never seen become the
-// never-matching sentinel, so ContainsRow on the projected row is
-// false — the correct closed-world answer — and the instance stays
-// unmodified.
-func (p *Plan) CompileProbe(a datalog.Atom) Proj {
-	return p.compileProj(a, false)
-}
-
 func (p *Plan) compileProj(a datalog.Atom, intern bool) Proj {
 	items := make([]planArg, len(a.Args))
 	for i, t := range a.Args {
@@ -644,6 +640,92 @@ func (pr *Proj) Bind(row []int32, regs []int32) bool {
 		regs[it.slot] = row[i]
 	}
 	return true
+}
+
+// Filter is the closed-world part of a rule, query or constraint body
+// that its join plan does not match: negated atoms, probed as rows, and
+// built-in comparisons, checked per complete match. Compile it once
+// with Plan.CompileFilter; Pass only reads its arguments, so one Filter
+// may be shared by concurrent workers, each with its own scratch.
+type Filter struct {
+	negs  []Proj
+	conds []filterCond
+	width int // widest negated atom
+}
+
+// filterCond is one comparison with both sides resolved at compile
+// time.
+type filterCond struct {
+	c    datalog.Comparison
+	l, r filterSide
+}
+
+// filterSide is one side of a comparison: register slot, or the term
+// itself when slot < 0 (a constant, or a variable the plan does not
+// bind, which EvalTerms reports as unbound).
+type filterSide struct {
+	slot int
+	t    datalog.Term
+}
+
+// CompileFilter compiles negated atoms and comparisons against the
+// plan's register space. Negated atoms intern their constants under
+// CompilePlan and take the never-matching sentinel for unseen ones
+// under CompileQueryPlan, so a query filter leaves the instance
+// unmodified. Every variable of a negated atom must occur in the
+// plan's conjunction (rule safety guarantees this); CompileFilter
+// panics otherwise.
+func (p *Plan) CompileFilter(negated []datalog.Atom, conds []datalog.Comparison) Filter {
+	f := Filter{negs: make([]Proj, len(negated)), conds: make([]filterCond, len(conds))}
+	for i, a := range negated {
+		f.negs[i] = p.compileProj(a, p.intern)
+		f.width = max(f.width, len(a.Args))
+	}
+	side := func(t datalog.Term) filterSide {
+		if t.IsVar() {
+			return filterSide{slot: p.Slot(t), t: t}
+		}
+		return filterSide{slot: -1, t: t}
+	}
+	for i, c := range conds {
+		f.conds[i] = filterCond{c: c, l: side(c.L), r: side(c.R)}
+	}
+	return f
+}
+
+// Width returns the scratch length Pass needs: the widest negated
+// atom's arity.
+func (f *Filter) Width() int { return f.width }
+
+// Pass reports whether a complete match in regs passes the filter: no
+// negated atom's row is in db (closed world) and every comparison
+// holds. scratch must hold at least Width() ids. The error is a
+// comparison that cannot be evaluated (an unbound side).
+func (f *Filter) Pass(db *Instance, regs, scratch []int32) (bool, error) {
+	for i := range f.negs {
+		n := &f.negs[i]
+		row := scratch[:n.Len()]
+		n.Project(regs, row)
+		if db.ContainsRow(n.Pred, row) {
+			return false, nil
+		}
+	}
+	for i := range f.conds {
+		c := &f.conds[i]
+		ok, err := c.c.EvalTerms(c.l.term(db.in, regs), c.r.term(db.in, regs))
+		if err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// term resolves the side under regs.
+func (s filterSide) term(in *datalog.Interner, regs []int32) datalog.Term {
+	if s.slot >= 0 && regs[s.slot] != datalog.NoID {
+		return in.TermOf(regs[s.slot])
+	}
+	return s.t
 }
 
 // String renders the plan's atom order and slot assignment, for tests

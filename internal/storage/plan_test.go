@@ -226,7 +226,7 @@ func TestCompileQueryPlanLeavesInstanceUnmodified(t *testing.T) {
 	if got := collectRun(p, db, init, dl.VarsOfAtoms(body)); len(got) != 0 {
 		t.Errorf("unknown seed matched %d rows", len(got))
 	}
-	p.CompileProbe(dl.A("R0", dl.V("c"), dl.C("third-unseen")))
+	p.CompileFilter([]dl.Atom{dl.A("R0", dl.V("c"), dl.C("third-unseen"))}, nil)
 	if after := db.Interner().Len(); after != before {
 		t.Errorf("read-only compile/run grew interner: %d -> %d", before, after)
 	}

@@ -449,3 +449,105 @@ func TestSnapshotIterationOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectedApplyLeavesSessionUnchanged applies batches whose second
+// atom does not fit its predicate: a relation of the chased instance,
+// and a quality predicate only the rules derive. Each batch must be
+// rejected whole: the live snapshot, the exported state and a session
+// restored from it keep the counts they had before it, and a later
+// good batch lands alike on the live and the restored session.
+func TestRejectedApplyLeavesSessionUnchanged(t *testing.T) {
+	ctx := context.Background()
+	qc, err := mdqa.HospitalQualityContext(mdqa.HospitalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := qc.Prepare(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels := []string{"Measurements", "Measurement_c", "TakenByNurse"}
+	counts := func(snap *mdqa.Snapshot) string {
+		t.Helper()
+		var out []string
+		for _, rel := range rels {
+			n, err := snap.NumTuples(rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprintf("%s=%d", rel, n))
+		}
+		return strings.Join(out, " ")
+	}
+	measurement := func(time, value string) mdqa.Atom {
+		return mdqa.NewAtom("Measurements", mdqa.Const(time), mdqa.Const("Tom Waits"), mdqa.Const(value))
+	}
+	for _, bad := range []mdqa.Atom{
+		mdqa.NewAtom("PatientUnit", mdqa.Const("zz")),  // arity 3
+		mdqa.NewAtom("TakenByNurse", mdqa.Const("zz")), // arity 4, derived by the rules only
+	} {
+		sess, err := prep.NewSession(ctx, mdqa.HospitalMeasurements())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := counts(sess.Snapshot())
+		exported := sess.ExportState().Chased.Relation("Measurements").Len()
+
+		if _, err := sess.Apply(ctx, []mdqa.Atom{measurement("Sep/9-12:00", "38.0"), bad}); err == nil {
+			t.Fatalf("Apply accepted %s", bad)
+		}
+		if got := counts(sess.Snapshot()); got != before {
+			t.Errorf("%s: live snapshot after the rejected batch: %s, want %s", bad, got, before)
+		}
+		state := sess.ExportState()
+		if got := state.Chased.Relation("Measurements").Len(); got != exported {
+			t.Errorf("%s: exported Measurements after the rejected batch: %d rows, want %d", bad, got, exported)
+		}
+		restored, err := prep.RestoreSession(ctx, state)
+		if err != nil {
+			t.Fatalf("%s: %v", bad, err)
+		}
+		if got := counts(restored.Snapshot()); got != before {
+			t.Errorf("%s: restored snapshot: %s, want %s", bad, got, before)
+		}
+
+		good := []mdqa.Atom{measurement("Sep/9-13:00", "37.5")}
+		for _, s := range []*mdqa.Session{sess, restored} {
+			if _, err := s.Apply(ctx, good); err != nil {
+				t.Fatalf("%s: %v", bad, err)
+			}
+		}
+		if live, rest := counts(sess.Snapshot()), counts(restored.Snapshot()); live != rest || live == before {
+			t.Errorf("%s: after a good batch: live %s, restored %s (before %s)", bad, live, rest, before)
+		}
+	}
+}
+
+// TestChaseArityClashesReturnErrors runs programs whose atoms do not
+// fit the instance or each other through the chase entry points: each
+// must return an error, not panic.
+func TestChaseArityClashesReturnErrors(t *testing.T) {
+	ctx := context.Background()
+	x := mdqa.Var("x")
+	narrow := mdqa.NewTGD("t1", []mdqa.Atom{mdqa.NewAtom("R", x)}, []mdqa.Atom{mdqa.NewAtom("S", x)})
+	wide := mdqa.NewTGD("t2", []mdqa.Atom{mdqa.NewAtom("R", x, x)}, []mdqa.Atom{mdqa.NewAtom("S", x)})
+	compiled := func(tgds ...*mdqa.TGD) *mdqa.Compiled {
+		prog := &mdqa.Program{TGDs: tgds}
+		inst := mdqa.NewInstance()
+		if len(tgds) == 1 {
+			inst.MustInsert("R", mdqa.Const("a"), mdqa.Const("b"))
+		}
+		inst.MustInsert("S", mdqa.Const("a"))
+		return &mdqa.Compiled{Program: prog, Instance: inst}
+	}
+	if _, err := mdqa.Chase(ctx, compiled(narrow), mdqa.ChaseOptions{}); err == nil {
+		t.Error("Chase: R(x) <- S(x) over a binary R: no error")
+	}
+	if _, err := mdqa.Chase(ctx, compiled(narrow, wide), mdqa.ChaseOptions{}); err == nil {
+		t.Error("Chase: R used with arity 1 and 2: no error")
+	}
+	q := mdqa.NewQuery(mdqa.NewAtom("Q", x), mdqa.NewAtom("R", x))
+	if _, err := mdqa.CertainAnswers(ctx, compiled(narrow), q, mdqa.AnswerOptions{Engine: mdqa.EngineChase}); err == nil {
+		t.Error("CertainAnswers (chase engine): R(x) <- S(x) over a binary R: no error")
+	}
+}
