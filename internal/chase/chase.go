@@ -15,10 +15,12 @@
 // The package has two entry layers. Run is the one-shot API:
 // chase a program over a copy of an instance to its fixpoint. Compile
 // and State are the prepared/incremental API behind them: a
-// CompiledProgram lowers every dependency onto join plans exactly once
-// and can be shared across goroutines, and a State owns a saturated
-// instance whose fixpoint can be grown with Extend — semi-naive,
-// re-matching only against tuples inserted since the previous round.
+// CompiledProgram compiles the program exactly once and can be shared
+// across goroutines, and a State, which compiles its dependencies'
+// join plans against its own instance when it is created, owns a
+// saturated instance whose fixpoint can be grown with Extend —
+// semi-naive, re-matching only against tuples inserted since the
+// previous round.
 package chase
 
 import (

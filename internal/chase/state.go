@@ -10,59 +10,50 @@ import (
 	"repro/internal/storage"
 )
 
-// CompiledProgram is the immutable compiled form of a Datalog± program:
-// every TGD body, TGD head, EGD body and NC body lowered onto join
-// plans against one instance's interner. Compile it once (for example
-// against a prepared base instance) and share it freely: states built
-// from it only read it, so any number of sessions — including sessions
-// on different goroutines — can chase from one CompiledProgram, each
-// over its own instance clone.
+// CompiledProgram is the immutable compiled form of a Datalog± program
+// over one instance's interner: the program's constants interned, each
+// TGD's head projections, each NC's closed-world filter and the
+// program's predicate arities. Compile it once (for example against a
+// prepared base instance) and share it freely: states built from it
+// only read it, so any number of sessions — including sessions on
+// different goroutines — can chase from one CompiledProgram, each over
+// its own instance clone. Join plans are costed against the data they
+// run over, so each State compiles its own (see NewState).
 type CompiledProgram struct {
 	in   *datalog.Interner
 	tgds []*tgdPlan
-	egds []*egdPlan
+	egds []*datalog.EGD
 	ncs  []*ncPlan
 	// arity maps every predicate of the program to the arity all its
 	// atoms share (Validate checks that they agree).
 	arity map[string]int
 }
 
-// tgdPlan is the immutable compiled form of one TGD.
+// tgdPlan is the immutable compiled form of one TGD. Its slots are
+// those of every plan compiled over the TGD's body or head, since
+// CompilePlan assigns slots by first occurrence in the conjunction,
+// whatever atom order the statistics pick.
 type tgdPlan struct {
-	tgd *datalog.TGD
-	// body matches triggers: full rounds and delta-window pivots, all
-	// in the full body plan's register space.
-	body *storage.PivotPlan
-	// head decides restricted-chase head satisfaction: frontier
-	// variables seeded from trigger registers, existential variables
-	// left free.
-	head     *storage.Plan
+	tgd      *datalog.TGD
 	headSeed [][2]int // (head-plan slot, body-plan slot) per frontier var
 	heads    []headAtomProj
 	ex       []datalog.Term // existential vars in head-occurrence order
 	maxAr    int            // widest head atom
 }
 
-// egdPlan is the immutable compiled form of one EGD.
-type egdPlan struct {
-	egd  *datalog.EGD
-	plan *storage.Plan
-}
-
 // ncPlan is the immutable compiled form of one negative constraint.
 type ncPlan struct {
 	nc     *datalog.NC
-	plan   *storage.Plan
 	filter storage.Filter
 }
 
-// Compile validates the program (an empty one is fine) and lowers it
-// onto join plans against db's interner. It rejects a program whose
-// atoms disagree with the arity of one of db's relations. The caller
-// must own db (compilation interns the program's constants) and must
-// not intern further terms into db's interner from another goroutine
-// while the compiled program is shared. States execute the plans
-// against db, its clones, or detached clones (forked interners).
+// Compile validates the program (an empty one is fine) and compiles it
+// against db's interner. It rejects a program whose atoms disagree
+// with the arity of one of db's relations. The caller must own db
+// (compilation interns the program's constants) and must not intern
+// further terms into db's interner from another goroutine while the
+// compiled program is shared. States run over db, its clones, or
+// detached clones (forked interners).
 func Compile(prog *datalog.Program, db *storage.Instance) (*CompiledProgram, error) {
 	if err := prog.Validate(); err != nil && !errors.Is(err, datalog.ErrEmptyProgram) {
 		return nil, err
@@ -79,12 +70,15 @@ func Compile(prog *datalog.Program, db *storage.Instance) (*CompiledProgram, err
 		cp.tgds = append(cp.tgds, compileTGDPlan(tgd, db))
 	}
 	for _, egd := range prog.EGDs {
-		cp.egds = append(cp.egds, &egdPlan{egd: egd, plan: storage.CompilePlan(db, egd.Body)})
+		// Compiling interns the body's constants into db's interner, as
+		// for every dependency, so that the persisted term table does
+		// not depend on which session first reads them.
+		storage.CompilePlan(db, egd.Body)
+		cp.egds = append(cp.egds, egd)
 	}
 	for _, nc := range prog.NCs {
-		np := &ncPlan{nc: nc, plan: storage.CompilePlan(db, nc.PositiveBody())}
-		np.filter = np.plan.CompileFilter(nc.NegativeBody(), nc.Conds)
-		cp.ncs = append(cp.ncs, np)
+		plan := storage.CompilePlan(db, nc.PositiveBody())
+		cp.ncs = append(cp.ncs, &ncPlan{nc: nc, filter: plan.CompileFilter(nc.NegativeBody(), nc.Conds)})
 	}
 	return cp, nil
 }
@@ -100,8 +94,8 @@ func (cp *CompiledProgram) BodyPreds() map[string]bool {
 			out[a.Pred] = true
 		}
 	}
-	for _, ep := range cp.egds {
-		for _, a := range ep.egd.Body {
+	for _, egd := range cp.egds {
+		for _, a := range egd.Body {
 			out[a.Pred] = true
 		}
 	}
@@ -115,15 +109,11 @@ func (cp *CompiledProgram) BodyPreds() map[string]bool {
 
 func compileTGDPlan(tgd *datalog.TGD, db *storage.Instance) *tgdPlan {
 	in := db.Interner()
-	tp := &tgdPlan{
-		tgd:  tgd,
-		body: storage.CompilePivotPlan(db, tgd.Body),
-		head: storage.CompilePlan(db, tgd.Head, tgd.FrontierVars()...),
-		ex:   tgd.ExistentialVars(),
-	}
-	body := tp.body.Full()
+	tp := &tgdPlan{tgd: tgd, ex: tgd.ExistentialVars()}
+	body := storage.CompilePlan(db, tgd.Body)
+	head := storage.CompilePlan(db, tgd.Head, tgd.FrontierVars()...)
 	for _, v := range tgd.FrontierVars() {
-		tp.headSeed = append(tp.headSeed, [2]int{tp.head.Slot(v), body.Slot(v)})
+		tp.headSeed = append(tp.headSeed, [2]int{head.Slot(v), body.Slot(v)})
 	}
 	exIdx := map[string]int{}
 	for i, z := range tp.ex {
@@ -182,8 +172,8 @@ type State struct {
 	res   *Result
 
 	tgds []*tgdState
-	egds []*egdState
-	ncs  []*ncState
+	egds []*storage.Plan // one per CompiledProgram EGD
+	ncs  []*storage.Plan // one per CompiledProgram NC, its positive body
 
 	// watermark[pred] counts rows already processed as "old" by delta
 	// matching: every homomorphism entirely below the watermarks has
@@ -201,8 +191,9 @@ type State struct {
 	maxRounds, maxAtoms int
 }
 
-// tgdState is the mutable per-state scratch of one TGD: plans
-// retargeted onto the state's interner plus reusable register banks.
+// tgdState is the mutable per-state part of one TGD: its body and head
+// plans, compiled against the state's instance, plus reusable register
+// banks.
 type tgdState struct {
 	tp       *tgdPlan
 	body     *storage.PivotPlan
@@ -210,16 +201,6 @@ type tgdState struct {
 	headRegs []int32
 	exIDs    []int32
 	rowBuf   []int32
-}
-
-type egdState struct {
-	ep   *egdPlan
-	plan *storage.Plan
-}
-
-type ncState struct {
-	np   *ncPlan
-	plan *storage.Plan
 }
 
 // NewState validates and compiles the program and returns a resumable
@@ -237,10 +218,17 @@ func NewState(prog *datalog.Program, db *storage.Instance, opts Options) (*State
 
 // NewState builds a chase state over inst, which the state takes
 // ownership of: the caller must not mutate inst afterwards (reading
-// through Instance() or Snapshot is fine). inst's interner must be the
-// compile interner or a fork of it — a detached clone of the compile
-// instance satisfies this.
+// through Instance() or Snapshot is fine). It compiles the state's
+// TGD, EGD and NC join plans against inst, so their atom order is
+// costed against the data the state chases. inst's interner must be
+// the compile interner or a fork of it — a detached clone of the
+// compile instance satisfies this — because the head projections and
+// NC filters carry the compile interner's ids; NewState panics
+// otherwise.
 func (cp *CompiledProgram) NewState(inst *storage.Instance, opts Options) *State {
+	if !inst.Interner().DescendsFrom(cp.in) {
+		panic("chase: NewState over an instance whose interner does not descend from the compile interner")
+	}
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
@@ -259,24 +247,13 @@ func (cp *CompiledProgram) NewState(inst *storage.Instance, opts Options) *State
 		maxRounds: opts.MaxRounds,
 		maxAtoms:  opts.MaxAtoms,
 	}
-	in := inst.Interner()
-	for _, tp := range cp.tgds {
-		ts := &tgdState{
-			tp:   tp,
-			body: tp.body.Retarget(in),
-			head: tp.head.Retarget(in),
-		}
-		ts.headRegs = ts.head.NewRegs()
-		ts.exIDs = make([]int32, len(tp.ex))
-		ts.rowBuf = make([]int32, tp.maxAr)
-		st.tgds = append(st.tgds, ts)
+	st.tgds = make([]*tgdState, len(cp.tgds))
+	for i, tp := range cp.tgds {
+		st.tgds[i] = &tgdState{tp: tp, exIDs: make([]int32, len(tp.ex)), rowBuf: make([]int32, tp.maxAr)}
 	}
-	for _, ep := range cp.egds {
-		st.egds = append(st.egds, &egdState{ep: ep, plan: ep.plan.Retarget(in)})
-	}
-	for _, np := range cp.ncs {
-		st.ncs = append(st.ncs, &ncState{np: np, plan: np.plan.Retarget(in)})
-	}
+	st.egds = make([]*storage.Plan, len(cp.egds))
+	st.ncs = make([]*storage.Plan, len(cp.ncs))
+	st.Replan()
 	return st
 }
 
@@ -289,25 +266,26 @@ func (st *State) Instance() *storage.Instance { return st.inst }
 // Extend calls; Saturated reflects the most recent call.
 func (st *State) Result() *Result { return st.res }
 
-// Replan recompiles every TGD/EGD/NC plan against the state's live
+// Replan compiles every TGD/EGD/NC plan against the state's live
 // instance, refreshing the cost-based atom order from its current
-// statistics (the compile-time plans were costed against the prepared
-// base, which an incrementally grown session can drift arbitrarily far
-// from). Slot assignment depends only on the body's source order, so
-// the compiled projections, filters and register banks all remain
-// valid. Single-writer, like Chase and Extend; must not run
-// concurrently with either.
+// statistics (an incrementally grown session can drift arbitrarily far
+// from the data its plans were costed against). NewState runs it once;
+// the session layer runs it again on drift. Slot assignment depends
+// only on the body's source order, so the compiled head projections,
+// filters and register banks all remain valid. Single-writer, like
+// Chase and Extend; must not run concurrently with either.
 func (st *State) Replan() {
 	for _, ts := range st.tgds {
 		tgd := ts.tp.tgd
-		ts.body.Replan(st.inst)
+		ts.body = storage.CompilePivotPlan(st.inst, tgd.Body)
 		ts.head = storage.CompilePlan(st.inst, tgd.Head, tgd.FrontierVars()...)
+		ts.headRegs = ts.head.NewRegs()
 	}
-	for _, es := range st.egds {
-		es.plan = storage.CompilePlan(st.inst, es.ep.egd.Body)
+	for i, egd := range st.cp.egds {
+		st.egds[i] = storage.CompilePlan(st.inst, egd.Body)
 	}
-	for _, ns := range st.ncs {
-		ns.plan = storage.CompilePlan(st.inst, ns.np.nc.PositiveBody())
+	for i, np := range st.cp.ncs {
+		st.ncs[i] = storage.CompilePlan(st.inst, np.nc.PositiveBody())
 	}
 }
 
@@ -651,24 +629,23 @@ type egdPair struct {
 func (st *State) collectEGDPairs(ctx context.Context, fold func(*datalog.EGD, datalog.Term, datalog.Term)) error {
 	w := st.pool.Width()
 	type egdUnit struct {
-		es    *egdState
-		shard int
+		egd, shard int
 	}
 	units := make([]egdUnit, 0, len(st.egds)*w)
-	for _, es := range st.egds {
+	for i := range st.egds {
 		for s := 0; s < w; s++ {
-			units = append(units, egdUnit{es: es, shard: s})
+			units = append(units, egdUnit{egd: i, shard: s})
 		}
 	}
 	pairs, err := par.Map(ctx, st.pool, len(units), func(t int) ([]egdPair, error) {
 		u := &units[t]
-		es := u.es
-		regs := es.plan.NewRegs()
+		egd, plan := st.cp.egds[u.egd], st.egds[u.egd]
+		regs := plan.NewRegs()
 		var local []egdPair
-		es.plan.ExecuteShard(st.inst, regs, u.shard, w, func(regs []int32) bool {
+		plan.ExecuteShard(st.inst, regs, u.shard, w, func(regs []int32) bool {
 			local = append(local, egdPair{
-				l: es.plan.TermAt(regs, es.ep.egd.Left),
-				r: es.plan.TermAt(regs, es.ep.egd.Right),
+				l: plan.TermAt(regs, egd.Left),
+				r: plan.TermAt(regs, egd.Right),
 			})
 			return true
 		})
@@ -678,7 +655,7 @@ func (st *State) collectEGDPairs(ctx context.Context, fold func(*datalog.EGD, da
 		return err
 	}
 	for t, local := range pairs {
-		egd := units[t].es.ep.egd
+		egd := st.cp.egds[units[t].egd]
 		for _, p := range local {
 			fold(egd, p.l, p.r)
 		}
@@ -695,13 +672,12 @@ func (st *State) collectEGDPairs(ctx context.Context, fold func(*datalog.EGD, da
 func (st *State) checkNCs(ctx context.Context) error {
 	w := st.pool.Width()
 	type ncUnit struct {
-		ns    *ncState
-		shard int
+		nc, shard int
 	}
 	units := make([]ncUnit, 0, len(st.ncs)*w)
-	for _, ns := range st.ncs {
+	for i := range st.ncs {
 		for s := 0; s < w; s++ {
-			units = append(units, ncUnit{ns: ns, shard: s})
+			units = append(units, ncUnit{nc: i, shard: s})
 		}
 	}
 	if len(units) == 0 {
@@ -709,20 +685,20 @@ func (st *State) checkNCs(ctx context.Context) error {
 	}
 	found, err := par.Map(ctx, st.pool, len(units), func(t int) ([]Violation, error) {
 		u := &units[t]
-		ns := u.ns
-		nc := ns.np.nc
-		regs := ns.plan.NewRegs()
-		buf := make([]int32, ns.np.filter.Width())
+		np, plan := st.cp.ncs[u.nc], st.ncs[u.nc]
+		nc := np.nc
+		regs := plan.NewRegs()
+		buf := make([]int32, np.filter.Width())
 		var local []Violation
 		var ferr error
-		ns.plan.ExecuteShard(st.inst, regs, u.shard, w, func(regs []int32) bool {
-			ok, err := ns.np.filter.Pass(st.inst, regs, buf)
+		plan.ExecuteShard(st.inst, regs, u.shard, w, func(regs []int32) bool {
+			ok, err := np.filter.Pass(st.inst, regs, buf)
 			if err != nil {
 				ferr = fmt.Errorf("chase: nc %s: %w", nc.ID, err)
 				return false
 			}
 			if ok {
-				s := ns.plan.SubstAt(regs, datalog.NewSubst())
+				s := plan.SubstAt(regs, datalog.NewSubst())
 				detail := datalog.AtomsString(s.ApplyAtoms(nc.PositiveBody()))
 				local = append(local, Violation{Kind: NCViolation, ID: nc.ID, Detail: detail})
 			}

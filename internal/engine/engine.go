@@ -157,10 +157,6 @@ func (p *Prepared) NewSession(ctx context.Context, d *storage.Instance) (*Sessio
 		}
 	}
 	cs := p.cp.NewState(inst, p.opts)
-	// The shared compiled plans were costed against the bare base; the
-	// session instance now holds the merged data under assessment, so
-	// re-cost the atom order once before the cold chase.
-	cs.Replan()
 	if err := cs.Chase(ctx); err != nil {
 		return nil, err
 	}
@@ -171,6 +167,14 @@ func (p *Prepared) NewSession(ctx context.Context, d *storage.Instance) (*Sessio
 			Atoms:  inst.TotalTuples(),
 		})
 	}
+	return p.open(ctx, cs)
+}
+
+// open wraps a saturated chase state in a session: it evaluates the
+// derived layer over the chased instance and records the statistics
+// the plans were costed against. NewSession and RestoreSession differ
+// only in how they obtain the chase state.
+func (p *Prepared) open(ctx context.Context, cs *chase.State) (*Session, error) {
 	s := &Session{prep: p, chase: cs}
 	if err := s.rebuildEval(ctx); err != nil {
 		return nil, err
@@ -248,6 +252,13 @@ type ApplyResult struct {
 // unaffected (copy-on-write). A batch holding a non-ground atom, or an
 // atom whose arity disagrees with the chase program, the rules, the
 // chased instance or an earlier atom of the batch, is rejected whole.
+//
+// ctx is checked once, before the batch touches the session: a
+// cancelled Apply leaves the session as it was. Once the batch is
+// inserted, the chase and the derived layer run to completion whatever
+// ctx does, since stopping them would leave the batch half applied;
+// the chase bounds (chase.Options MaxRounds and MaxAtoms) still stop a
+// runaway batch.
 func (s *Session) Apply(ctx context.Context, delta []datalog.Atom) (*ApplyResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -260,6 +271,10 @@ func (s *Session) Apply(ctx context.Context, delta []datalog.Atom) (*ApplyResult
 			return nil, fmt.Errorf("engine: apply: atom %s: the rules use %s with arity %d", a, a.Pred, n)
 		}
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	ctx = context.WithoutCancel(ctx)
 
 	replanned := false
 	if s.needReplan {

@@ -38,13 +38,5 @@ func (p *Prepared) RestoreSession(ctx context.Context, chased *storage.Instance,
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	s := &Session{prep: p, chase: cs}
-	// Re-cost the shared compile-time plans against the restored data,
-	// exactly as NewSession does for freshly merged data.
-	cs.Replan()
-	if err := s.rebuildEval(ctx); err != nil {
-		return nil, err
-	}
-	s.recordPlanLens()
-	return s, nil
+	return p.open(ctx, cs)
 }

@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -54,13 +55,6 @@ import (
 const Format = 1
 
 const magic = "MDQSNP01"
-
-// MaxMeta bounds the meta JSON; larger length prefixes are rejected
-// before allocating.
-const MaxMeta = 1 << 20
-
-// MaxSection bounds a section body.
-const MaxSection = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -179,16 +173,33 @@ func EncodeSnapshot(meta Meta, st SessionState) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: marshal meta: %w", err)
 	}
+	if err := fitsLength("meta", mj); err != nil {
+		return nil, err
+	}
 	out := append([]byte(nil), magic...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(mj)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(mj, castagnoli))
 	out = append(out, mj...)
-	out = appendSection(out, SectionChase, encodeInstance(st.Chased))
-	out = appendSection(out, SectionOrig, encodeInstance(st.Orig))
-	if st.Sources != nil {
-		out = appendSection(out, SectionSources, encodeInstance(st.Sources))
+	// meta.Instances names the sections in file order: chase, orig,
+	// then sources when present.
+	sections := []*storage.Instance{st.Chased, st.Orig, st.Sources}
+	for i, name := range meta.Instances {
+		body := encodeInstance(sections[i])
+		if err := fitsLength("section "+name, body); err != nil {
+			return nil, err
+		}
+		out = appendSection(out, name, body)
 	}
 	return out, nil
+}
+
+// fitsLength rejects a header or section body longer than its uint32
+// length prefix can state.
+func fitsLength(what string, p []byte) error {
+	if uint64(len(p)) > math.MaxUint32 {
+		return fmt.Errorf("persist: %s of %d bytes does not fit its length prefix", what, len(p))
+	}
+	return nil
 }
 
 func appendSection(dst []byte, name string, body []byte) []byte {
@@ -251,7 +262,7 @@ func ReadMeta(data []byte) (Meta, int, error) {
 	mlen := binary.LittleEndian.Uint32(data[off : off+4])
 	msum := binary.LittleEndian.Uint32(data[off+4 : off+8])
 	off += 8
-	if mlen > MaxMeta || int(mlen) > len(data)-off {
+	if uint64(mlen) > uint64(len(data)-off) {
 		return Meta{}, 0, fmt.Errorf("persist: meta length %d out of range", mlen)
 	}
 	mj := data[off : off+int(mlen)]
@@ -339,7 +350,7 @@ func readSection(data []byte, off int) (name string, body []byte, next int, err 
 	}
 	nlen := binary.LittleEndian.Uint32(data[off : off+4])
 	off += 4
-	if nlen > 256 || int(nlen) > len(data)-off {
+	if nlen > 256 || uint64(nlen) > uint64(len(data)-off) {
 		return "", nil, 0, fmt.Errorf("persist: section name length %d out of range", nlen)
 	}
 	name = string(data[off : off+int(nlen)])
@@ -350,7 +361,7 @@ func readSection(data []byte, off int) (name string, body []byte, next int, err 
 	blen := binary.LittleEndian.Uint32(data[off : off+4])
 	bsum := binary.LittleEndian.Uint32(data[off+4 : off+8])
 	off += 8
-	if blen > MaxSection || int(blen) > len(data)-off {
+	if uint64(blen) > uint64(len(data)-off) {
 		return "", nil, 0, fmt.Errorf("persist: section %q length %d out of range", name, blen)
 	}
 	body = data[off : off+int(blen)]

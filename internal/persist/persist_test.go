@@ -1,11 +1,14 @@
 package persist
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/chase"
 	"repro/internal/datalog"
+	"repro/internal/history"
 	"repro/internal/storage"
 )
 
@@ -169,5 +172,31 @@ func TestRowHashGuardsSemanticCorruption(t *testing.T) {
 	// not succeed.
 	if _, _, err := ReadSnapshot(reframed, base); err == nil {
 		t.Fatal("tampered rows decoded cleanly")
+	}
+}
+
+// TestLongHistoryRoundTrips encodes a session whose header carries the
+// metadata of 10,000 versions, over a megabyte of JSON, and reads it
+// back: EncodeSnapshot must never write a header ReadSnapshot rejects.
+func TestLongHistoryRoundTrips(t *testing.T) {
+	base, st := buildState(t)
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for seq := uint64(0); seq < 10_000; seq++ {
+		st.History = append(st.History, history.Version{
+			Seq: seq, WALSeq: seq, Time: t0.Add(time.Duration(seq) * time.Second),
+			Batch: 1, Violations: 1, Rows: 4_000 + int(seq),
+			Scores: map[string]history.Score{"Measurements": {Original: int(seq), Quality: int(seq) / 2, Intersection: int(seq) / 2}},
+		})
+	}
+	data, err := EncodeSnapshot(Meta{Context: "hospital", Session: "s1", Seq: 9_999}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, got, err := ReadSnapshot(data, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Seq != 9_999 || !reflect.DeepEqual(got.History, st.History) || !got.Chased.Equal(st.Chased) {
+		t.Fatalf("round trip of %d versions: seq %d, %d versions back", len(st.History), meta.Seq, len(got.History))
 	}
 }

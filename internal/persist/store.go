@@ -203,46 +203,20 @@ func (s *Store) CreateSession(context, sid string, meta Meta, st SessionState) (
 	return &SessionLog{dir: dir, opts: s.opts, w: w, gen: 1}, nil
 }
 
-// OpenSession recovers a persisted session: it decodes the newest
-// snapshot (falling back to an older one only if a newer snapshot
-// file is unreadable as a whole — sections are CRC'd, so a readable
-// file that fails verification is corruption and fails loudly),
-// replays every WAL batch beyond the snapshot's covered sequence
-// through replay in order, then opens a fresh segment for new appends.
-// The returned log continues the recovered sequence numbering.
+// OpenSession recovers a persisted session for appends: it reads the
+// session to the end of its log (ReadSessionAt's reader, with no upper
+// sequence), then opens a fresh segment for new appends. The returned
+// log continues the recovered sequence numbering. The snapshot it
+// starts from is the newest file; an unreadable or corrupt newest
+// snapshot fails the open, with no fallback to an older one.
+// WriteSnapshot deletes older files only after the new one is durably
+// renamed in, so the newest file is complete unless the disk corrupted
+// it, and older leftovers exist only when a crash interrupted cleanup.
 func (s *Store) OpenSession(context, sid string, base *datalog.Interner, replay func(wal.Batch) error) (*SessionLog, Meta, SessionState, error) {
-	dir, err := s.sessionDir(context, sid)
+	dir, meta, st, last, err := s.readSession(context, sid, ^uint64(0), base, replay)
 	if err != nil {
 		return nil, Meta{}, SessionState{}, err
 	}
-	paths, seqs, err := snapshots(dir)
-	if err != nil {
-		return nil, Meta{}, SessionState{}, err
-	}
-	if len(paths) == 0 {
-		return nil, Meta{}, SessionState{}, fmt.Errorf("persist: session %s/%s has no snapshot", context, sid)
-	}
-	// Newest snapshot first. WriteSnapshot only deletes older files
-	// after the new one is durably renamed in, so the newest readable
-	// file is always complete; older leftovers exist only when a crash
-	// interrupted cleanup.
-	i := len(paths) - 1
-	data, err := os.ReadFile(paths[i])
-	if err != nil {
-		return nil, Meta{}, SessionState{}, err
-	}
-	meta, st, err := ReadSnapshot(data, base)
-	if err != nil {
-		return nil, Meta{}, SessionState{}, fmt.Errorf("persist: snapshot %s: %w", filepath.Base(paths[i]), err)
-	}
-	if meta.Seq != seqs[i] {
-		return nil, Meta{}, SessionState{}, fmt.Errorf("persist: snapshot %s covers seq %d, file name says %d", filepath.Base(paths[i]), meta.Seq, seqs[i])
-	}
-	last, err := wal.ReplayDir(dir, meta.Seq, replay)
-	if err != nil {
-		return nil, Meta{}, SessionState{}, err
-	}
-	replayed := int(last - meta.Seq)
 	_, maxGen, err := wal.Segments(dir)
 	if err != nil {
 		return nil, Meta{}, SessionState{}, err
@@ -254,7 +228,7 @@ func (s *Store) OpenSession(context, sid string, base *datalog.Interner, replay 
 	}
 	l := &SessionLog{
 		dir: dir, opts: s.opts, w: w, gen: gen,
-		seq: last, snapSeq: meta.Seq, sinceSnap: replayed,
+		seq: last, snapSeq: meta.Seq, sinceSnap: int(last - meta.Seq),
 	}
 	return l, meta, st, nil
 }
@@ -384,9 +358,7 @@ func segmentCovered(path string, baseSeq uint64) bool {
 }
 
 // ReadSessionAt reconstructs a session's durable state at an exact
-// historical version: it decodes the newest snapshot covering
-// seq <= target and replays the WAL batches in (snapshot, target]
-// through replay, in order. It is read-only — no segment is opened for
+// historical version. It is read-only — no segment is opened for
 // appends and no file is touched — so it is safe alongside a live
 // SessionLog on the same directory. A target older than every retained
 // snapshot (compaction has dropped its replay base) yields a
@@ -394,49 +366,69 @@ func segmentCovered(path string, baseSeq uint64) bool {
 // a target beyond the log yields a plain error (callers validate
 // against the live session's latest version first).
 func (s *Store) ReadSessionAt(context, sid string, target uint64, base *datalog.Interner, replay func(wal.Batch) error) (Meta, SessionState, error) {
-	dir, err := s.sessionDir(context, sid)
+	_, meta, st, last, err := s.readSession(context, sid, target, base, replay)
 	if err != nil {
 		return Meta{}, SessionState{}, err
+	}
+	if last != target {
+		return Meta{}, SessionState{}, fmt.Errorf("persist: as-of %d: log ends at %d (snapshot %d)", target, last, meta.Seq)
+	}
+	return meta, st, nil
+}
+
+// readSession is the one reader of a session directory, behind
+// OpenSession and ReadSessionAt. It decodes the newest snapshot
+// covering seq <= upTo, checks the sequence its file name carries, and
+// replays the WAL batches in (snapshot, upTo] through replay, in
+// order. It returns the session directory, the snapshot's header and
+// state, and the last sequence replayed (the snapshot's when none
+// was). SessionLog.Append numbers batches without gaps, so a log that
+// skips a sequence fails the read: its batches would not describe the
+// versions they claim.
+func (s *Store) readSession(context, sid string, upTo uint64, base *datalog.Interner, replay func(wal.Batch) error) (string, Meta, SessionState, uint64, error) {
+	dir, err := s.sessionDir(context, sid)
+	if err != nil {
+		return "", Meta{}, SessionState{}, 0, err
 	}
 	paths, seqs, err := snapshots(dir)
 	if err != nil {
-		return Meta{}, SessionState{}, err
+		return "", Meta{}, SessionState{}, 0, err
+	}
+	if len(paths) == 0 {
+		return "", Meta{}, SessionState{}, 0, fmt.Errorf("persist: session %s/%s has no snapshot", context, sid)
 	}
 	bi := -1
 	for i, seq := range seqs {
-		if seq <= target {
+		if seq <= upTo {
 			bi = i // ascending order: last match is the newest base
 		}
 	}
 	if bi < 0 {
-		oldest := uint64(0)
-		if len(seqs) > 0 {
-			oldest = seqs[0]
-		}
-		return Meta{}, SessionState{}, &qerr.VersionEvictedError{Version: target, Oldest: oldest}
+		return "", Meta{}, SessionState{}, 0, &qerr.VersionEvictedError{Version: upTo, Oldest: seqs[0]}
 	}
+	name := filepath.Base(paths[bi])
 	data, err := os.ReadFile(paths[bi])
 	if err != nil {
-		return Meta{}, SessionState{}, err
+		return "", Meta{}, SessionState{}, 0, err
 	}
 	meta, st, err := ReadSnapshot(data, base)
 	if err != nil {
-		return Meta{}, SessionState{}, fmt.Errorf("persist: snapshot %s: %w", filepath.Base(paths[bi]), err)
+		return "", Meta{}, SessionState{}, 0, fmt.Errorf("persist: snapshot %s: %w", name, err)
 	}
 	if meta.Seq != seqs[bi] {
-		return Meta{}, SessionState{}, fmt.Errorf("persist: snapshot %s covers seq %d, file name says %d", filepath.Base(paths[bi]), meta.Seq, seqs[bi])
+		return "", Meta{}, SessionState{}, 0, fmt.Errorf("persist: snapshot %s covers seq %d, file name says %d", name, meta.Seq, seqs[bi])
 	}
-	replayed := uint64(0)
-	if _, err := wal.ReplayRange(dir, meta.Seq, target, func(b wal.Batch) error {
-		replayed++
+	last := meta.Seq
+	if _, err := wal.ReplayRange(dir, meta.Seq, upTo, func(b wal.Batch) error {
+		if b.Seq != last+1 {
+			return fmt.Errorf("persist: session %s/%s: WAL skips from seq %d to %d", context, sid, last, b.Seq)
+		}
+		last = b.Seq
 		return replay(b)
 	}); err != nil {
-		return Meta{}, SessionState{}, err
+		return "", Meta{}, SessionState{}, 0, err
 	}
-	if meta.Seq+replayed != target {
-		return Meta{}, SessionState{}, fmt.Errorf("persist: as-of %d: log ends at %d (snapshot %d + %d replayed)", target, meta.Seq+replayed, meta.Seq, replayed)
-	}
-	return meta, st, nil
+	return dir, meta, st, last, nil
 }
 
 // Close seals the live segment. The log is unusable afterwards; a

@@ -140,7 +140,7 @@ func checkAssessment(t *testing.T, sess *quality.Session, orig map[string]bool, 
 		t.Fatalf("assessment version %d (ok=%v), want %d (ok=%v)", v.Seq, ok, wantSeq, history)
 	}
 	snap, _, _ := sess.View()
-	want := oracleVersion(snap, sess.VersionPred("Measurements"))
+	want := oracleVersion(snap, quality.VersionName("Measurements"))
 	got := a.Versions["Measurements"]
 	if got.Schema().String() != "Measurements_q(Time, Patient, Value)" {
 		t.Fatalf("version schema %s", got.Schema())

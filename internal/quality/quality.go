@@ -522,34 +522,21 @@ func checkRuleHeads(prog *datalog.Program, rules []*eval.Rule) error {
 // concurrent readers. Cancellation of ctx is checked once per chase
 // round and eval stratum round.
 func (p *Prepared) NewSession(ctx context.Context, d *storage.Instance) (*Session, error) {
-	merged := d
 	var snaps map[string]*source.Snapshot
 	if len(p.bindings) > 0 {
-		// Resolve every live source (TTL-cached, singleflighted) and
-		// merge the snapshots with the instance under assessment. The
-		// combined instance — not d alone — seeds the engine session;
-		// the session remembers each snapshot so Refresh can diff
-		// against exactly what it applied.
+		// Resolve every live source (TTL-cached, singleflighted); the
+		// session remembers each snapshot so Refresh can diff against
+		// exactly what it applied.
 		snaps = make(map[string]*source.Snapshot, len(p.bindings))
-		combined := storage.NewInstance()
-		if d != nil {
-			if err := storage.Merge(combined, d); err != nil {
-				return nil, err
-			}
-		}
 		for _, b := range p.bindings {
 			snap, err := p.resolver.Get(ctx, b.Name)
 			if err != nil {
 				return nil, err
 			}
 			snaps[b.Name] = snap
-			if err := storage.Merge(combined, snap.Inst); err != nil {
-				return nil, err
-			}
 		}
-		merged = combined
 	}
-	eng, err := p.eng.NewSession(ctx, merged)
+	eng, err := p.openEngine(ctx, d, snaps)
 	if err != nil {
 		return nil, err
 	}
@@ -568,6 +555,30 @@ func (p *Prepared) NewSession(ctx context.Context, d *storage.Instance) (*Sessio
 		s.recordVersionLocked(0)
 	}
 	return s, nil
+}
+
+// openEngine opens an engine session over d plus the source snapshots,
+// merged in binding order: the combined instance, not d alone, seeds
+// the session. It is the cold open of NewSession and of a Refresh
+// that a source removal forces to rebuild.
+func (p *Prepared) openEngine(ctx context.Context, d *storage.Instance, snaps map[string]*source.Snapshot) (*engine.Session, error) {
+	if len(p.bindings) == 0 {
+		return p.eng.NewSession(ctx, d)
+	}
+	combined := storage.NewInstance()
+	if d != nil {
+		if err := storage.Merge(combined, d); err != nil {
+			return nil, err
+		}
+	}
+	for _, b := range p.bindings {
+		if snap := snaps[b.Name]; snap != nil {
+			if err := storage.Merge(combined, snap.Inst); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return p.eng.NewSession(ctx, combined)
 }
 
 // Session is a live assessment: a saturated contextual instance that
@@ -599,7 +610,9 @@ type Session struct {
 // the whole step, so a concurrent Assessment sees either none or all
 // of the batch (never a contextual snapshot from before the delta
 // paired with measures from after it), and a failed engine apply
-// leaves the measure bookkeeping untouched.
+// leaves the measure bookkeeping untouched. Cancellation follows
+// engine.Session.Apply: ctx is checked before the batch touches the
+// session, and a batch under way runs to completion.
 func (s *Session) Apply(ctx context.Context, delta []datalog.Atom) (*engine.ApplyResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -807,19 +820,6 @@ func (s *Session) ChaseRounds() int {
 	defer s.mu.Unlock()
 	return s.priorRounds + s.eng.ChaseResult().Rounds
 }
-
-// VersionPred returns the version predicate defined for an original
-// relation, or "" when none is.
-func (s *Session) VersionPred(rel string) string {
-	if def, ok := s.prep.versions[rel]; ok {
-		return def.pred
-	}
-	return ""
-}
-
-// Versioned lists the original relations with defined quality
-// versions, in declaration order.
-func (s *Session) Versioned() []string { return append([]string(nil), s.prep.vorder...) }
 
 // Assessment materializes the session's current state as the
 // Figure 2 assessment outcome: quality versions, departure measures

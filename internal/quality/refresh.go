@@ -133,18 +133,7 @@ func (s *Session) Refresh(ctx context.Context) (*RefreshResult, error) {
 // snapshots — the removal fallback. The retired session's chase rounds
 // roll into priorRounds so ChaseRounds stays monotonic.
 func (s *Session) rebuildLocked(ctx context.Context, snaps map[string]*source.Snapshot) error {
-	combined := storage.NewInstance()
-	if err := storage.Merge(combined, s.orig); err != nil {
-		return err
-	}
-	for _, b := range s.prep.bindings {
-		if snap := snaps[b.Name]; snap != nil {
-			if err := storage.Merge(combined, snap.Inst); err != nil {
-				return err
-			}
-		}
-	}
-	eng, err := s.prep.eng.NewSession(ctx, combined)
+	eng, err := s.prep.openEngine(ctx, s.orig, snaps)
 	if err != nil {
 		return err
 	}

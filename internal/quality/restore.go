@@ -28,10 +28,14 @@ func (s *Session) Export() persist.SessionState {
 		Chase:  r,
 	}
 	if s.hist != nil {
-		// The version metadata rides along in the snapshot header (it
-		// is tiny — no instances), so a restored session keeps its
-		// trajectory, wall times and attribution records.
+		// The version metadata rides along in the snapshot header
+		// (metadata only, no instances), so a restored session keeps its
+		// trajectory, wall times and attribution records, and resumes
+		// at the version the state was exported at.
 		st.History = s.hist.Versions()
+		if last, ok := s.hist.Last(); ok {
+			st.Seq = last.Seq
+		}
 	}
 	if len(s.src) > 0 {
 		// The last-applied source tuples ride along (one instance,

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/wal"
 	"repro/mdqa"
 )
 
@@ -93,30 +92,14 @@ func (s *Server) sessionAt(ctx context.Context, sess *session, ms *mdqa.Session,
 }
 
 // reconstructAt rebuilds a session's state at an exact historical
-// version, read-only: decode the newest on-disk snapshot covering
-// seq <= version, restore a throwaway engine session from it, replay
-// the WAL batches up to the version through it. The live session and
-// its log are untouched. Cost is one snapshot decode plus up to
-// SnapshotEvery incremental applies — the replay-latency curve PERF.md
-// documents.
+// version, read-only (loadSession under that version). Cost is one
+// snapshot decode plus up to SnapshotEvery incremental applies — the
+// replay-latency curve PERF.md documents.
 func (s *Server) reconstructAt(ctx context.Context, sess *session, version uint64) (*mdqa.Session, error) {
 	lc := sess.lc
-	var batches []wal.Batch
-	_, st, err := s.store.ReadSessionAt(lc.name, sess.id, version, lc.prep.BaseInterner(), func(b wal.Batch) error {
-		batches = append(batches, b)
-		return nil
-	})
+	_, _, ms, _, err := s.loadSession(ctx, lc, sess.id, version)
 	if err != nil {
 		return nil, err
-	}
-	ms, err := lc.prep.RestoreSession(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	for _, b := range batches {
-		if _, err := ms.Apply(ctx, b.Atoms); err != nil {
-			return nil, fmt.Errorf("server: as-of replay seq %d: %w", b.Seq, err)
-		}
 	}
 	if v, ok := ms.LatestVersion(); !ok || v.Seq != version {
 		return nil, fmt.Errorf("server: as-of reconstruction reached version %d, wanted %d", v.Seq, version)

@@ -72,27 +72,49 @@ func (s *Server) historyRetain() int {
 	}
 }
 
-// openSession decodes a session's durable state and replays its WAL
-// tail into a restored engine session, returning the reopened log.
-func (s *Server) openSession(ctx context.Context, lc *loadedContext, sid string) (*persist.SessionLog, persist.Meta, *mdqa.Session, int, error) {
+// wholeLog is the upper sequence under which loadSession reads a
+// session's whole log and reopens it for appends.
+const wholeLog = ^uint64(0)
+
+// loadSession is the one loader of a session from disk, behind startup
+// recovery, revival after eviction and as-of reconstruction: it
+// restores the newest snapshot covering seq <= upTo and replays the
+// WAL batches beyond it, up to upTo, through Apply. Under wholeLog it
+// reads the whole log and returns it reopened for appends; under a
+// version it is read-only, leaves the live session and its log
+// untouched, and returns a nil log. It also returns the snapshot's
+// header and the number of batches replayed.
+func (s *Server) loadSession(ctx context.Context, lc *loadedContext, sid string, upTo uint64) (*persist.SessionLog, persist.Meta, *mdqa.Session, int, error) {
 	var batches []wal.Batch
-	log, meta, st, err := s.store.OpenSession(lc.name, sid, lc.prep.BaseInterner(), func(b wal.Batch) error {
+	collect := func(b wal.Batch) error {
 		batches = append(batches, b)
 		return nil
-	})
+	}
+	var (
+		log  *persist.SessionLog
+		meta persist.Meta
+		st   persist.SessionState
+		err  error
+	)
+	if upTo == wholeLog {
+		log, meta, st, err = s.store.OpenSession(lc.name, sid, lc.prep.BaseInterner(), collect)
+	} else {
+		meta, st, err = s.store.ReadSessionAt(lc.name, sid, upTo, lc.prep.BaseInterner(), collect)
+	}
 	if err != nil {
 		return nil, persist.Meta{}, nil, 0, err
 	}
 	ms, err := lc.prep.RestoreSession(ctx, st)
-	if err != nil {
-		log.Close()
-		return nil, persist.Meta{}, nil, 0, err
-	}
-	for _, b := range batches {
-		if _, err := ms.Apply(ctx, b.Atoms); err != nil {
-			log.Close()
-			return nil, persist.Meta{}, nil, 0, fmt.Errorf("replay batch seq %d: %w", b.Seq, err)
+	for i := 0; err == nil && i < len(batches); i++ {
+		if _, err = ms.Apply(ctx, batches[i].Atoms); err != nil {
+			err = fmt.Errorf("replay batch seq %d: %w", batches[i].Seq, err)
 		}
+	}
+	if err != nil {
+		if log != nil {
+			log.Close()
+		}
+		return nil, persist.Meta{}, nil, 0, err
 	}
 	return log, meta, ms, len(batches), nil
 }
@@ -100,7 +122,7 @@ func (s *Server) openSession(ctx context.Context, lc *loadedContext, sid string)
 // recoverSession restores one persisted session at startup and files
 // it in the registry under its original id.
 func (s *Server) recoverSession(ctx context.Context, lc *loadedContext, sid string) error {
-	log, meta, ms, replayed, err := s.openSession(ctx, lc, sid)
+	log, meta, ms, replayed, err := s.loadSession(ctx, lc, sid, wholeLog)
 	if err != nil {
 		return fmt.Errorf("server: recover session %s/%s: %w", lc.name, sid, err)
 	}
@@ -157,7 +179,7 @@ func (s *Server) residentLocked(ctx context.Context, sess *session) (*mdqa.Sessi
 	if sess.s != nil {
 		return sess.s, nil
 	}
-	log, _, ms, _, err := s.openSession(ctx, sess.lc, sess.id)
+	log, _, ms, _, err := s.loadSession(ctx, sess.lc, sess.id, wholeLog)
 	if err != nil {
 		return nil, fmt.Errorf("server: revive session %s: %w", sess.id, err)
 	}

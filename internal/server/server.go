@@ -31,7 +31,10 @@
 // a reader never observes half of one). Request-scoped cancellation
 // flows end to end: the request context reaches every chase and eval
 // work unit, and a client that disconnects mid-assessment aborts the
-// engine work it paid for. Engine failures map to structured HTTP
+// engine work it paid for. An apply batch is the exception: the
+// context is checked before the batch touches the session, and a
+// batch under way runs to completion (and is logged), since stopping
+// it would leave it half applied. Engine failures map to structured HTTP
 // error bodies via MapError (ErrInconsistent → 409 with violations,
 // ErrBoundExceeded → 422, unknown relations → 400).
 package server

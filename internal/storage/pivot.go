@@ -63,18 +63,6 @@ func (pp *PivotPlan) Replan(db *Instance) {
 	}
 }
 
-// Retarget returns a copy bound to a descendant interner (see
-// Plan.Retarget). The copy is always fresh, so a Replan of it leaves
-// the original, which other states may share, untouched.
-func (pp *PivotPlan) Retarget(in *datalog.Interner) *PivotPlan {
-	out := &PivotPlan{body: pp.body, full: pp.full.Retarget(in), pivots: pp.pivots}
-	out.delta = make([]*Plan, len(pp.delta))
-	for i, dp := range pp.delta {
-		out.delta[i] = dp.Retarget(in)
-	}
-	return out
-}
-
 // Units appends to dst the work units of one round for a pool of the
 // given width, and returns the extended slice; a caller that builds
 // rounds in a loop passes the previous round's slice cut to length 0.

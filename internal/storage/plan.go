@@ -272,27 +272,6 @@ func (p *Plan) Slot(v datalog.Term) int {
 	return -1
 }
 
-// Retarget returns a copy of the plan bound to a descendant interner
-// (see datalog.Interner.DescendsFrom). Forks preserve every id the
-// ancestor assigned, so the compiled constants and slot assignments
-// stay valid; the copy shares the immutable compile artifacts (atom
-// order, projections) with the original. This is how a prepared
-// session re-homes plans compiled once against a base instance onto
-// its own detached clone: Retarget is O(1) where recompiling is
-// O(body). It panics when in does not descend from the plan's
-// interner, since register values would be meaningless.
-func (p *Plan) Retarget(in *datalog.Interner) *Plan {
-	if in == p.in {
-		return p
-	}
-	if !in.DescendsFrom(p.in) {
-		panic("storage: Plan.Retarget onto unrelated interner")
-	}
-	out := *p
-	out.in = in
-	return &out
-}
-
 // NewRegs returns a fresh register bank with every slot unbound.
 func (p *Plan) NewRegs() []int32 {
 	regs := make([]int32, len(p.vars))

@@ -117,8 +117,9 @@ func (c *PlanCache) QueryPlan(db *Instance, body []datalog.Atom) *Plan {
 			c.order.MoveToFront(el)
 			c.hits++
 			c.mu.Unlock()
-			// Rebind to this snapshot's interner: a struct copy sharing
-			// the immutable compile artifacts, same as Plan.Retarget.
+			// Rebind to this snapshot's interner, a fork of the one the
+			// plan was compiled against: a struct copy sharing the
+			// immutable compile artifacts.
 			out := *e.plan
 			out.in = in
 			return &out

@@ -148,31 +148,6 @@ func TestSnapshotOfSnapshot(t *testing.T) {
 	}
 }
 
-func TestPlanRetarget(t *testing.T) {
-	db := snapDB(t)
-	plan := CompilePlan(db, []datalog.Atom{datalog.A("R", datalog.V("a"), datalog.V("b"))})
-	det := db.CloneDetached()
-	rp := plan.Retarget(det.Interner())
-	n := 0
-	rp.Execute(det, rp.NewRegs(), func([]int32) bool {
-		n++
-		return true
-	})
-	if n != 2 {
-		t.Fatalf("retargeted plan found %d rows, want 2", n)
-	}
-	// Retarget onto an unrelated interner must panic.
-	other := NewInstance()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Retarget onto unrelated interner did not panic")
-			}
-		}()
-		plan.Retarget(other.Interner())
-	}()
-}
-
 // TestSnapshotReadsDuringInPlaceAppends is the race test for shared
 // row and posting storage: the writer takes snapshots at several
 // lengths, then keeps inserting while one reader per snapshot

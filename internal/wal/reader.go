@@ -241,22 +241,17 @@ func uvarint(p []byte) (uint64, []byte, error) {
 	return v, p[n:], nil
 }
 
-// ReplayDir replays every batch with Seq > afterSeq from the
-// directory's segments in order, returning the highest sequence seen
-// (afterSeq when none). Sequences must be strictly increasing across
-// the whole log; a regression is corruption.
-func ReplayDir(dir string, afterSeq uint64, fn func(Batch) error) (uint64, error) {
-	return ReplayRange(dir, afterSeq, ^uint64(0), fn)
-}
-
 // ReplayRange replays every batch with afterSeq < Seq <= upToSeq from
 // the directory's segments in order, returning the highest sequence
 // seen in the whole log (afterSeq when none) — callers that replay a
 // prefix still learn how far the log extends. Every segment is decoded
 // and integrity-checked end to end even when the range ends early: a
 // bounded replay must not report success over a log whose tail is
-// corrupt. As-of reconstruction (persist.ReadSessionAt) uses this to
-// roll a historical snapshot forward to an exact version.
+// corrupt. Sequences must be strictly increasing across the whole log;
+// a regression is corruption. The session reader behind recovery and
+// as-of reconstruction (persist.Store.OpenSession and ReadSessionAt)
+// uses this to roll a snapshot forward, to the end of the log or to an
+// exact version.
 func ReplayRange(dir string, afterSeq, upToSeq uint64, fn func(Batch) error) (uint64, error) {
 	paths, _, err := Segments(dir)
 	if err != nil {

@@ -136,9 +136,13 @@ type symKey struct {
 // concurrent use; the session layer serializes appends on its writer
 // lock (the same lock that orders the engine applies being logged).
 type Writer struct {
-	f        *os.File
-	opts     Options
+	f    *os.File
+	opts Options
+	// syms is the segment's symbol table as written: an append adds
+	// its new symbols (staged in pending) only once its write succeeds,
+	// so a failed append leaves the table as the file has it.
 	syms     map[symKey]uint64
+	pending  map[symKey]uint64
 	lastSync time.Time
 	fsyncs   int64
 	buf      []byte
@@ -156,32 +160,37 @@ func Create(path string, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: create segment: %w", err)
 	}
-	return &Writer{f: f, opts: opts, syms: map[symKey]uint64{}, lastSync: time.Now()}, nil
+	return &Writer{f: f, opts: opts, syms: map[symKey]uint64{}, pending: map[symKey]uint64{}, lastSync: time.Now()}, nil
 }
 
-// sym returns the segment-local id of a symbol, staging a table entry
-// into the pending syms record when it is new.
-func (w *Writer) sym(kind byte, name string, pending *[]byte) uint64 {
+// sym returns the segment-local id of a symbol, staging it in pending
+// and its table entry into entries when it is new to the segment.
+func (w *Writer) sym(kind byte, name string, entries *[]byte) uint64 {
 	k := symKey{kind: kind, name: name}
 	if id, ok := w.syms[k]; ok {
 		return id
 	}
-	id := uint64(len(w.syms))
-	w.syms[k] = id
-	*pending = append(*pending, kind)
-	*pending = binary.AppendUvarint(*pending, uint64(len(name)))
-	*pending = append(*pending, name...)
+	if id, ok := w.pending[k]; ok {
+		return id
+	}
+	id := uint64(len(w.syms) + len(w.pending))
+	w.pending[k] = id
+	*entries = append(*entries, kind)
+	*entries = binary.AppendUvarint(*entries, uint64(len(name)))
+	*entries = append(*entries, name...)
 	return id
 }
 
 // Append logs one batch under the given sequence number. The batch is
 // on disk — in the kernel, and per the sync mode on stable storage —
 // when Append returns nil; only then may the caller acknowledge it.
+// A batch whose records a reader could not take back (either longer
+// than MaxRecord) fails before anything is written, and a failed write
+// leaves the writer's symbol table as it was.
 func (w *Writer) Append(seq uint64, atoms []datalog.Atom) error {
+	defer clear(w.pending)
 	// Build the batch payload, staging new symbols on the side.
 	var symEntries []byte
-	symCount := 0
-	nsyms0 := len(w.syms)
 	batch := w.rec[:0]
 	batch = append(batch, recBatch)
 	batch = binary.AppendUvarint(batch, seq)
@@ -194,25 +203,32 @@ func (w *Writer) Append(seq uint64, atoms []datalog.Atom) error {
 		}
 	}
 	w.rec = batch[:0]
-	symCount = len(w.syms) - nsyms0
+	var syms []byte
+	if len(w.pending) > 0 {
+		syms = append(syms, recSyms)
+		syms = binary.AppendUvarint(syms, uint64(len(w.pending)))
+		syms = append(syms, symEntries...)
+	}
+	if len(syms) > MaxRecord {
+		return fmt.Errorf("wal: symbols record of %d bytes exceeds MaxRecord", len(syms))
+	}
+	if len(batch) > MaxRecord {
+		return fmt.Errorf("wal: batch record of %d bytes exceeds MaxRecord", len(batch))
+	}
 
 	// One write syscall covers the syms record (when any) and the
 	// batch record, so a crash tears at most a suffix of this append.
 	out := w.buf[:0]
-	if symCount > 0 {
-		var payload []byte
-		payload = append(payload, recSyms)
-		payload = binary.AppendUvarint(payload, uint64(symCount))
-		payload = append(payload, symEntries...)
-		out = appendRecord(out, payload)
+	if len(syms) > 0 {
+		out = appendRecord(out, syms)
 	}
 	out = appendRecord(out, batch)
 	w.buf = out[:0]
-	if len(batch) > MaxRecord {
-		return fmt.Errorf("wal: batch record of %d bytes exceeds MaxRecord", len(batch))
-	}
 	if _, err := w.f.Write(out); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
+	}
+	for k, id := range w.pending {
+		w.syms[k] = id
 	}
 
 	switch w.opts.Mode {

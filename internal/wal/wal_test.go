@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,7 +53,7 @@ func writeSegments(t *testing.T, segs ...[]Batch) string {
 func replayAll(t *testing.T, dir string, afterSeq uint64) ([]Batch, uint64, error) {
 	t.Helper()
 	var got []Batch
-	last, err := ReplayDir(dir, afterSeq, func(b Batch) error {
+	last, err := ReplayRange(dir, afterSeq, ^uint64(0), func(b Batch) error {
 		got = append(got, b)
 		return nil
 	})
@@ -292,4 +293,80 @@ func TestParseSyncMode(t *testing.T) {
 	if _, err := ParseSyncMode("sometimes"); err == nil {
 		t.Fatal("ParseSyncMode accepted an unknown mode")
 	}
+}
+
+// TestOversizedSymbolNeverAcked appends a batch whose constant alone
+// is longer than MaxRecord. Its batch record is small, but the symbols
+// record is longer than any reader accepts: the append must fail, and
+// the batches acked around it must replay.
+func TestOversizedSymbolNeverAcked(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(filepath.Join(dir, SegmentName(1)), Options{Mode: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(1, batch("p")); err != nil {
+		t.Fatal(err)
+	}
+	huge := []datalog.Atom{{Pred: "big", Args: []datalog.Term{datalog.C(strings.Repeat("x", MaxRecord+1))}}}
+	if err := w.Append(2, huge); err == nil {
+		t.Fatal("append of a symbol longer than MaxRecord was acked")
+	}
+	if err := w.Append(2, batch("q")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, last, err := replayAll(t, dir, 0)
+	want := []Batch{{Seq: 1, Atoms: batch("p")}, {Seq: 2, Atoms: batch("q")}}
+	if err != nil || last != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay = %v (last %d, err %v), want %v", got, last, err, want)
+	}
+}
+
+// TestFailedAppendLeavesWriterUnchanged forces one append's write to
+// fail by swapping the segment file for a closed one. The batch held
+// symbols new to the segment; the next append must write them again,
+// so replay returns exactly the acked batches.
+func TestFailedAppendLeavesWriterUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(filepath.Join(dir, SegmentName(1)), Options{Mode: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(1, batch("p")); err != nil {
+		t.Fatal(err)
+	}
+	failWrites(t, w, func() {
+		if err := w.Append(2, batch("q", "r")); err == nil {
+			t.Fatal("append to a closed file succeeded")
+		}
+	})
+	if err := w.Append(2, batch("q", "r")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, last, err := replayAll(t, dir, 0)
+	want := []Batch{{Seq: 1, Atoms: batch("p")}, {Seq: 2, Atoms: batch("q", "r")}}
+	if err != nil || last != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay = %v (last %d, err %v), want %v", got, last, err, want)
+	}
+}
+
+// failWrites runs fn with the writer's segment swapped for a closed
+// file, so every write fn makes fails, and then swaps it back.
+func failWrites(t testing.TB, w *Writer, fn func()) {
+	t.Helper()
+	closed, err := os.Create(filepath.Join(t.TempDir(), "closed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	live := w.f
+	w.f = closed
+	defer func() { w.f = live }()
+	fn()
 }

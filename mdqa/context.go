@@ -174,7 +174,12 @@ func (c *Context) Prepare(ctx context.Context) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{p: p, c: c}, nil
+	vorder := c.q.Versioned()
+	vp := make(map[string]string, len(vorder))
+	for _, rel := range vorder {
+		vp[rel] = c.q.VersionPred(rel)
+	}
+	return &Prepared{p: p, c: c, versionPred: vp, vorder: vorder}, nil
 }
 
 // Assess runs the full Figure 2 pipeline on the instance under

@@ -39,12 +39,7 @@ func (p *Prepared) RestoreSession(ctx context.Context, st SessionState) (*Sessio
 	if err != nil {
 		return nil, err
 	}
-	vorder := s.Versioned()
-	vp := make(map[string]string, len(vorder))
-	for _, rel := range vorder {
-		vp[rel] = s.VersionPred(rel)
-	}
-	return &Session{s: s, versionPred: vp, vorder: vorder}, nil
+	return p.session(s), nil
 }
 
 // BaseInterner exposes the prepared context's compile-time interner

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/mdqa"
@@ -519,6 +520,96 @@ func TestRejectedApplyLeavesSessionUnchanged(t *testing.T) {
 		}
 		if live, rest := counts(sess.Snapshot()), counts(restored.Snapshot()); live != rest || live == before {
 			t.Errorf("%s: after a good batch: live %s, restored %s (before %s)", bad, live, rest, before)
+		}
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation from its
+// n-th call on, so a test can cancel an operation at each point it
+// checks.
+type cancelAfter struct {
+	context.Context
+	n     int64
+	calls atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledApplyLeavesSessionUnchanged applies one measurement to a
+// hospital session under a cancelled context, then under a context
+// that cancels on its n-th Err call, for each n until an Apply
+// succeeds. Each outcome must be all or nothing, alike in the live
+// snapshot, in the exported state and in a session restored from it.
+func TestCancelledApplyLeavesSessionUnchanged(t *testing.T) {
+	ctx := context.Background()
+	qc, err := mdqa.HospitalQualityContext(mdqa.HospitalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := qc.Prepare(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []mdqa.Atom{mdqa.NewAtom("Measurements", mdqa.Const("Sep/9-12:00"), mdqa.Const("Tom Waits"), mdqa.Const("38.0"))}
+	// state renders the session's Measurements rows and total tuples as
+	// the live snapshot, the exported chased instance and a restored
+	// session see them.
+	state := func(sess *mdqa.Session) string {
+		t.Helper()
+		counts := func(inst *mdqa.Instance) string {
+			return fmt.Sprintf("%d/%d", inst.Relation("Measurements").Len(), inst.TotalTuples())
+		}
+		exported := sess.ExportState()
+		restored, err := prep.RestoreSession(ctx, exported)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("live %s, exported %s, restored %s",
+			counts(sess.Snapshot().Instance()), counts(exported.Chased), counts(restored.Snapshot().Instance()))
+	}
+	open := func() *mdqa.Session {
+		t.Helper()
+		sess, err := prep.NewSession(ctx, mdqa.HospitalMeasurements())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	sess := open()
+	before := state(sess)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := sess.Apply(cancelled, batch); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Apply under a cancelled context = %v, want context.Canceled", err)
+	}
+	if got := state(sess); got != before {
+		t.Fatalf("after a cancelled Apply: %s, want %s", got, before)
+	}
+	if _, err := sess.Apply(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	after := state(sess)
+	if after == before {
+		t.Fatalf("the batch changed nothing: %s", after)
+	}
+
+	for n := int64(1); ; n++ {
+		sess := open()
+		_, err := sess.Apply(&cancelAfter{Context: ctx, n: n}, batch)
+		want := after
+		if err != nil {
+			want = before
+		}
+		if got := state(sess); got != want {
+			t.Fatalf("Apply cancelled at Err call %d returned %v and left %s, want %s", n, err, got, want)
+		}
+		if err == nil {
+			break
 		}
 	}
 }

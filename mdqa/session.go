@@ -19,6 +19,10 @@ type ApplyResult = engine.ApplyResult
 type Prepared struct {
 	p *quality.Prepared
 	c *Context
+	// versionPred and vorder are the context's version metadata,
+	// shared read-only by every session, snapshot and assessment.
+	versionPred map[string]string
+	vorder      []string
 }
 
 // Context returns the context this compilation came from.
@@ -35,14 +39,12 @@ func (p *Prepared) NewSession(ctx context.Context, d *Instance) (*Session, error
 	if err != nil {
 		return nil, err
 	}
-	// The version metadata is immutable for the session's lifetime:
-	// build it once and share it with every snapshot and assessment.
-	vorder := s.Versioned()
-	vp := make(map[string]string, len(vorder))
-	for _, rel := range vorder {
-		vp[rel] = s.VersionPred(rel)
-	}
-	return &Session{s: s, versionPred: vp, vorder: vorder}, nil
+	return p.session(s), nil
+}
+
+// session wraps a quality session opened or restored from p.
+func (p *Prepared) session(s *quality.Session) *Session {
+	return &Session{s: s, versionPred: p.versionPred, vorder: p.vorder}
 }
 
 // Session is a live assessment: a saturated contextual instance that
@@ -51,14 +53,18 @@ func (p *Prepared) NewSession(ctx context.Context, d *Instance) (*Session, error
 // read snapshots and assessments concurrently.
 type Session struct {
 	s           *quality.Session
-	versionPred map[string]string // immutable after NewSession
+	versionPred map[string]string // the Prepared's, shared read-only
 	vorder      []string
 }
 
 // Apply extends the assessment with a batch of new ground facts —
 // measurements, dimension members, rollups — chasing and re-evaluating
 // incrementally from the delta frontier (semi-naive: only the delta is
-// re-matched). Readers holding earlier snapshots are unaffected.
+// re-matched). Readers holding earlier snapshots are unaffected. A
+// rejected batch, or an Apply whose ctx is already cancelled, leaves
+// the session as it was; once a batch is under way it runs to
+// completion whatever ctx does (the chase bounds still stop a runaway
+// batch).
 func (s *Session) Apply(ctx context.Context, delta []Atom) (*ApplyResult, error) {
 	return s.s.Apply(ctx, delta)
 }
