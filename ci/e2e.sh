@@ -107,9 +107,11 @@ echo "e2e: all responses match golden files"
 
 # ---------------------------------------------------------------------
 # Crash-recovery stage: boot a durable server, apply through a session,
-# kill -9 mid-life, restart over the same -data-dir, and require every
-# acknowledged batch back with identical answers. Then a SIGTERM must
-# drain, flush, snapshot and exit 0.
+# kill -9 mid-life, tear an append at the end of the newest WAL segment,
+# restart over the same -data-dir, and require every acknowledged batch
+# back with identical answers. Then a SIGTERM must drain, flush,
+# snapshot and exit 0, and a third start over the same -data-dir must
+# serve what the second served before the SIGTERM.
 RADDR="127.0.0.1:${MDSERVE_RECOVERY_PORT:-8128}"
 RBASE="http://$RADDR/v1/contexts/hospital"
 DATA="$OUT/data"
@@ -130,6 +132,8 @@ curl -fsS -G --data-urlencode 'q=m(t, p, v) <- Measurements(t, p, v).' \
 
 kill -9 "$RECOVERY_PID"
 wait "$RECOVERY_PID" 2>/dev/null || true
+# A torn append, never acknowledged: five bytes of a record header.
+printf '\x10\x00\x00\x00\x00' >>"$(ls "$DATA"/hospital/s1/wal-*.log | LC_ALL=C sort | tail -n 1)"
 
 "$BIN" -addr "$RADDR" -example -parallelism 1 -data-dir "$DATA" &
 RECOVERY_PID=$!
@@ -160,6 +164,8 @@ if ! grep -qF 'mdserve_sessions_recovered_total{context="hospital"} 1' "$OUT/met
   cat "$OUT/metrics-recovery" >&2
   exit 1
 fi
+curl -fsS -G --data-urlencode 'q=m(t, p, v) <- Measurements(t, p, v).' \
+  "$RBASE/sessions/s1/answers" | LC_ALL=C sort >"$OUT/answers-before-term"
 
 # Graceful shutdown: SIGTERM must flush + snapshot + exit 0.
 kill -TERM "$RECOVERY_PID"
@@ -173,6 +179,32 @@ if ! ls "$DATA"/hospital/s1/snap-*.snap >/dev/null 2>&1; then
   ls -R "$DATA" >&2
   exit 1
 fi
+
+# Third start: the segment the torn append landed in is no longer the
+# newest, so it must have been cut back to its complete records.
+"$BIN" -addr "$RADDR" -example -parallelism 1 -data-dir "$DATA" &
+RECOVERY_PID=$!
+trap 'kill "$RECOVERY_PID" 2>/dev/null || true; cleanup' EXIT
+for _ in $(seq 1 100); do
+  if curl -fsS "http://$RADDR/healthz" >/dev/null 2>&1; then break; fi
+  sleep 0.1
+done
+if ! curl -fsS "http://$RADDR/healthz" >/dev/null; then
+  echo "e2e: a third start over the data dir did not come up" >&2
+  exit 1
+fi
+curl -fsS -G --data-urlencode 'q=m(t, p, v) <- Measurements(t, p, v).' \
+  "$RBASE/sessions/s1/answers" | LC_ALL=C sort >"$OUT/answers-third-start"
+if ! diff -u "$OUT/answers-before-term" "$OUT/answers-third-start"; then
+  echo "e2e: third-start answers differ from those before the SIGTERM" >&2
+  exit 1
+fi
+kill -TERM "$RECOVERY_PID"
+if ! wait "$RECOVERY_PID"; then
+  echo "e2e: SIGTERM shutdown of the third start exited non-zero" >&2
+  exit 1
+fi
+trap cleanup EXIT
 echo "e2e: crash recovery and graceful shutdown OK"
 
 # ---------------------------------------------------------------------

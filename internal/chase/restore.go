@@ -19,23 +19,28 @@ import (
 // is head-satisfied (a trigger whose head were unsatisfied would fire
 // and insert, contradicting saturation), so the full round skips them
 // all, refires nothing, and invents no fresh nulls.
+//
+// Its JSON form is the "chase" field of a persisted snapshot header.
 type Restored struct {
 	// Rounds, Fired, Merged and NullsCreated restore the cumulative
 	// Result counters.
-	Rounds, Fired, Merged, NullsCreated int
+	Rounds       int `json:"rounds"`
+	Fired        int `json:"fired"`
+	Merged       int `json:"merged"`
+	NullsCreated int `json:"nulls"`
 	// FreshPos is the fresh-null counter position (datalog.Counter.Pos)
 	// at export time. Restoring the exact position — rather than
 	// re-scanning the instance for the highest label — keeps invented
 	// null labels identical to an uninterrupted run even after EGD
 	// merges have deleted high-numbered nulls from the instance.
-	FreshPos int
+	FreshPos int `json:"fresh_pos"`
 	// Saturated restores Result.Saturated (false when the exported
 	// session had hit a chase bound).
-	Saturated bool
+	Saturated bool `json:"saturated"`
 	// Violations restores the cumulative violation list, in report
 	// order, and re-seeds the dedup set so replayed batches do not
 	// re-report them.
-	Violations []Violation
+	Violations []Violation `json:"violations,omitempty"`
 }
 
 // Export snapshots the state's portable part. The caller must be the

@@ -156,6 +156,14 @@ func (p *Prepared) NewSession(ctx context.Context, d *storage.Instance) (*Sessio
 			return nil, err
 		}
 	}
+	// Merge checks the instance against the base and chase.Compile the
+	// base against the program; the rules' predicates are checked here,
+	// as Apply checks a batch's.
+	for _, name := range inst.RelationNames() {
+		if n, ok := p.ruleArity[name]; ok && n != inst.Relation(name).Schema().Arity() {
+			return nil, fmt.Errorf("engine: new session: relation %s has arity %d, but the rules use %s with arity %d", name, inst.Relation(name).Schema().Arity(), name, n)
+		}
+	}
 	cs := p.cp.NewState(inst, p.opts)
 	if err := cs.Chase(ctx); err != nil {
 		return nil, err
@@ -259,6 +267,13 @@ type ApplyResult struct {
 // ctx does, since stopping them would leave the batch half applied;
 // the chase bounds (chase.Options MaxRounds and MaxAtoms) still stop a
 // runaway batch.
+//
+// A batch the bounds stop is left half applied (in the chased
+// instance, not the derived layer) with nothing to roll it back, so a
+// caller that must not serve it discards the session; so would an
+// error of the chase or eval after insertion, which the checks above
+// and rule validation leave nothing to fail on. A rejected or
+// cancelled batch leaves the session as it was.
 func (s *Session) Apply(ctx context.Context, delta []datalog.Atom) (*ApplyResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

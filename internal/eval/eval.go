@@ -474,7 +474,7 @@ func (st *State) Extend(ctx context.Context, delta []Fact) ([]Fact, error) {
 // The body is compiled to a join plan; the instance is not modified.
 func EvalQuery(q *datalog.Query, db *storage.Instance) (*datalog.AnswerSet, error) {
 	answers := datalog.NewAnswerSet()
-	err := EvalQueryFunc(q, db, func(ans datalog.Answer) bool {
+	err := EvalQueryFunc(q, db, nil, func(ans datalog.Answer) bool {
 		answers.Add(ans)
 		return true
 	})
@@ -484,36 +484,18 @@ func EvalQuery(q *datalog.Query, db *storage.Instance) (*datalog.AnswerSet, erro
 	return answers, nil
 }
 
-// QueryPlanner supplies compiled read-only plans for query bodies —
-// the seam a plan cache plugs into (*storage.PlanCache implements it).
-// Implementations must return plans equivalent to
-// storage.CompileQueryPlan(db, body).
-type QueryPlanner interface {
-	QueryPlan(db *storage.Instance, body []datalog.Atom) *storage.Plan
-}
-
 // EvalQueryFunc is the streaming form of EvalQuery: each distinct
 // answer is passed to yield as it is produced by the join plan,
 // without materializing an answer set. Returning false from yield
 // stops the evaluation early. Answers are deduplicated (a seen-set of
 // answer keys is kept, but never the answers themselves), so yield
-// observes each answer exactly once.
-func EvalQueryFunc(q *datalog.Query, db *storage.Instance, yield func(datalog.Answer) bool) error {
-	return EvalQueryFuncPlanned(q, db, nil, yield)
-}
-
-// EvalQueryFuncPlanned is EvalQueryFunc with plan supply delegated to
-// planner; a nil planner compiles fresh per call.
-func EvalQueryFuncPlanned(q *datalog.Query, db *storage.Instance, planner QueryPlanner, yield func(datalog.Answer) bool) error {
+// observes each answer exactly once. The join plan comes from pc
+// (storage.PlanCache.QueryPlan); a nil pc compiles one per call.
+func EvalQueryFunc(q *datalog.Query, db *storage.Instance, pc *storage.PlanCache, yield func(datalog.Answer) bool) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	var plan *storage.Plan
-	if planner != nil {
-		plan = planner.QueryPlan(db, q.Body)
-	} else {
-		plan = storage.CompileQueryPlan(db, q.Body)
-	}
+	plan := pc.QueryPlan(db, q.Body)
 	filter := plan.CompileFilter(q.Negated, q.Conds)
 	buf := make([]int32, filter.Width())
 	seen := map[string]bool{}

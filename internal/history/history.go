@@ -26,16 +26,17 @@ import (
 const DefaultDepth = 8
 
 // Score is the departure measure of one versioned relation at one
-// version — quality.Measure flattened into a serializable record (the
-// metadata rides inside persisted snapshot headers, so it must not
-// drag engine types along).
+// version, and the measure of an assessment (quality.Measure is this
+// type). It is a plain record because version metadata rides inside
+// persisted snapshot headers, which must not drag engine types along.
 type Score struct {
 	Original     int `json:"original"`     // |D|
 	Quality      int `json:"quality"`      // |D^q|
 	Intersection int `json:"intersection"` // |D ∩ D^q|
 }
 
-// CleanFraction is |D ∩ D^q| / |D| (1 on an empty relation).
+// CleanFraction is |D ∩ D^q| / |D| — the share of original tuples that
+// survive quality assessment (1 on an empty relation).
 func (s Score) CleanFraction() float64 {
 	if s.Original == 0 {
 		return 1
@@ -43,7 +44,8 @@ func (s Score) CleanFraction() float64 {
 	return float64(s.Intersection) / float64(s.Original)
 }
 
-// Distance is |D △ D^q| / |D| (0 on an empty relation).
+// Distance is |D △ D^q| / |D| — 0 means D is already clean, 1 a fully
+// disjoint quality version of the same size (0 on an empty relation).
 func (s Score) Distance() float64 {
 	if s.Original == 0 {
 		return 0

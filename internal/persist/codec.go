@@ -95,42 +95,9 @@ type Meta struct {
 	History []history.Version `json:"history,omitempty"`
 }
 
-// ChaseMeta is the JSON shape of chase.Restored.
-type ChaseMeta struct {
-	Rounds     int               `json:"rounds"`
-	Fired      int               `json:"fired"`
-	Merged     int               `json:"merged"`
-	Nulls      int               `json:"nulls"`
-	FreshPos   int               `json:"fresh_pos"`
-	Saturated  bool              `json:"saturated"`
-	Violations []chase.Violation `json:"violations,omitempty"`
-}
-
-// ChaseMetaOf converts chase counters to their JSON shape.
-func ChaseMetaOf(r chase.Restored) ChaseMeta {
-	return ChaseMeta{
-		Rounds:     r.Rounds,
-		Fired:      r.Fired,
-		Merged:     r.Merged,
-		Nulls:      r.NullsCreated,
-		FreshPos:   r.FreshPos,
-		Saturated:  r.Saturated,
-		Violations: r.Violations,
-	}
-}
-
-// Restored converts back to chase counters.
-func (m ChaseMeta) Restored() chase.Restored {
-	return chase.Restored{
-		Rounds:       m.Rounds,
-		Fired:        m.Fired,
-		Merged:       m.Merged,
-		NullsCreated: m.Nulls,
-		FreshPos:     m.FreshPos,
-		Saturated:    m.Saturated,
-		Violations:   m.Violations,
-	}
-}
+// ChaseMeta is the header's chase counters: chase.Restored, whose
+// fields carry their JSON names.
+type ChaseMeta = chase.Restored
 
 // SessionState is the canonical durable state of one quality session:
 // the saturated (chased) instance, the raw applied facts, and the
@@ -162,7 +129,7 @@ func EncodeSnapshot(meta Meta, st SessionState) ([]byte, error) {
 		return nil, fmt.Errorf("persist: nil instance in session state")
 	}
 	meta.Format = Format
-	meta.Chase = ChaseMetaOf(st.Chase)
+	meta.Chase = st.Chase
 	meta.History = st.History
 	meta.Instances = []string{SectionChase, SectionOrig}
 	if st.Sources != nil {
@@ -330,7 +297,7 @@ func ReadSnapshot(data []byte, base *datalog.Interner) (Meta, SessionState, erro
 	st := SessionState{
 		Chased:  chased,
 		Orig:    orig,
-		Chase:   meta.Chase.Restored(),
+		Chase:   meta.Chase,
 		Seq:     meta.Seq,
 		History: meta.History,
 	}

@@ -160,7 +160,6 @@ type SessionLog struct {
 	w         *wal.Writer
 	gen       uint64 // current segment generation
 	seq       uint64 // highest appended (or recovered) sequence
-	snapSeq   uint64 // sequence covered by the latest durable snapshot
 	sinceSnap int    // batches appended since that snapshot
 }
 
@@ -212,10 +211,21 @@ func (s *Store) CreateSession(context, sid string, meta Meta, st SessionState) (
 // WriteSnapshot deletes older files only after the new one is durably
 // renamed in, so the newest file is complete unless the disk corrupted
 // it, and older leftovers exist only when a crash interrupted cleanup.
+//
+// A final segment that ends in a torn record (an append a crash or a
+// failed write cut short, never acknowledged) is truncated to the end
+// of its last complete record and synced before the fresh segment is
+// created: the fresh segment makes it a non-final one, where a torn
+// record would read as corruption at the next open.
 func (s *Store) OpenSession(context, sid string, base *datalog.Interner, replay func(wal.Batch) error) (*SessionLog, Meta, SessionState, error) {
-	dir, meta, st, last, err := s.readSession(context, sid, ^uint64(0), base, replay)
+	dir, meta, st, last, torn, err := s.readSession(context, sid, ^uint64(0), base, replay)
 	if err != nil {
 		return nil, Meta{}, SessionState{}, err
+	}
+	if torn != nil {
+		if err := torn.Truncate(); err != nil {
+			return nil, Meta{}, SessionState{}, err
+		}
 	}
 	_, maxGen, err := wal.Segments(dir)
 	if err != nil {
@@ -228,7 +238,7 @@ func (s *Store) OpenSession(context, sid string, base *datalog.Interner, replay 
 	}
 	l := &SessionLog{
 		dir: dir, opts: s.opts, w: w, gen: gen,
-		seq: last, snapSeq: meta.Seq, sinceSnap: int(last - meta.Seq),
+		seq: last, sinceSnap: int(last - meta.Seq),
 	}
 	return l, meta, st, nil
 }
@@ -289,7 +299,6 @@ func (l *SessionLog) WriteSnapshot(meta Meta, st SessionState) error {
 	if err := WriteFileAtomic(filepath.Join(l.dir, SnapName(meta.Seq)), data); err != nil {
 		return fmt.Errorf("persist: write snapshot: %w", err)
 	}
-	l.snapSeq = meta.Seq
 	// The retention floor: versions >= floor must stay reconstructable,
 	// so the newest snapshot covering seq <= floor is the replay base.
 	floor := meta.Seq
@@ -348,7 +357,7 @@ func segmentCovered(path string, baseSeq uint64) bool {
 		return false
 	}
 	covered := true
-	err = wal.DecodeSegment(path, data, false, func(b wal.Batch) error {
+	_, err = wal.DecodeSegment(path, data, false, func(b wal.Batch) error {
 		if b.Seq > baseSeq {
 			covered = false
 		}
@@ -366,7 +375,7 @@ func segmentCovered(path string, baseSeq uint64) bool {
 // a target beyond the log yields a plain error (callers validate
 // against the live session's latest version first).
 func (s *Store) ReadSessionAt(context, sid string, target uint64, base *datalog.Interner, replay func(wal.Batch) error) (Meta, SessionState, error) {
-	_, meta, st, last, err := s.readSession(context, sid, target, base, replay)
+	_, meta, st, last, _, err := s.readSession(context, sid, target, base, replay)
 	if err != nil {
 		return Meta{}, SessionState{}, err
 	}
@@ -381,21 +390,23 @@ func (s *Store) ReadSessionAt(context, sid string, target uint64, base *datalog.
 // covering seq <= upTo, checks the sequence its file name carries, and
 // replays the WAL batches in (snapshot, upTo] through replay, in
 // order. It returns the session directory, the snapshot's header and
-// state, and the last sequence replayed (the snapshot's when none
-// was). SessionLog.Append numbers batches without gaps, so a log that
-// skips a sequence fails the read: its batches would not describe the
-// versions they claim.
-func (s *Store) readSession(context, sid string, upTo uint64, base *datalog.Interner, replay func(wal.Batch) error) (string, Meta, SessionState, uint64, error) {
-	dir, err := s.sessionDir(context, sid)
-	if err != nil {
-		return "", Meta{}, SessionState{}, 0, err
+// state, the last sequence replayed (the snapshot's when none was) and
+// the log's torn tail, if any (wal.ReplayRange). SessionLog.Append
+// numbers batches without gaps, so a log that skips a sequence fails
+// the read: its batches would not describe the versions they claim.
+func (s *Store) readSession(context, sid string, upTo uint64, base *datalog.Interner, replay func(wal.Batch) error) (dir string, meta Meta, st SessionState, last uint64, torn *wal.TornTail, err error) {
+	fail := func(err error) (string, Meta, SessionState, uint64, *wal.TornTail, error) {
+		return "", Meta{}, SessionState{}, 0, nil, err
+	}
+	if dir, err = s.sessionDir(context, sid); err != nil {
+		return fail(err)
 	}
 	paths, seqs, err := snapshots(dir)
 	if err != nil {
-		return "", Meta{}, SessionState{}, 0, err
+		return fail(err)
 	}
 	if len(paths) == 0 {
-		return "", Meta{}, SessionState{}, 0, fmt.Errorf("persist: session %s/%s has no snapshot", context, sid)
+		return fail(fmt.Errorf("persist: session %s/%s has no snapshot", context, sid))
 	}
 	bi := -1
 	for i, seq := range seqs {
@@ -404,31 +415,30 @@ func (s *Store) readSession(context, sid string, upTo uint64, base *datalog.Inte
 		}
 	}
 	if bi < 0 {
-		return "", Meta{}, SessionState{}, 0, &qerr.VersionEvictedError{Version: upTo, Oldest: seqs[0]}
+		return fail(&qerr.VersionEvictedError{Version: upTo, Oldest: seqs[0]})
 	}
 	name := filepath.Base(paths[bi])
 	data, err := os.ReadFile(paths[bi])
 	if err != nil {
-		return "", Meta{}, SessionState{}, 0, err
+		return fail(err)
 	}
-	meta, st, err := ReadSnapshot(data, base)
-	if err != nil {
-		return "", Meta{}, SessionState{}, 0, fmt.Errorf("persist: snapshot %s: %w", name, err)
+	if meta, st, err = ReadSnapshot(data, base); err != nil {
+		return fail(fmt.Errorf("persist: snapshot %s: %w", name, err))
 	}
 	if meta.Seq != seqs[bi] {
-		return "", Meta{}, SessionState{}, 0, fmt.Errorf("persist: snapshot %s covers seq %d, file name says %d", name, meta.Seq, seqs[bi])
+		return fail(fmt.Errorf("persist: snapshot %s covers seq %d, file name says %d", name, meta.Seq, seqs[bi]))
 	}
-	last := meta.Seq
-	if _, err := wal.ReplayRange(dir, meta.Seq, upTo, func(b wal.Batch) error {
+	last = meta.Seq
+	if _, torn, err = wal.ReplayRange(dir, meta.Seq, upTo, func(b wal.Batch) error {
 		if b.Seq != last+1 {
 			return fmt.Errorf("persist: session %s/%s: WAL skips from seq %d to %d", context, sid, last, b.Seq)
 		}
 		last = b.Seq
 		return replay(b)
 	}); err != nil {
-		return "", Meta{}, SessionState{}, 0, err
+		return fail(err)
 	}
-	return dir, meta, st, last, nil
+	return dir, meta, st, last, torn, nil
 }
 
 // Close seals the live segment. The log is unusable afterwards; a

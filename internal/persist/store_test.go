@@ -231,3 +231,52 @@ func TestStoreListingAndRemove(t *testing.T) {
 		t.Fatalf("failed create touched the existing snapshot (err %v)", err)
 	}
 }
+
+// TestTornTailTruncatedOnOpen: a torn append at the end of the final
+// segment (five bytes of a record header, never acknowledged) does not
+// make the session unreadable once OpenSession has created a successor
+// segment after it: the open truncates the tail, at every retention.
+func TestTornTailTruncatedOnOpen(t *testing.T) {
+	for _, retain := range []int{0, 2} {
+		base, st := buildState(t)
+		store, err := OpenStore(t.TempDir(), Options{WAL: wal.Options{Mode: wal.SyncNone}, RetainHistory: retain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := store.CreateSession("hospital", "s1", Meta{}, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tag := range []string{"a", "b"} {
+			if _, err := l.Append(testAtoms(tag)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Crash: the log is dropped without Close, mid-append.
+		seg := filepath.Join(store.Root(), "hospital", "s1", wal.SegmentName(1))
+		f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte{0x10, 0, 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		for open := 1; open <= 2; open++ {
+			var got []wal.Batch
+			l2, _, _, err := store.OpenSession("hospital", "s1", base, func(b wal.Batch) error {
+				got = append(got, b)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("retain %d, open %d: %v", retain, open, err)
+			}
+			if len(got) != 2 || got[1].Seq != 2 {
+				t.Fatalf("retain %d, open %d: replayed %v, want batches 1 and 2", retain, open, got)
+			}
+			if err := l2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -304,7 +304,7 @@ func CertainAnswersViaChase(ctx context.Context, prog *datalog.Program, db *stor
 		}
 	}
 	answers := datalog.NewAnswerSet()
-	err = eval.EvalQueryFunc(&ext, res.Instance, func(ans datalog.Answer) bool {
+	err = eval.EvalQueryFunc(&ext, res.Instance, nil, func(ans datalog.Answer) bool {
 		if !ans.HasNull() {
 			answers.Add(datalog.Answer{Terms: ans.Terms[:len(q.Head.Args)]})
 		}

@@ -336,31 +336,9 @@ func (c *Context) DeclaredPreds() map[string]int {
 
 // Measure quantifies how much an original relation departs from its
 // quality version, following the paper's "quality is measured in terms
-// of how much D departs from its quality version".
-type Measure struct {
-	Original     int // |D|
-	Quality      int // |D^q|
-	Intersection int // |D ∩ D^q|
-}
-
-// Distance is |D △ D^q| / |D| — 0 means D is already clean, 1 means a
-// fully disjoint quality version of the same size.
-func (m Measure) Distance() float64 {
-	if m.Original == 0 {
-		return 0
-	}
-	sym := (m.Original - m.Intersection) + (m.Quality - m.Intersection)
-	return float64(sym) / float64(m.Original)
-}
-
-// CleanFraction is |D ∩ D^q| / |D| — the share of original tuples that
-// survive quality assessment.
-func (m Measure) CleanFraction() float64 {
-	if m.Original == 0 {
-		return 1
-	}
-	return float64(m.Intersection) / float64(m.Original)
-}
+// of how much D departs from its quality version". It is the score a
+// session version records (history.Score).
+type Measure = history.Score
 
 // Assessment is the outcome of mapping an instance through the
 // context.
@@ -450,6 +428,9 @@ func (c *Context) compile() (*Prepared, error) {
 	if err := checkRuleHeads(comp.Program, evalProg.Rules); err != nil {
 		return nil, err
 	}
+	if err := checkRuleArities(comp.Program, base, evalProg.Rules); err != nil {
+		return nil, err
+	}
 	eng, err := engine.Prepare(engine.Spec{
 		Program:      comp.Program,
 		Base:         base,
@@ -510,6 +491,31 @@ func checkRuleHeads(prog *datalog.Program, rules []*eval.Rule) error {
 				Rule:   r.ID,
 				Reason: fmt.Sprintf("%s reads its head %s, but the chase runs before the rules and never sees what they derive", dep, r.Head.Pred),
 			})
+		}
+	}
+	return nil
+}
+
+// checkRuleArities rejects a rule atom (head, body or negated) whose
+// arity differs from the compiled program's or the base's use of its
+// predicate. Such a body atom never matches and such a head cannot be
+// stored, so the rule would derive nothing, or fail only once an
+// assessment runs it.
+func checkRuleArities(prog *datalog.Program, base *storage.Instance, rules []*eval.Rule) error {
+	arity := map[string]int{}
+	for _, pi := range prog.Predicates() {
+		arity[pi.Name] = pi.Arity
+	}
+	for _, name := range base.RelationNames() {
+		arity[name] = base.Relation(name).Schema().Arity()
+	}
+	for _, r := range rules {
+		for _, atoms := range [][]datalog.Atom{{r.Head}, r.Body, r.Negated} {
+			for _, a := range atoms {
+				if n, ok := arity[a.Pred]; ok && n != len(a.Args) {
+					return fmt.Errorf("quality: rule %s: atom %s has %d arguments, but the context uses %s with arity %d", r.ID, a, len(a.Args), a.Pred, n)
+				}
+			}
 		}
 	}
 	return nil
@@ -674,11 +680,11 @@ func (s *Session) recordVersionLocked(batch int) {
 // relation against the given contextual snapshot — count-only (no
 // materialized rename), so the per-apply recording cost stays linear
 // in the version relations' sizes.
-func (s *Session) scoresLocked(inst *storage.Instance) map[string]history.Score {
+func (s *Session) scoresLocked(inst *storage.Instance) map[string]Measure {
 	if len(s.prep.vorder) == 0 {
 		return nil
 	}
-	scores := make(map[string]history.Score, len(s.prep.vorder))
+	scores := make(map[string]Measure, len(s.prep.vorder))
 	for _, rel := range s.prep.vorder {
 		orig := s.orig.Relation(rel)
 		if orig == nil {
@@ -692,7 +698,7 @@ func (s *Session) scoresLocked(inst *storage.Instance) map[string]history.Score 
 		if vrel != nil {
 			m = measure(orig, vrel)
 		}
-		scores[rel] = history.Score{Original: m.Original, Quality: m.Quality, Intersection: m.Intersection}
+		scores[rel] = m
 	}
 	return scores
 }
@@ -878,7 +884,7 @@ func (s *Session) AssessmentAt(seq uint64) (*Assessment, history.Version, error)
 // snapshot's rows under the original attribute names, and measures are
 // either computed live against the current measure base (scores ==
 // nil, the history-off path) or taken from a version's recorded scores.
-func (s *Session) assembleLocked(final *storage.Instance, violations []chase.Violation, scores map[string]history.Score) (*Assessment, error) {
+func (s *Session) assembleLocked(final *storage.Instance, violations []chase.Violation, scores map[string]Measure) (*Assessment, error) {
 	if s.prep.strict && len(violations) > 0 {
 		return nil, fmt.Errorf("quality: %w", &qerr.InconsistentError{Violations: violations})
 	}
@@ -919,7 +925,7 @@ func (s *Session) assembleLocked(final *storage.Instance, violations []chase.Vio
 		switch {
 		case scores != nil:
 			if sc, ok := scores[rel]; ok {
-				out.Measures[rel] = Measure{Original: sc.Original, Quality: sc.Quality, Intersection: sc.Intersection}
+				out.Measures[rel] = sc
 			}
 		case orig != nil:
 			out.Measures[rel] = measure(orig, renamed)
@@ -1006,7 +1012,7 @@ func RewriteCleanQuery(q *datalog.Query, versionPred map[string]string) *datalog
 // contain labeled nulls (certain answers).
 func (a *Assessment) CleanAnswer(q *datalog.Query) (*datalog.AnswerSet, error) {
 	certain := datalog.NewAnswerSet()
-	err := eval.EvalQueryFunc(a.RewriteClean(q), a.Contextual, func(ans datalog.Answer) bool {
+	err := eval.EvalQueryFunc(a.RewriteClean(q), a.Contextual, nil, func(ans datalog.Answer) bool {
 		if !ans.HasNull() {
 			certain.Add(ans)
 		}

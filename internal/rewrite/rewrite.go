@@ -254,7 +254,7 @@ func Answer(ctx context.Context, prog *datalog.Program, db *storage.Instance, q 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		err := eval.EvalQueryFunc(d, db, func(a datalog.Answer) bool {
+		err := eval.EvalQueryFunc(d, db, nil, func(a datalog.Answer) bool {
 			if !a.HasNull() {
 				certain.Add(a)
 			}

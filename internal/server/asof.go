@@ -97,7 +97,7 @@ func (s *Server) sessionAt(ctx context.Context, sess *session, ms *mdqa.Session,
 // replay-latency curve PERF.md documents.
 func (s *Server) reconstructAt(ctx context.Context, sess *session, version uint64) (*mdqa.Session, error) {
 	lc := sess.lc
-	_, _, ms, _, err := s.loadSession(ctx, lc, sess.id, version)
+	_, ms, _, err := s.loadSession(ctx, lc, sess.id, version)
 	if err != nil {
 		return nil, err
 	}
@@ -201,15 +201,7 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue // relation had no tuples yet at this version
 		}
-		resp.Points = append(resp.Points, TrajectoryPoint{
-			Version:       v.Seq,
-			Time:          v.Time.UTC().Format(time.RFC3339Nano),
-			Original:      sc.Original,
-			Quality:       sc.Quality,
-			Intersection:  sc.Intersection,
-			CleanFraction: sc.CleanFraction(),
-			Distance:      sc.Distance(),
-		})
+		resp.Points = append(resp.Points, TrajectoryPoint{v.Seq, v.Time.UTC().Format(time.RFC3339Nano), wireMeasure(sc)})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -77,14 +78,14 @@ func (s *Server) historyRetain() int {
 const wholeLog = ^uint64(0)
 
 // loadSession is the one loader of a session from disk, behind startup
-// recovery, revival after eviction and as-of reconstruction: it
-// restores the newest snapshot covering seq <= upTo and replays the
-// WAL batches beyond it, up to upTo, through Apply. Under wholeLog it
-// reads the whole log and returns it reopened for appends; under a
-// version it is read-only, leaves the live session and its log
-// untouched, and returns a nil log. It also returns the snapshot's
-// header and the number of batches replayed.
-func (s *Server) loadSession(ctx context.Context, lc *loadedContext, sid string, upTo uint64) (*persist.SessionLog, persist.Meta, *mdqa.Session, int, error) {
+// recovery, revival and as-of reconstruction: it restores the newest
+// snapshot covering seq <= upTo and replays the WAL batches beyond it,
+// up to upTo, through Apply. Under wholeLog it reads the whole log and
+// returns it reopened for appends; under a version it is read-only,
+// leaves the live session and its log untouched, and returns a nil
+// log. It also returns the session's apply count at that point: the
+// snapshot's plus the batches replayed.
+func (s *Server) loadSession(ctx context.Context, lc *loadedContext, sid string, upTo uint64) (*persist.SessionLog, *mdqa.Session, int64, error) {
 	var batches []wal.Batch
 	collect := func(b wal.Batch) error {
 		batches = append(batches, b)
@@ -102,7 +103,7 @@ func (s *Server) loadSession(ctx context.Context, lc *loadedContext, sid string,
 		meta, st, err = s.store.ReadSessionAt(lc.name, sid, upTo, lc.prep.BaseInterner(), collect)
 	}
 	if err != nil {
-		return nil, persist.Meta{}, nil, 0, err
+		return nil, nil, 0, err
 	}
 	ms, err := lc.prep.RestoreSession(ctx, st)
 	for i := 0; err == nil && i < len(batches); i++ {
@@ -114,35 +115,23 @@ func (s *Server) loadSession(ctx context.Context, lc *loadedContext, sid string,
 		if log != nil {
 			log.Close()
 		}
-		return nil, persist.Meta{}, nil, 0, err
+		return nil, nil, 0, err
 	}
-	return log, meta, ms, len(batches), nil
+	return log, ms, int64(meta.Applies) + int64(len(batches)), nil
 }
 
 // recoverSession restores one persisted session at startup and files
 // it in the registry under its original id.
 func (s *Server) recoverSession(ctx context.Context, lc *loadedContext, sid string) error {
-	log, meta, ms, replayed, err := s.loadSession(ctx, lc, sid, wholeLog)
-	if err != nil {
+	var n uint64
+	_, _ = fmt.Sscanf(sid, "s%d", &n) // n stays 0 unless sid is auto-numbered
+	sess := newSession(sid, n, lc)
+	if err := s.revive(ctx, sess); err != nil {
 		return fmt.Errorf("server: recover session %s/%s: %w", lc.name, sid, err)
 	}
-	sess := &session{
-		id:         sid,
-		lc:         lc,
-		s:          ms,
-		log:        log,
-		applies:    int64(meta.Applies) + int64(replayed),
-		lastRounds: ms.ChaseRounds(),
-	}
-	var n uint64
-	if _, err := fmt.Sscanf(sid, "s%d", &n); err == nil {
-		sess.seq = n
-	}
-	sess.isResident.Store(true)
 	sess.touch()
 	s.mu.Lock()
 	s.sessions[sid] = sess
-	s.residentCount++
 	if n > s.nextID {
 		s.nextID = n
 	}
@@ -155,12 +144,29 @@ func (s *Server) recoverSession(ctx context.Context, lc *loadedContext, sid stri
 	return nil
 }
 
+// revive installs a session's whole log (loadSession) as its live
+// state, behind startup recovery and revival after eviction or a
+// failed commit. Called under sess.mu or before registration.
+func (s *Server) revive(ctx context.Context, sess *session) error {
+	log, ms, applies, err := s.loadSession(ctx, sess.lc, sess.id, wholeLog)
+	if err != nil {
+		return err
+	}
+	sess.s, sess.log, sess.applies = ms, log, applies
+	sess.lastRounds = ms.ChaseRounds()
+	sess.isResident.Store(true)
+	s.mu.Lock()
+	s.residentCount++
+	s.mu.Unlock()
+	return nil
+}
+
 // resident resolves a session's live engine state, reviving it from
 // disk when it was evicted, and refreshes the LRU clock.
 func (s *Server) resident(ctx context.Context, sess *session) (*mdqa.Session, error) {
 	sess.touch()
 	sess.mu.Lock()
-	ms, err := s.residentLocked(ctx, sess)
+	ms, err := s.residentLocked(ctx, sess, true)
 	sess.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -170,28 +176,26 @@ func (s *Server) resident(ctx context.Context, sess *session) (*mdqa.Session, er
 }
 
 // residentLocked is resident's core, for callers already holding
-// sess.mu (the apply path, which must keep the lock through the WAL
-// append).
-func (s *Server) residentLocked(ctx context.Context, sess *session) (*mdqa.Session, error) {
-	if sess.closed {
+// sess.mu (the apply and refresh paths, which keep the lock through
+// the commit). Without revive, a session whose state is on disk is
+// not found: the background refresh loop must not defeat MaxResident.
+func (s *Server) residentLocked(ctx context.Context, sess *session, revive bool) (*mdqa.Session, error) {
+	// A snapshot of a dropped log may still be compacting its
+	// directory: revive once it has landed.
+	for revive && sess.s == nil && sess.snapshotting && !sess.closed {
+		sess.idle.Wait()
+	}
+	if sess.closed || (sess.s == nil && !revive) {
 		return nil, &notFoundError{kind: "session", name: sess.id}
 	}
 	if sess.s != nil {
 		return sess.s, nil
 	}
-	log, _, ms, _, err := s.loadSession(ctx, sess.lc, sess.id, wholeLog)
-	if err != nil {
+	if err := s.revive(ctx, sess); err != nil {
 		return nil, fmt.Errorf("server: revive session %s: %w", sess.id, err)
 	}
-	sess.s = ms
-	sess.log = log
-	sess.lastRounds = ms.ChaseRounds()
-	sess.isResident.Store(true)
-	s.mu.Lock()
-	s.residentCount++
-	s.mu.Unlock()
 	s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.sessionsRevived++ })
-	return ms, nil
+	return sess.s, nil
 }
 
 // enforceResident evicts least-recently-used sessions to disk until
@@ -228,42 +232,97 @@ func (s *Server) enforceResident(keep *session) {
 	}
 }
 
-// evict snapshots a session's state covering its full WAL, seals the
-// log and drops the engine state. It declines (returning false) when
-// the session is busy in a way that makes eviction unsafe or
-// pointless: closed, already evicted, or mid-snapshot.
+// evict snapshots a session's state covering its full WAL and releases
+// it. It declines (returning false) when the session is busy in a way
+// that makes eviction unsafe or pointless: closed, already evicted, or
+// mid-snapshot.
 func (s *Server) evict(victim *session) bool {
 	victim.mu.Lock()
+	defer victim.mu.Unlock()
 	if victim.closed || victim.s == nil || victim.log == nil || victim.snapshotting {
-		victim.mu.Unlock()
 		return false
 	}
-	meta := persist.Meta{
-		Context: victim.lc.name, Session: victim.id,
-		Seq: victim.log.Seq(), Applies: int(victim.applies), Created: timestamp(),
-	}
-	if err := victim.log.WriteSnapshot(meta, victim.s.ExportState()); err != nil {
-		victim.mu.Unlock()
-		s.met.with(victim.lc.name, func(cm *contextMetrics) { cm.errorsTotal++ })
+	if err := s.writeSnapshot(victim, victim.capture(victim.log.Seq())); err != nil {
 		return false
 	}
-	_ = victim.log.Close()
-	victim.log = nil
-	victim.s = nil
-	victim.isResident.Store(false)
-	victim.mu.Unlock()
-	s.mu.Lock()
-	s.residentCount--
-	s.mu.Unlock()
+	_ = s.release(victim, false)
 	s.met.with(victim.lc.name, func(cm *contextMetrics) { cm.sessionsEvicted++ })
 	return true
 }
 
-// snapJob is a pending snapshot captured atomically with the apply
-// that triggered it: the sealed-WAL covered sequence and a frozen
-// copy-on-write export of exactly that state. Encoding and writing
-// happen outside the session lock (between NDJSON batches), so
-// appends keep flowing into the fresh segment meanwhile.
+// commit logs one change the live session took, under sess.mu: an
+// apply batch, a refresh delta, or the empty marker of a refresh
+// rebuild (rebuild set; removals have no WAL form, and the marker keeps
+// the WAL sequence equal to the version number). It appends and counts
+// the change, then rotates the segment and captures a snapshot job
+// when compaction is due, or for a rebuild, which only a snapshot
+// carries — unless a snapshot is already in flight. A failed append or
+// rotation drops the live state (the failure rule; see the package
+// comment). Ephemeral sessions have nothing to log.
+func (s *Server) commit(sess *session, change []mdqa.Atom, rebuild bool) (*snapJob, error) {
+	if sess.log == nil {
+		return nil, nil
+	}
+	t0 := time.Now()
+	if _, err := sess.log.Append(change); err != nil {
+		return nil, s.drop(sess, fmt.Errorf("server: wal append: %w", err))
+	}
+	walDur := time.Since(t0)
+	s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.walAppends++ })
+	s.met.observe(sess.lc.name, "wal_append", walDur)
+	if sess.snapshotting || !(rebuild || sess.log.NeedSnapshot()) {
+		return nil, nil
+	}
+	covered, err := sess.log.Rotate()
+	if err != nil {
+		return nil, s.drop(sess, fmt.Errorf("server: rotate wal: %w", err))
+	}
+	sess.snapshotting = true
+	return sess.capture(covered), nil
+}
+
+// stepFailed applies the failure rule to an engine step's error: a
+// step stopped at a chase bound may have left part of its change in
+// the live state, so a durable session drops it. Other errors leave
+// the session as it was.
+func (s *Server) stepFailed(sess *session, err error) error {
+	if sess.log != nil && errors.Is(err, mdqa.ErrBoundExceeded) {
+		return s.drop(sess, err)
+	}
+	return err
+}
+
+// drop is the failure rule's action: it releases a durable session's
+// live state, which may differ from its log, and returns err; the next
+// request revives what the disk holds. Called under sess.mu.
+func (s *Server) drop(sess *session, err error) error {
+	_ = s.release(sess, false)
+	return err
+}
+
+// release is the one step that drops a session's live state, behind
+// eviction and the failure rule (the session revives on its next
+// request) and shutdown and DELETE (closed: it never does). It closes
+// the log and returns the close error. Called under sess.mu.
+func (s *Server) release(sess *session, closed bool) error {
+	var err error
+	if sess.log != nil {
+		err = sess.log.Close()
+		sess.log = nil
+	}
+	sess.closed = sess.closed || closed
+	if sess.s != nil {
+		sess.s = nil
+		sess.isResident.Store(false)
+		s.mu.Lock()
+		s.residentCount--
+		s.mu.Unlock()
+	}
+	return err
+}
+
+// snapJob is one snapshot to write: a frozen copy-on-write export, the
+// sequence and apply count it covers, and the log it lands in.
 type snapJob struct {
 	log     *persist.SessionLog
 	seq     uint64
@@ -271,62 +330,53 @@ type snapJob struct {
 	state   persist.SessionState
 }
 
-// maybeSnapshot decides, under sess.mu, whether the WAL has grown
-// enough to compact: if so it rotates the segment and captures the
-// job. At most one snapshot per session is in flight.
-func (s *Server) maybeSnapshot(sess *session) (*snapJob, error) {
-	if sess.log == nil || sess.snapshotting || !sess.log.NeedSnapshot() {
-		return nil, nil
-	}
-	covered, err := sess.log.Rotate()
-	if err != nil {
-		return nil, fmt.Errorf("server: rotate wal: %w", err)
-	}
-	sess.snapshotting = true
-	return &snapJob{
-		log: sess.log, seq: covered, applies: sess.applies,
-		state: sess.s.ExportState(),
-	}, nil
+// capture freezes the live state into a job covering seq (under mu).
+func (sess *session) capture(seq uint64) *snapJob {
+	return &snapJob{log: sess.log, seq: seq, applies: sess.applies, state: sess.s.ExportState()}
 }
 
-// writeSnapshot performs a captured snapshot job. Called without
-// sess.mu; the job's log pointer stays valid even if the session is
-// closed or evicted meanwhile. A DELETE racing the write could see
-// the snapshot file land inside the directory its RemoveAll is
-// walking and fail to remove it — so after the write, a session
-// observed closed gets its directory removed again.
-func (s *Server) writeSnapshot(sess *session, job *snapJob) {
+// writeSnapshot is the one snapshot writer, behind compaction, refresh
+// rebuilds, eviction and shutdown. It reads no mutable session field,
+// so compaction calls it without sess.mu.
+func (s *Server) writeSnapshot(sess *session, job *snapJob) error {
+	err := job.log.WriteSnapshot(sess.meta(job.seq, job.applies), job.state)
+	s.met.with(sess.lc.name, func(cm *contextMetrics) {
+		if err != nil {
+			cm.errorsTotal++
+		} else {
+			cm.snapshotsWritten++
+		}
+	})
+	return err
+}
+
+// compact writes the compaction job an apply captured, outside sess.mu,
+// so appends keep flowing into the fresh segment. A DELETE racing the
+// write could see the snapshot land inside the directory its RemoveAll
+// is walking, so a session observed closed afterwards has its
+// directory removed again.
+func (s *Server) compact(sess *session, job *snapJob) {
 	if job == nil {
 		return
 	}
 	sess.mu.Lock()
 	skip := sess.closed
 	sess.mu.Unlock()
-	var err error
 	if !skip {
-		meta := persist.Meta{
-			Context: sess.lc.name, Session: sess.id,
-			Seq: job.seq, Applies: int(job.applies), Created: timestamp(),
-		}
-		err = job.log.WriteSnapshot(meta, job.state)
+		_ = s.writeSnapshot(sess, job)
 	}
 	sess.mu.Lock()
 	sess.snapshotting = false
+	sess.idle.Broadcast()
 	closed := sess.closed
 	sess.mu.Unlock()
 	if closed {
 		_ = s.store.RemoveSession(sess.lc.name, sess.id)
-		return
 	}
-	if err != nil {
-		s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.errorsTotal++ })
-		return
-	}
-	s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.snapshotsWritten++ })
 }
 
 // Close seals every durable session for clean shutdown: a final
-// snapshot covering each resident session's full WAL, then WAL close.
+// snapshot covering each resident session's full WAL, then release.
 // The server must no longer be accepting requests. Ephemeral servers
 // close to a no-op.
 func (s *Server) Close() error {
@@ -342,27 +392,17 @@ func (s *Server) Close() error {
 	var firstErr error
 	for _, sess := range all {
 		sess.mu.Lock()
+		var err error
 		if sess.log != nil && sess.s != nil {
-			meta := persist.Meta{
-				Context: sess.lc.name, Session: sess.id,
-				Seq: sess.log.Seq(), Applies: int(sess.applies), Created: timestamp(),
-			}
-			if err := sess.log.WriteSnapshot(meta, sess.s.ExportState()); err != nil && firstErr == nil {
-				firstErr = err
-			} else if err == nil {
-				s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.snapshotsWritten++ })
-			}
+			err = s.writeSnapshot(sess, sess.capture(sess.log.Seq()))
 		}
-		if sess.log != nil {
-			if err := sess.log.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			sess.log = nil
+		if cerr := s.release(sess, true); err == nil {
+			err = cerr
 		}
-		sess.closed = true
-		sess.s = nil
-		sess.isResident.Store(false)
 		sess.mu.Unlock()
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
 	return firstErr
 }

@@ -6,21 +6,26 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/wal"
 	"repro/mdqa"
 )
 
-// newDurableServer builds a hospital server persisting under dir.
-func newDurableServer(t *testing.T, dir string, cfg Config) *Server {
+// newDurableServer builds a hospital server persisting under dir, with
+// extra facade options applied on top.
+func newDurableServer(t *testing.T, dir string, cfg Config, extra ...mdqa.Option) *Server {
 	t.Helper()
 	cfg.Parallelism = 1
 	cfg.DataDir = dir
 	srv, err := New(context.Background(), cfg, []ContextSource{{
-		Name:   "hospital",
-		Source: mdqa.HospitalQualityExampleSource(),
+		Name:    "hospital",
+		Source:  mdqa.HospitalQualityExampleSource(),
+		Options: extra,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +106,46 @@ func TestCrashRecovery(t *testing.T) {
 	_ = json.Unmarshal([]byte(body), &sr2)
 	if sr2.ID == sr.ID {
 		t.Fatalf("new session id must not collide with recovered %s", sr.ID)
+	}
+}
+
+// TestTornTailSurvivesRestarts: a crash that tears an append leaves a
+// partial record at the end of the newest WAL segment. The restart
+// drops it, and so must every later restart, after the recovered
+// session has taken more batches into a newer segment.
+func TestTornTailSurvivesRestarts(t *testing.T) {
+	dir := t.TempDir()
+	srv := newDurableServer(t, dir, Config{})
+	ts := httptest.NewServer(srv)
+	sid := openSession(t, ts.URL)
+	mustAck(t, applyLines(t, ts.URL, sid, applyBatches))
+	ts.Close() // crash
+	seg := filepath.Join(dir, "hospital", sid, wal.SegmentName(1))
+	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x10, 0, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	srv = newDurableServer(t, dir, Config{})
+	ts = httptest.NewServer(srv)
+	mustAck(t, applyLines(t, ts.URL, sid, oneMeasurement))
+	const q = `m(t, p, v) <- Measurements(t, p, v).`
+	want := served(t, ts.URL, sid, q)
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv = newDurableServer(t, dir, Config{})
+	defer srv.Close()
+	ts = httptest.NewServer(srv)
+	defer ts.Close()
+	if got := served(t, ts.URL, sid, q); got != want {
+		t.Fatalf("third start serves\n%s\nbefore shutdown\n%s", got, want)
 	}
 }
 

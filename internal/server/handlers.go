@@ -232,14 +232,7 @@ func (s *Server) renderAssessment(ctx context.Context, lc *loadedContext, a *mdq
 		}
 		out.version = wr
 		if m, ok := a.Measures()[rel]; ok {
-			out.measure = WireMeasure{
-				Original:      m.Original,
-				Quality:       m.Quality,
-				Intersection:  m.Intersection,
-				CleanFraction: m.CleanFraction(),
-				Distance:      m.Distance(),
-			}
-			out.hasMeas = true
+			out.measure, out.hasMeas = wireMeasure(m), true
 		}
 		return out, nil
 	})
@@ -361,20 +354,8 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	// about to seal) or will observe closed and refuse the ack — a
 	// batch can never be acknowledged after its log is gone.
 	sess.mu.Lock()
-	sess.closed = true
-	wasResident := sess.s != nil
-	if sess.log != nil {
-		_ = sess.log.Close()
-		sess.log = nil
-	}
-	sess.s = nil
-	sess.isResident.Store(false)
+	_ = s.release(sess, true)
 	sess.mu.Unlock()
-	if wasResident {
-		s.mu.Lock()
-		s.residentCount--
-		s.mu.Unlock()
-	}
 	if s.store != nil {
 		if err := s.store.RemoveSession(sess.lc.name, sess.id); err != nil {
 			s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.errorsTotal++ })
@@ -424,32 +405,26 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 			}
 			atoms[i] = a.Atom()
 		}
-		res, job, walDur, err := s.applyBatch(r.Context(), sess, atoms)
+		res, rounds, job, err := s.applyBatch(r.Context(), sess, atoms)
 		if err != nil {
 			s.streamError(w, enc, lc.name, err)
 			return
 		}
 		s.met.with(lc.name, func(cm *contextMetrics) {
 			cm.applyTotal++
-			cm.chaseRounds += int64(res.rounds)
-			if res.res.Replanned {
+			cm.chaseRounds += int64(rounds)
+			if res.Replanned {
 				cm.replans++
 			}
-			if s.store != nil {
-				cm.walAppends++
-			}
 		})
-		if s.store != nil {
-			s.met.observe(lc.name, "wal_append", walDur)
-		}
 		_ = enc.Encode(ApplyResponse{
-			Inserted:   res.res.Inserted,
-			ChaseRows:  res.res.ChaseRows,
-			Derived:    res.res.Derived,
-			Fired:      res.res.Fired,
-			Merged:     res.res.Merged,
-			Rebuilt:    res.res.Rebuilt,
-			Violations: len(res.res.Violations),
+			Inserted:   res.Inserted,
+			ChaseRows:  res.ChaseRows,
+			Derived:    res.Derived,
+			Fired:      res.Fired,
+			Merged:     res.Merged,
+			Rebuilt:    res.Rebuilt,
+			Violations: len(res.Violations),
 		})
 		if flusher != nil {
 			flusher.Flush()
@@ -457,58 +432,38 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		// Compaction happens here, between batches, off the session
 		// lock: the exported state was frozen under the lock, so
 		// concurrent applies keep flowing into the fresh segment.
-		s.writeSnapshot(sess, job)
+		s.compact(sess, job)
 	}
 	s.met.observe(lc.name, "apply", time.Since(start))
 	s.enforceResident(sess)
 }
 
-// appliedBatch pairs an engine apply result with the chase rounds the
-// batch consumed.
-type appliedBatch struct {
-	res    *mdqa.ApplyResult
-	rounds int
-}
-
 // applyBatch runs one batch under the session's writer lock: resolve
-// the live engine state (reviving an evicted session), apply through
-// the incremental chase, then append to the WAL. The ack ordering is
-// the durability contract — a batch the engine rejected is never
-// logged, and a batch the log rejected is never acknowledged (the
-// client retries; set-semantics inserts make replays idempotent).
-// When the WAL has grown past the snapshot threshold it also rotates
-// the segment and captures a compaction job for the caller to write
+// the live engine state (reviving it from disk if needed), apply
+// through the incremental chase, then commit the batch to the WAL. A
+// batch the engine rejected is never logged, and a batch the log
+// rejected is never acknowledged (the client retries; set-semantics
+// inserts make replays idempotent); either failure follows the failure
+// rule. It returns the apply result, the chase rounds the batch ran,
+// and the compaction job commit captured, for the caller to write
 // outside the lock.
-func (s *Server) applyBatch(ctx context.Context, sess *session, atoms []mdqa.Atom) (appliedBatch, *snapJob, time.Duration, error) {
+func (s *Server) applyBatch(ctx context.Context, sess *session, atoms []mdqa.Atom) (*mdqa.ApplyResult, int, *snapJob, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	ms, err := s.residentLocked(ctx, sess)
+	ms, err := s.residentLocked(ctx, sess, true)
 	if err != nil {
-		return appliedBatch{}, nil, 0, err
+		return nil, 0, nil, err
 	}
 	res, err := ms.Apply(ctx, atoms)
 	if err != nil {
-		return appliedBatch{}, nil, 0, err
+		return nil, 0, nil, s.stepFailed(sess, err)
 	}
-	var walDur time.Duration
-	if sess.log != nil {
-		t0 := time.Now()
-		if _, err := sess.log.Append(atoms); err != nil {
-			return appliedBatch{}, nil, 0, fmt.Errorf("server: wal append: %w", err)
-		}
-		walDur = time.Since(t0)
-	}
-	rounds := ms.ChaseRounds()
-	delta := rounds - sess.lastRounds
-	sess.lastRounds = rounds
 	sess.applies++
-	job, err := s.maybeSnapshot(sess)
+	job, err := s.commit(sess, atoms, false)
 	if err != nil {
-		// The batch itself is durable in the sealed segment; only the
-		// compaction failed. Surface it — the client's retry is safe.
-		return appliedBatch{}, nil, walDur, err
+		return nil, 0, nil, err
 	}
-	return appliedBatch{res: res, rounds: delta}, job, walDur, nil
+	return res, sess.newRounds(), job, nil
 }
 
 // streamError emits a structured error as an NDJSON line: the status

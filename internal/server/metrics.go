@@ -62,8 +62,8 @@ type contextMetrics struct {
 	refreshErrors   int64 // refreshes failed (source unavailable, ...)
 
 	// Durability counters; all stay zero on ephemeral servers.
-	walAppends        int64 // acknowledged batches appended to WALs
-	snapshotsWritten  int64 // compaction + shutdown snapshots written
+	walAppends        int64 // changes appended to WALs (commit)
+	snapshotsWritten  int64 // snapshots written (writeSnapshot)
 	sessionsEvicted   int64 // sessions snapshotted out under MaxResident
 	sessionsRevived   int64 // evicted sessions transparently reloaded
 	sessionsRecovered int64 // sessions restored from disk at startup

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/persist"
 	"repro/mdqa"
 )
 
@@ -34,39 +33,26 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 }
 
 // refreshSession runs one Session.Refresh under the session's writer
-// lock and makes the outcome durable. revive controls whether an
-// evicted session is loaded back from disk (the HTTP handler revives;
-// the background loop skips — polling must not defeat MaxResident).
-//
-// Durability: an additions-only refresh appends its delta to the WAL
-// like an apply batch (replay is idempotent, and Session.Apply keeps
-// source relations out of the measure base). A rebuild cannot be
-// expressed as a WAL batch — removals have no log form — so the
-// refresh rotates the segment and writes a synchronous snapshot of the
-// rebuilt state. If a snapshot is already in flight the write is
-// skipped: a crash before the next snapshot then recovers pre-refresh
-// state, and the following refresh re-fetches and reconverges (source
-// state is external and re-fetchable by definition).
+// lock and commits a change like an apply batch: an additions-only
+// refresh logs its delta (replay is idempotent, and Session.Apply keeps
+// source relations out of the measure base), a rebuild logs an empty
+// marker and writes its forced snapshot before answering. With another
+// snapshot in flight the rebuild's is skipped: a crash before the next
+// one recovers pre-refresh state, and the next refresh re-fetches and
+// reconverges. A failed rebuild snapshot drops the live state, like a
+// failed commit (the failure rule). revive is residentLocked's: the
+// background loop must not defeat MaxResident.
 func (s *Server) refreshSession(ctx context.Context, sess *session, revive bool) (*mdqa.RefreshResult, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	var ms *mdqa.Session
-	var err error
-	if revive {
-		ms, err = s.residentLocked(ctx, sess)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if sess.closed || sess.s == nil {
-			return nil, &notFoundError{kind: "session", name: sess.id}
-		}
-		ms = sess.s
+	ms, err := s.residentLocked(ctx, sess, revive)
+	if err != nil {
+		return nil, err
 	}
 	res, err := ms.Refresh(ctx)
 	if err != nil {
 		s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.refreshErrors++ })
-		return nil, err
+		return nil, s.stepFailed(sess, err)
 	}
 	s.met.with(sess.lc.name, func(cm *contextMetrics) {
 		cm.refreshesTotal++
@@ -77,51 +63,22 @@ func (s *Server) refreshSession(ctx context.Context, sess *session, revive bool)
 	if !res.Changed {
 		return res, nil
 	}
-	rounds := ms.ChaseRounds()
-	delta := rounds - sess.lastRounds
-	sess.lastRounds = rounds
+	delta := sess.newRounds()
 	s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.chaseRounds += int64(delta) })
-	if sess.log == nil {
-		return res, nil
-	}
-	if !res.Rebuilt && len(res.Delta) > 0 {
-		if _, err := sess.log.Append(res.Delta); err != nil {
-			// The in-memory state already moved; surface the append
-			// failure so the operator knows durability lags. The next
-			// successful snapshot covers the gap.
-			s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.errorsTotal++ })
-			return res, nil
-		}
-		s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.walAppends++ })
-		return res, nil
-	}
-	// Rebuild: removals have no WAL form, so the batch that would carry
-	// them is an empty marker — it keeps the log's sequence in lockstep
-	// with the version the rebuild recorded (version seq == WAL seq is
-	// the time-travel invariant), and replaying it is a no-op under set
-	// semantics. Then rotate and snapshot synchronously (still under
-	// sess.mu — refresh is rare and the export is copy-on-write).
-	if _, err := sess.log.Append(nil); err != nil {
-		s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.errorsTotal++ })
-		return res, nil
-	}
-	if sess.snapshotting {
-		return res, nil
-	}
-	covered, err := sess.log.Rotate()
+	job, err := s.commit(sess, res.Delta, res.Rebuilt)
 	if err != nil {
-		s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.errorsTotal++ })
+		return nil, err
+	}
+	if job == nil {
 		return res, nil
 	}
-	meta := persist.Meta{
-		Context: sess.lc.name, Session: sess.id,
-		Seq: covered, Applies: int(sess.applies), Created: timestamp(),
+	// Written under sess.mu: refresh is rare, and the export is
+	// copy-on-write.
+	err = s.writeSnapshot(sess, job)
+	sess.snapshotting = false
+	if err != nil && res.Rebuilt {
+		return nil, s.drop(sess, err)
 	}
-	if err := sess.log.WriteSnapshot(meta, ms.ExportState()); err != nil {
-		s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.errorsTotal++ })
-		return res, nil
-	}
-	s.met.with(sess.lc.name, func(cm *contextMetrics) { cm.snapshotsWritten++ })
 	return res, nil
 }
 

@@ -37,6 +37,17 @@
 // it would leave it half applied. Engine failures map to structured HTTP
 // error bodies via MapError (ErrInconsistent → 409 with violations,
 // ErrBoundExceeded → 422, unknown relations → 400).
+//
+// Durability (Config.DataDir): every change a session takes goes
+// through one commit step, which logs it to the session's WAL before
+// the acknowledgment and compacts the log into snapshots. The failure
+// rule keeps a durable session serving exactly what its log holds:
+// when the engine stops a change at a chase bound, the WAL append or
+// the segment rotation fails, or a refresh rebuild's snapshot fails,
+// the session drops its live state with the error, and the next
+// request revives what the disk holds. A rejected batch or a cancelled
+// context leaves the session as it was. Ephemeral sessions keep their
+// state: there is no disk to revive from.
 package server
 
 import (
@@ -177,10 +188,13 @@ type session struct {
 	// ephemeral, while evicted, and after close.
 	log *persist.SessionLog
 	// snapshotting gates snapshot writes: at most one per session in
-	// flight (the write happens outside mu; see Server.writeSnapshot).
+	// flight (the write happens outside mu; see Server.compact).
 	snapshotting bool
-	applies      int64
-	lastRounds   int
+	// idle wakes, under mu, a revival waiting for the snapshot in
+	// flight to land (see Server.residentLocked).
+	idle       sync.Cond
+	applies    int64
+	lastRounds int
 	// lastTouch is the LRU clock for MaxResident eviction (UnixNano,
 	// updated lock-free on every request touching the session).
 	lastTouch atomic.Int64
@@ -191,7 +205,30 @@ type session struct {
 	isResident atomic.Bool
 }
 
+// newSession builds the record of a session with no live state yet.
+func newSession(id string, seq uint64, lc *loadedContext) *session {
+	sess := &session{id: id, seq: seq, lc: lc}
+	sess.idle.L = &sess.mu
+	return sess
+}
+
 func (sess *session) touch() { sess.lastTouch.Store(time.Now().UnixNano()) }
+
+// newRounds returns the chase rounds the live engine state ran since
+// the last call. Called under mu.
+func (sess *session) newRounds() int {
+	rounds := sess.s.ChaseRounds()
+	delta := rounds - sess.lastRounds
+	sess.lastRounds = rounds
+	return delta
+}
+
+// meta is the one persist.Meta constructor: the header of a snapshot
+// of the session covering seq, after applies acknowledged batches.
+func (sess *session) meta(seq uint64, applies int64) persist.Meta {
+	created := time.Now().UTC().Format(time.RFC3339)
+	return persist.Meta{Context: sess.lc.name, Session: sess.id, Seq: seq, Applies: int(applies), Created: created}
+}
 
 // Server is the mdserve HTTP handler. Build one with New and serve it
 // with net/http; it is safe for any number of concurrent requests.
@@ -389,12 +426,8 @@ func (s *Server) register(lc *loadedContext, ms *mdqa.Session, requestedID strin
 		}
 	}
 	s.reserved[id] = struct{}{}
-	sess := &session{
-		id:  id,
-		seq: s.nextID,
-		lc:  lc,
-		s:   ms,
-	}
+	sess := newSession(id, s.nextID, lc)
+	sess.s = ms
 	sess.lastRounds = ms.ChaseRounds()
 	s.mu.Unlock()
 
@@ -404,7 +437,7 @@ func (s *Server) register(lc *loadedContext, ms *mdqa.Session, requestedID strin
 		s.mu.Unlock()
 	}
 	if s.store != nil {
-		log, err := s.store.CreateSession(lc.name, sess.id, persist.Meta{Created: timestamp()}, ms.ExportState())
+		log, err := s.store.CreateSession(lc.name, sess.id, sess.meta(0, 0), ms.ExportState())
 		if err != nil {
 			release()
 			return nil, fmt.Errorf("server: persist session %s: %w", sess.id, err)
@@ -422,9 +455,6 @@ func (s *Server) register(lc *loadedContext, ms *mdqa.Session, requestedID strin
 	s.enforceResident(sess)
 	return sess, nil
 }
-
-// timestamp renders snapshot meta creation times.
-func timestamp() string { return time.Now().UTC().Format(time.RFC3339) }
 
 // unregister atomically removes a session from the registry,
 // reporting 404 when it is already gone — two concurrent closes

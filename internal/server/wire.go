@@ -85,6 +85,11 @@ type WireMeasure struct {
 	Distance      float64 `json:"distance"`
 }
 
+// wireMeasure renders a departure measure.
+func wireMeasure(m mdqa.Measure) WireMeasure {
+	return WireMeasure{m.Original, m.Quality, m.Intersection, m.CleanFraction(), m.Distance()}
+}
+
 // WireViolation is one constraint violation.
 type WireViolation struct {
 	Kind   string `json:"kind"`
@@ -249,13 +254,9 @@ type VersionsResponse struct {
 
 // TrajectoryPoint is one relation's quality measure at one version.
 type TrajectoryPoint struct {
-	Version       uint64  `json:"version"`
-	Time          string  `json:"time"`
-	Original      int     `json:"original"`
-	Quality       int     `json:"quality"`
-	Intersection  int     `json:"intersection"`
-	CleanFraction float64 `json:"clean_fraction"`
-	Distance      float64 `json:"distance"`
+	Version uint64 `json:"version"`
+	Time    string `json:"time"`
+	WireMeasure
 }
 
 // TrajectoryResponse is the body of GET .../trajectory?rel=: the

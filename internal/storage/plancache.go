@@ -97,8 +97,8 @@ func ShapeKey(body []datalog.Atom) string {
 // db, serving from the cache when a structurally identical query was
 // planned against an equivalent snapshot (see the type comment for the
 // soundness argument). A nil cache, a disabled cache and a non-frozen
-// instance all fall back to a plain CompileQueryPlan. It implements
-// eval.QueryPlanner.
+// instance all fall back to a plain CompileQueryPlan; eval.EvalQueryFunc
+// plans its queries here.
 func (c *PlanCache) QueryPlan(db *Instance, body []datalog.Atom) *Plan {
 	if c == nil || c.cap <= 0 || !db.Frozen() {
 		return CompileQueryPlan(db, body)

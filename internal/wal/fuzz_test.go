@@ -46,7 +46,7 @@ func FuzzWALDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, final := range []bool{true, false} {
-			_ = DecodeSegment("fuzz", data, final, func(b Batch) error {
+			_, _ = DecodeSegment("fuzz", data, final, func(b Batch) error {
 				for _, a := range b.Atoms {
 					if a.Pred == "" && len(a.Args) == 0 {
 						// fine — just touch the batch
@@ -101,7 +101,7 @@ func FuzzWALAppendReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		var got []Batch
-		if _, err := ReplayRange(dir, 0, ^uint64(0), func(b Batch) error {
+		if _, _, err := ReplayRange(dir, 0, ^uint64(0), func(b Batch) error {
 			got = append(got, b)
 			return nil
 		}); err != nil {

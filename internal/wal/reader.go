@@ -74,21 +74,23 @@ func Segments(dir string) (paths []string, maxGen uint64, err error) {
 	return paths, maxGen, nil
 }
 
-// DecodeSegment decodes one segment's records, invoking fn per batch.
-// final marks the directory's last segment: only there is a trailing
-// torn record tolerated (and silently dropped); anywhere else — and
-// for any damage that is not a clean torn tail — decoding fails with a
-// *CorruptError. fn returning an error aborts decoding with it.
-func DecodeSegment(path string, data []byte, final bool, fn func(Batch) error) error {
+// DecodeSegment decodes one segment's records, invoking fn per batch,
+// and returns the length of its complete records: len(data), or the
+// offset of the torn tail it dropped. final marks the directory's last
+// segment: only there is a trailing torn record tolerated (and
+// dropped); anywhere else — and for any damage that is not a clean
+// torn tail — decoding fails with a *CorruptError. fn returning an
+// error aborts decoding with it.
+func DecodeSegment(path string, data []byte, final bool, fn func(Batch) error) (int, error) {
 	var table []datalog.Term // segment-local symbol table; preds as KindConst
 	var preds []bool
 	off := 0
-	corrupt := func(at int, format string, args ...any) error {
-		return &CorruptError{Path: path, Offset: at, Reason: fmt.Sprintf(format, args...)}
+	corrupt := func(at int, format string, args ...any) (int, error) {
+		return at, &CorruptError{Path: path, Offset: at, Reason: fmt.Sprintf(format, args...)}
 	}
-	torn := func(at int, reason string) error {
+	torn := func(at int, reason string) (int, error) {
 		if final {
-			return nil // torn trailing write: drop the tail
+			return at, nil // torn trailing write: drop the tail
 		}
 		return corrupt(at, "torn record in a non-final segment (%s)", reason)
 	}
@@ -125,12 +127,39 @@ func DecodeSegment(path string, data []byte, final bool, fn func(Batch) error) e
 				return corrupt(off, "batch record: %v", err)
 			}
 			if err := fn(b); err != nil {
-				return err
+				return off, err
 			}
 		default:
 			return corrupt(off, "unknown record type %d", payload[0])
 		}
 		off += 8 + int(length)
+	}
+	return off, nil
+}
+
+// TornTail locates the torn trailing record replay dropped: the final
+// segment at Path holds complete records up to Offset, then the
+// partial write of an append that was never acknowledged.
+type TornTail struct {
+	Path   string
+	Offset int
+}
+
+// Truncate cuts the segment back to its complete records and syncs
+// it, so the segment ends cleanly before a successor is created after
+// it (a torn record anywhere but the final segment is corruption).
+func (t *TornTail) Truncate() error {
+	f, err := os.OpenFile(t.Path, os.O_WRONLY, 0)
+	if err == nil {
+		if err = f.Truncate(int64(t.Offset)); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("wal: truncate torn tail: %w", err)
 	}
 	return nil
 }
@@ -244,28 +273,30 @@ func uvarint(p []byte) (uint64, []byte, error) {
 // ReplayRange replays every batch with afterSeq < Seq <= upToSeq from
 // the directory's segments in order, returning the highest sequence
 // seen in the whole log (afterSeq when none) — callers that replay a
-// prefix still learn how far the log extends. Every segment is decoded
-// and integrity-checked end to end even when the range ends early: a
-// bounded replay must not report success over a log whose tail is
-// corrupt. Sequences must be strictly increasing across the whole log;
-// a regression is corruption. The session reader behind recovery and
-// as-of reconstruction (persist.Store.OpenSession and ReadSessionAt)
-// uses this to roll a snapshot forward, to the end of the log or to an
-// exact version.
-func ReplayRange(dir string, afterSeq, upToSeq uint64, fn func(Batch) error) (uint64, error) {
+// prefix still learn how far the log extends — and the final
+// segment's torn tail, when decoding dropped one (nil otherwise).
+// Every segment is decoded and integrity-checked end to end even when
+// the range ends early: a bounded replay must not report success over
+// a log whose tail is corrupt. Sequences must be strictly increasing
+// across the whole log; a regression is corruption. The session reader
+// behind recovery and as-of reconstruction (persist.Store.OpenSession
+// and ReadSessionAt) uses this to roll a snapshot forward, to the end
+// of the log or to an exact version.
+func ReplayRange(dir string, afterSeq, upToSeq uint64, fn func(Batch) error) (uint64, *TornTail, error) {
 	paths, _, err := Segments(dir)
 	if err != nil {
-		return afterSeq, err
+		return afterSeq, nil, err
 	}
 	last := afterSeq
 	prev := uint64(0)
+	var torn *TornTail
 	for i, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return last, err
+			return last, nil, err
 		}
 		final := i == len(paths)-1
-		err = DecodeSegment(path, data, final, func(b Batch) error {
+		end, err := DecodeSegment(path, data, final, func(b Batch) error {
 			if b.Seq <= prev {
 				return &CorruptError{Path: path, Reason: fmt.Sprintf("sequence %d not increasing (previous %d)", b.Seq, prev)}
 			}
@@ -279,8 +310,11 @@ func ReplayRange(dir string, afterSeq, upToSeq uint64, fn func(Batch) error) (ui
 			return fn(b)
 		})
 		if err != nil {
-			return last, err
+			return last, nil, err
+		}
+		if end < len(data) {
+			torn = &TornTail{Path: path, Offset: end}
 		}
 	}
-	return last, nil
+	return last, torn, nil
 }

@@ -39,8 +39,13 @@
 // or that decodes inconsistently under a valid CRC, can not be a torn
 // write — that is corruption, and replay fails loudly rather than
 // silently dropping acknowledged data. Likewise a torn tail in any
-// segment but the last one is corruption (earlier segments were closed
-// cleanly before a successor was created).
+// segment but the last one is corruption. Nothing creates a successor
+// after a torn record: Rotate seals a segment only by closing it, a
+// session that fails an append drops its writer rather than appending
+// past the failure (the serving layer's failure rule), and recovery
+// (persist.Store.OpenSession) truncates the final segment's torn tail
+// to its last complete record (TornTail.Truncate) before it creates
+// the segment that follows.
 package wal
 
 import (
@@ -205,12 +210,13 @@ func (w *Writer) Append(seq uint64, atoms []datalog.Atom) error {
 	w.rec = batch[:0]
 	var syms []byte
 	if len(w.pending) > 0 {
-		syms = append(syms, recSyms)
-		syms = binary.AppendUvarint(syms, uint64(len(w.pending)))
+		// Size the record before copying the entries into it: an
+		// oversized one is refused without a second copy.
+		syms = binary.AppendUvarint([]byte{recSyms}, uint64(len(w.pending)))
+		if n := len(syms) + len(symEntries); n > MaxRecord {
+			return fmt.Errorf("wal: symbols record of %d bytes exceeds MaxRecord", n)
+		}
 		syms = append(syms, symEntries...)
-	}
-	if len(syms) > MaxRecord {
-		return fmt.Errorf("wal: symbols record of %d bytes exceeds MaxRecord", len(syms))
 	}
 	if len(batch) > MaxRecord {
 		return fmt.Errorf("wal: batch record of %d bytes exceeds MaxRecord", len(batch))

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -53,7 +54,7 @@ func writeSegments(t *testing.T, segs ...[]Batch) string {
 func replayAll(t *testing.T, dir string, afterSeq uint64) ([]Batch, uint64, error) {
 	t.Helper()
 	var got []Batch
-	last, err := ReplayRange(dir, afterSeq, ^uint64(0), func(b Batch) error {
+	last, _, err := ReplayRange(dir, afterSeq, ^uint64(0), func(b Batch) error {
 		got = append(got, b)
 		return nil
 	})
@@ -173,8 +174,14 @@ func TestTornTailDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first, err := os.ReadFile(filepath.Join(writeSegments(t, []Batch{{Seq: 1, Atoms: batch("p")}}), SegmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Chop increasing suffixes off the file; every cut must replay
-	// cleanly with only the fully-written prefix of batches.
+	// cleanly with only the fully-written prefix of batches, and report
+	// the tail it dropped: after batch 1's records, and before the cut.
+	var torn *TornTail
 	for cut := 1; cut < 12; cut++ {
 		if err := os.WriteFile(path, data[:len(data)-cut], 0o644); err != nil {
 			t.Fatal(err)
@@ -186,6 +193,20 @@ func TestTornTailDropped(t *testing.T) {
 		if last != 1 || len(got) != 1 || got[0].Seq != 1 {
 			t.Fatalf("cut %d: last=%d got=%v, want only batch 1", cut, last, got)
 		}
+		_, torn, _ = ReplayRange(dir, 0, ^uint64(0), func(Batch) error { return nil })
+		if torn == nil || torn.Path != path || torn.Offset < len(first) || torn.Offset >= len(data)-cut {
+			t.Fatalf("cut %d: torn tail %+v, want %s in [%d, %d)", cut, torn, path, len(first), len(data)-cut)
+		}
+	}
+	if err := torn.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := replayAll(t, dir, 0)
+	if _, tail, _ := ReplayRange(dir, 0, ^uint64(0), func(Batch) error { return nil }); err != nil || tail != nil || len(got) != 1 {
+		t.Fatalf("after Truncate: batches %v, torn tail %+v, err %v", got, tail, err)
+	}
+	if cut, err := os.ReadFile(path); err != nil || !bytes.Equal(cut, data[:torn.Offset]) {
+		t.Fatalf("Truncate left %d bytes, want %d (err %v)", len(cut), torn.Offset, err)
 	}
 }
 

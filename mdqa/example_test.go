@@ -13,38 +13,10 @@ import (
 // version keeping only city sales whose item also certainly sells at
 // the Canada level.
 func salesContext() (*mdqa.Context, *mdqa.Instance, error) {
-	schema := mdqa.NewDimensionSchema("Geo")
-	schema.MustAddCategory("City")
-	schema.MustAddCategory("Country")
-	schema.MustAddEdge("City", "Country")
-	geo := mdqa.NewDimension(schema)
-	geo.MustAddMember("Country", "Canada")
-	geo.MustAddMember("Country", "Chile")
-	for _, m := range []struct{ city, country string }{
-		{"Ottawa", "Canada"}, {"Toronto", "Canada"}, {"Santiago", "Chile"},
-	} {
-		geo.MustAddMember("City", m.city)
-		geo.MustAddRollup(m.city, m.country)
-	}
-	o := mdqa.NewOntology()
-	if err := o.AddDimension(geo); err != nil {
+	o, err := salesOntology()
+	if err != nil {
 		return nil, nil, err
 	}
-	for _, rel := range []*mdqa.CategoricalRelation{
-		mdqa.NewCategoricalRelation("CitySales", mdqa.Cat("City", "Geo", "City"), mdqa.NonCat("Item")),
-		mdqa.NewCategoricalRelation("CountrySales", mdqa.Cat("Country", "Geo", "Country"), mdqa.NonCat("Item")),
-	} {
-		if err := o.AddRelation(rel); err != nil {
-			return nil, nil, err
-		}
-	}
-	o.MustAddRule(mdqa.NewTGD("up",
-		[]mdqa.Atom{mdqa.NewAtom("CountrySales", mdqa.Var("c"), mdqa.Var("i"))},
-		[]mdqa.Atom{
-			mdqa.NewAtom("CitySales", mdqa.Var("w"), mdqa.Var("i")),
-			mdqa.NewAtom(mdqa.RollupPredName("City", "Country"), mdqa.Var("c"), mdqa.Var("w")),
-		}))
-
 	version := mdqa.NewRule("sales-q",
 		mdqa.NewAtom("CitySales_q", mdqa.Var("w"), mdqa.Var("i")),
 		mdqa.NewAtom("CitySales", mdqa.Var("w"), mdqa.Var("i")),
@@ -63,6 +35,43 @@ func salesContext() (*mdqa.Context, *mdqa.Instance, error) {
 	d.MustInsert("CitySales", mdqa.Const("Ottawa"), mdqa.Const("skates"))
 	d.MustInsert("CitySales", mdqa.Const("Santiago"), mdqa.Const("wine"))
 	return qc, d, nil
+}
+
+// salesOntology is salesContext's ontology: the Geo dimension, the
+// CitySales and CountrySales relations and the upward roll-up rule.
+func salesOntology() (*mdqa.Ontology, error) {
+	schema := mdqa.NewDimensionSchema("Geo")
+	schema.MustAddCategory("City")
+	schema.MustAddCategory("Country")
+	schema.MustAddEdge("City", "Country")
+	geo := mdqa.NewDimension(schema)
+	geo.MustAddMember("Country", "Canada")
+	geo.MustAddMember("Country", "Chile")
+	for _, m := range []struct{ city, country string }{
+		{"Ottawa", "Canada"}, {"Toronto", "Canada"}, {"Santiago", "Chile"},
+	} {
+		geo.MustAddMember("City", m.city)
+		geo.MustAddRollup(m.city, m.country)
+	}
+	o := mdqa.NewOntology()
+	if err := o.AddDimension(geo); err != nil {
+		return nil, err
+	}
+	for _, rel := range []*mdqa.CategoricalRelation{
+		mdqa.NewCategoricalRelation("CitySales", mdqa.Cat("City", "Geo", "City"), mdqa.NonCat("Item")),
+		mdqa.NewCategoricalRelation("CountrySales", mdqa.Cat("Country", "Geo", "Country"), mdqa.NonCat("Item")),
+	} {
+		if err := o.AddRelation(rel); err != nil {
+			return nil, err
+		}
+	}
+	o.MustAddRule(mdqa.NewTGD("up",
+		[]mdqa.Atom{mdqa.NewAtom("CountrySales", mdqa.Var("c"), mdqa.Var("i"))},
+		[]mdqa.Atom{
+			mdqa.NewAtom("CitySales", mdqa.Var("w"), mdqa.Var("i")),
+			mdqa.NewAtom(mdqa.RollupPredName("City", "Country"), mdqa.Var("c"), mdqa.Var("w")),
+		}))
+	return o, nil
 }
 
 // ExampleNewContext builds a quality context with functional options

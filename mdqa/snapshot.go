@@ -171,11 +171,7 @@ func (s *Snapshot) Explain(q *Query, clean bool, pc *PlanCache) (string, error) 
 // non-nil, supplies cached join plans.
 func streamQuery(q *Query, db *storage.Instance, certainOnly bool, pc *PlanCache) iter.Seq2[Answer, error] {
 	return func(yield func(Answer, error) bool) {
-		var planner eval.QueryPlanner
-		if pc != nil {
-			planner = pc
-		}
-		err := eval.EvalQueryFuncPlanned(q, db, planner, func(ans Answer) bool {
+		err := eval.EvalQueryFunc(q, db, pc, func(ans Answer) bool {
 			if certainOnly && ans.HasNull() {
 				return true
 			}

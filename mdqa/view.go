@@ -21,7 +21,7 @@ type Version = history.Version
 
 // Score is the departure measure of one versioned relation at one
 // version: |D|, |D^q| and their intersection, with CleanFraction and
-// Distance derived from them — Measure in serializable form.
+// Distance derived from them. It is the same type as Measure.
 type Score = history.Score
 
 // ViewOption selects which version of a session a View (or Assess)
