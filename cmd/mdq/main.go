@@ -334,9 +334,7 @@ func cleanAnswer(ctx context.Context, f *mdqa.File, args []string, parallelism i
 			if err != nil {
 				return fmt.Errorf("query %s: %w", nq.Name, err)
 			}
-			if v, ok := snap.Version(); ok {
-				fmt.Fprintf(out, "-- plan at session version %d\n", v.Seq)
-			}
+			fmt.Fprintf(out, "-- plan at session version %d\n", snap.Version().Seq)
 			fmt.Fprintf(out, "%s -> %s", snap.RewriteClean(nq.Query), text)
 			continue
 		}

@@ -31,9 +31,11 @@
 // Time travel: every applied batch produces a numbered session
 // version; answers, assessment, assess and trajectory accept
 // ?as_of=<version|RFC3339> to read any version still retained in the
-// in-memory ring (-history-depth, -history-bytes) — or, with
-// -data-dir, any version reconstructable from retained snapshots and
-// WAL replay.
+// in-memory ring (-history-depth) — or, with -data-dir, any version
+// reconstructable from retained snapshots and WAL replay. /versions
+// and /trajectory list the newest 1,024 versions of a session
+// (mdqa.MaxHistoryVersions); an ?as_of=<RFC3339> instant before the
+// oldest listed version answers 410.
 //
 // Live external sources bind a contextual relation to an HTTP endpoint
 // or file that is re-polled at refresh time:
@@ -158,8 +160,7 @@ func run(ctx context.Context, args []string) error {
 	fsync := fs.String("fsync", "interval", "WAL durability mode: always, interval or async")
 	snapshotEvery := fs.Int("snapshot-every", 0, "apply batches per session WAL before compaction into a snapshot (0 = default)")
 	maxResident := fs.Int("max-resident-sessions", 0, "sessions kept saturated in memory; least-recently-used beyond this are evicted to disk (0 = all, needs -data-dir)")
-	historyDepth := fs.Int("history-depth", 0, "version snapshots retained in memory per session for as-of reads (0 = default, negative = disable history)")
-	historyBytes := fs.Int64("history-bytes", 0, "estimated memory cap for each session's retained version snapshots (0 = bounded by -history-depth alone)")
+	historyDepth := fs.Int("history-depth", 0, "version snapshots retained in memory per session for as-of reads (0 = default, capped at 1024, negative fails startup)")
 	var sources contextFlags
 	fs.Var(&sources, "context", "quality context to serve, as name=path.mdq (repeatable)")
 	var liveSources sourceFlags
@@ -210,7 +211,6 @@ func run(ctx context.Context, args []string) error {
 		SnapshotEvery: *snapshotEvery,
 		MaxResident:   *maxResident,
 		HistoryDepth:  *historyDepth,
-		HistoryBytes:  *historyBytes,
 	}, sources)
 	if err != nil {
 		return err

@@ -178,4 +178,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-context", "x=/nonexistent.mdq"}); err == nil {
 		t.Fatal("missing file must error")
 	}
+	// The timeout only ends a server that starts despite the flag.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-example", "-history-depth", "-1"}); err == nil || !strings.Contains(err.Error(), "history depth") {
+		t.Fatalf("-history-depth -1 must fail startup, got %v", err)
+	}
 }

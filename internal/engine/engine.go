@@ -15,7 +15,7 @@
 //     against the delta frontier (chase.State.Extend) and the derived
 //     quality layer grows incrementally (eval.State.Extend) instead
 //     of being recomputed from scratch;
-//   - Session.Snapshot() hands concurrent readers a frozen
+//   - Session.State() hands concurrent readers a frozen
 //     copy-on-write view of the full contextual instance, consistent
 //     as of the last Apply, while the single writer keeps applying
 //     deltas.
@@ -192,7 +192,7 @@ func (p *Prepared) open(ctx context.Context, cs *chase.State) (*Session, error) 
 }
 
 // Session owns a saturated instance and its derived layer. One writer
-// goroutine calls Apply; any number of readers consume Snapshot views.
+// goroutine calls Apply; any number of readers consume State views.
 type Session struct {
 	mu    sync.Mutex
 	prep  *Prepared
@@ -427,19 +427,6 @@ func driftExceeded(old, cur int) bool {
 	return hi >= driftFloor && hi >= 2*lo
 }
 
-// Snapshot returns a frozen, consistent view of the full contextual
-// instance (chased facts plus the derived layer) as of the last Apply.
-// Snapshots are cheap (copy-on-write) and safe to read from any number
-// of goroutines while the writer keeps applying deltas.
-func (s *Session) Snapshot() *storage.Instance {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.eval != nil {
-		return s.eval.Instance().Snapshot()
-	}
-	return s.chase.Instance().Snapshot()
-}
-
 // Violations returns the session's cumulative constraint violations.
 func (s *Session) Violations() []chase.Violation {
 	s.mu.Lock()
@@ -449,11 +436,14 @@ func (s *Session) Violations() []chase.Violation {
 	return out
 }
 
-// State returns a frozen snapshot paired with the cumulative violation
-// list it corresponds to, taken under one lock acquisition — the
-// version-recording path needs the two to describe the same instant,
-// which separate Snapshot and Violations calls cannot guarantee under
-// a concurrent writer.
+// State returns a frozen, consistent view of the full contextual
+// instance (chased facts plus the derived layer) as of the last Apply,
+// paired with the cumulative violation list it corresponds to, taken
+// under one lock acquisition — the version-recording path needs the two
+// to describe the same instant, which separate calls cannot guarantee
+// under a concurrent writer. The view is cheap (copy-on-write) and safe
+// to read from any number of goroutines while the writer keeps
+// applying deltas.
 func (s *Session) State() (*storage.Instance, []chase.Violation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -469,7 +459,7 @@ func (s *Session) State() (*storage.Instance, []chase.Violation) {
 }
 
 // ChaseResult returns the cumulative chase statistics. The contained
-// instance is the live one — use Snapshot for concurrent reads.
+// instance is the live one — use State for concurrent reads.
 func (s *Session) ChaseResult() *chase.Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()

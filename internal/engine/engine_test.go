@@ -11,6 +11,13 @@ import (
 	"repro/internal/storage"
 )
 
+// snapshot returns the frozen view of a session's instance that State
+// pairs with its violations.
+func snapshot(s *Session) *storage.Instance {
+	inst, _ := s.State()
+	return inst
+}
+
 // testSpec: one upward TGD plus a derived layer with negation, so
 // Apply must take the rebuild fallback and still match a from-scratch
 // evaluation.
@@ -68,7 +75,7 @@ func TestSessionApplyStats(t *testing.T) {
 	if res.Derived != 1 {
 		t.Fatalf("derived = %d, want 1", res.Derived)
 	}
-	snap := s.Snapshot()
+	snap := snapshot(s)
 	if !snap.ContainsAtom(dl.A("M", dl.C("p1"))) {
 		t.Fatal("snapshot missing derived fact")
 	}
@@ -95,7 +102,7 @@ func TestSessionNegationRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Before: p1 has no measurements, so Quiet(p1, c2) holds.
-	if !s.Snapshot().ContainsAtom(dl.A("Quiet", dl.C("p1"), dl.C("c2"))) {
+	if !snapshot(s).ContainsAtom(dl.A("Quiet", dl.C("p1"), dl.C("c2"))) {
 		t.Fatal("expected Quiet(p1,c2) before delta")
 	}
 	res, err := s.Apply(context.Background(), []dl.Atom{
@@ -109,7 +116,7 @@ func TestSessionNegationRebuild(t *testing.T) {
 	}
 	// After: M(p1) retracts Quiet(p1, c2) — only a rebuild gets this
 	// right, which is exactly why the fallback exists.
-	snap := s.Snapshot()
+	snap := snapshot(s)
 	if snap.ContainsAtom(dl.A("Quiet", dl.C("p1"), dl.C("c2"))) {
 		t.Fatal("Quiet(p1,c2) survived its negation trigger")
 	}
@@ -127,7 +134,7 @@ func TestSessionSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.Snapshot()
+	before := snapshot(s)
 	m0 := before.Relation("M").Len()
 	if _, err := s.Apply(context.Background(), []dl.Atom{dl.A("R0", dl.C("c2"), dl.C("v9"))}); err != nil {
 		t.Fatal(err)
@@ -135,7 +142,7 @@ func TestSessionSnapshotIsolation(t *testing.T) {
 	if before.Relation("M").Len() != m0 {
 		t.Fatal("earlier snapshot changed under Apply")
 	}
-	if s.Snapshot().Relation("M").Len() != m0+1 {
+	if snapshot(s).Relation("M").Len() != m0+1 {
 		t.Fatal("new snapshot missing the applied delta's derivation")
 	}
 }
@@ -192,7 +199,7 @@ func TestSessionReplanOnDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Snapshot().Equal(fresh.Snapshot()) {
+	if !snapshot(s).Equal(snapshot(fresh)) {
 		t.Fatal("re-planned session diverged from a fresh session over the same data")
 	}
 }
@@ -215,7 +222,7 @@ func TestPreparedSharedAcrossSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Snapshot().ContainsAtom(dl.A("R0", dl.C("c2"), dl.C("vX"))) {
+	if snapshot(s2).ContainsAtom(dl.A("R0", dl.C("c2"), dl.C("vX"))) {
 		t.Fatal("sessions share mutable state")
 	}
 }

@@ -2,12 +2,12 @@
 // assessment session: every applied batch (and every source refresh
 // that changed anything) produces a monotonically numbered version
 // carrying its WAL sequence, wall time, violation state and the
-// departure score of every versioned relation. The newest N versions
-// additionally retain a frozen copy-on-write snapshot of the full
-// contextual instance, so as-of reads at those versions are O(1);
-// older versions keep only their metadata — a durable serving layer
-// reconstructs their instances by WAL replay from the nearest retained
-// on-disk snapshot (see persist.ReadSessionAt).
+// departure score of every versioned relation. The newest MaxVersions
+// versions keep that metadata, and the newest depth of them also
+// retain a frozen copy-on-write snapshot of the full contextual
+// instance, so as-of reads at those versions are O(1); a durable
+// serving layer reconstructs older instances by WAL replay from the
+// nearest retained on-disk snapshot (see persist.ReadSessionAt).
 //
 // The ring is deliberately not self-locking: quality.Session owns one
 // and serializes every access on its session mutex, the same lock that
@@ -24,6 +24,17 @@ import (
 // DefaultDepth is the number of in-memory version snapshots a ring
 // retains when the owner does not choose one.
 const DefaultDepth = 8
+
+// MaxVersions is how many of the newest versions keep their metadata,
+// and the largest depth a ring takes. Older versions drop out of
+// Versions, AsOf and Attribute, and out of the snapshot headers that
+// carry the metadata. It is sized so that a default durable server
+// (DefaultDepth, persist.DefaultSnapshotEvery = 256) still lists every
+// version an as-of read can reach on disk: compaction keeps the last
+// depth versions plus up to one snapshot interval behind the replay
+// base, and up to one more interval is logged before the next
+// compaction, at most 8 + 2×256 versions.
+const MaxVersions = 1024
 
 // Score is the departure measure of one versioned relation at one
 // version, and the measure of an assessment (quality.Measure is this
@@ -55,9 +66,9 @@ func (s Score) Distance() float64 {
 }
 
 // Version is the metadata of one session version. Metadata is kept for
-// every version the session has ever produced (it is tiny and rides
-// along in snapshot headers); only the instances behind the newest few
-// are retained in memory.
+// the newest MaxVersions versions (it is small and rides along in
+// snapshot headers); only the instances behind the newest few are
+// retained in memory.
 type Version struct {
 	// Seq is the version number: 0 for the session's initial saturated
 	// state, +1 per applied batch or changed refresh. For durable
@@ -97,131 +108,73 @@ type Entry struct {
 	// Violations is the cumulative violation list at this version
 	// (Version.Violations is its length).
 	Viol []qerr.Violation
-	// bytes is the estimated memory only this entry holds: its
-	// interner fork, plus whatever of each relation its successor no
-	// longer shares (see storage.Instance.ExclusiveBytes).
-	bytes int64
 }
 
-// Ring is the bounded version history of one session.
+// Ring is the bounded version history of one session. It is never
+// empty: New records the first version.
 type Ring struct {
-	depth    int
-	maxBytes int64
-	metas    []Version // every known version, ascending Seq
-	entries  []*Entry  // retained snapshots, ascending Seq (suffix of metas)
-	bytes    int64     // sum of retained entry costs
+	depth   int
+	metas   []Version // the newest MaxVersions versions, ascending Seq
+	entries []*Entry  // retained snapshots, ascending Seq (suffix of metas)
 }
 
-// New builds a ring retaining up to depth snapshots (0 = DefaultDepth,
-// minimum 1 — the latest version is always retained) within maxBytes
-// of estimated snapshot memory (0 = unbounded).
-func New(depth int, maxBytes int64) *Ring {
-	if depth == 0 {
+// New builds a ring whose newest version is first, retaining up to
+// depth snapshots (0 = DefaultDepth, clamped to 1..MaxVersions — the
+// latest version is always retained). metas is the metadata of the
+// versions up to first, as decoded from a snapshot header (nil for a
+// new session, and for snapshot files that predate history): records
+// beyond first.Seq are dropped, only the newest MaxVersions are kept,
+// and a record of first.Seq itself (its original wall time, scores and
+// attribution) replaces the one first carries.
+func New(depth int, metas []Version, first *Entry) *Ring {
+	switch {
+	case depth == 0:
 		depth = DefaultDepth
-	}
-	if depth < 1 {
+	case depth < 1:
 		depth = 1
+	case depth > MaxVersions:
+		depth = MaxVersions
 	}
-	return &Ring{depth: depth, maxBytes: maxBytes}
+	n := 0
+	for n < len(metas) && metas[n].Seq < first.Seq {
+		n++
+	}
+	if n < len(metas) && metas[n].Seq == first.Seq {
+		first.Version = metas[n]
+	}
+	prior := metas[max(0, n-MaxVersions+1):n]
+	r := &Ring{depth: depth, metas: append(make([]Version, 0, len(prior)+1), prior...)}
+	r.Record(first)
+	return r
 }
 
 // Record appends the next version. The entry's Version.Seq must be
-// NextSeq(); metadata is kept forever, the instance joins the retained
-// suffix and the oldest retained entries beyond the depth/byte bounds
-// are released (the newest entry always survives).
-//
-// The newest snapshot shares its relations with the live instance, so
-// it is priced by its interner fork alone. Once e succeeds it, the
-// previous entry is re-priced by what only it holds: the slot tables
-// and key maps a write copied between the two snapshots, and the rows
-// and posting lists of any relation e no longer shares as a prefix.
-// Storage shared along the chain is charged once, to the newest entry
-// holding it, which is exactly what evicting oldest-first frees.
+// NextSeq(). The instance joins the retained suffix, the oldest
+// retained entries beyond the depth are released, and the oldest
+// metadata beyond MaxVersions is dropped; each dropped slot is cleared
+// so what it held can be collected.
 func (r *Ring) Record(e *Entry) {
-	if n := len(r.entries); n > 0 {
-		prev := r.entries[n-1]
-		r.bytes -= prev.bytes
-		prev.bytes = prev.Inst.ExclusiveBytes(e.Inst)
-		r.bytes += prev.bytes
-	}
-	e.bytes = e.Inst.ExclusiveBytes(nil)
 	r.metas = append(r.metas, e.Version)
 	r.entries = append(r.entries, e)
-	r.bytes += e.bytes
-	for len(r.entries) > 1 &&
-		(len(r.entries) > r.depth || (r.maxBytes > 0 && r.bytes > r.maxBytes)) {
-		r.bytes -= r.entries[0].bytes
+	for len(r.entries) > r.depth {
 		r.entries[0] = nil
 		r.entries = r.entries[1:]
 	}
-}
-
-// Seed initializes a restored ring: metas is the version metadata
-// decoded from the snapshot header (may be empty for pre-history
-// snapshot files) and entry is the restored state, which becomes the
-// single retained snapshot. When metas does not already end at
-// entry.Seq a synthetic metadata record is appended, so NextSeq stays
-// correct even without decoded history.
-func (r *Ring) Seed(metas []Version, e *Entry) {
-	r.metas = r.metas[:0]
-	for _, m := range metas {
-		if m.Seq > e.Seq {
-			break // metadata from beyond the snapshot's coverage
-		}
-		r.metas = append(r.metas, m)
+	for len(r.metas) > MaxVersions {
+		r.metas[0] = Version{}
+		r.metas = r.metas[1:]
 	}
-	if n := len(r.metas); n == 0 || r.metas[n-1].Seq != e.Seq {
-		r.metas = append(r.metas, e.Version)
-	} else {
-		// Prefer the decoded metadata (original wall time, scores) but
-		// let the restored state supply what the header lacks.
-		e.Version = r.metas[n-1]
-	}
-	e.bytes = e.Inst.ExclusiveBytes(nil)
-	r.entries = append(r.entries[:0], e)
-	r.bytes = e.bytes
 }
 
 // NextSeq is the sequence number the next recorded version must carry.
-func (r *Ring) NextSeq() uint64 {
-	if n := len(r.metas); n > 0 {
-		return r.metas[n-1].Seq + 1
-	}
-	return 0
-}
+func (r *Ring) NextSeq() uint64 { return r.Latest().Seq + 1 }
 
-// Latest returns the newest retained entry (nil on an empty ring).
-func (r *Ring) Latest() *Entry {
-	if n := len(r.entries); n > 0 {
-		return r.entries[n-1]
-	}
-	return nil
-}
-
-// Last returns the newest version's metadata (false on an empty ring).
-func (r *Ring) Last() (Version, bool) {
-	if n := len(r.metas); n > 0 {
-		return r.metas[n-1], true
-	}
-	return Version{}, false
-}
-
-// LatestSeq is the newest version number (false on an empty ring).
-func (r *Ring) LatestSeq() (uint64, bool) {
-	if n := len(r.metas); n > 0 {
-		return r.metas[n-1].Seq, true
-	}
-	return 0, false
-}
+// Latest returns the newest entry.
+func (r *Ring) Latest() *Entry { return r.entries[len(r.entries)-1] }
 
 // OldestRetained is the oldest version whose snapshot is still in
-// memory (false on an empty ring).
-func (r *Ring) OldestRetained() (uint64, bool) {
-	if len(r.entries) > 0 {
-		return r.entries[0].Seq, true
-	}
-	return 0, false
-}
+// memory.
+func (r *Ring) OldestRetained() uint64 { return r.entries[0].Seq }
 
 // At returns the retained entry for version seq. A seq older than the
 // retained suffix (or older than the known metadata entirely) yields a
@@ -229,11 +182,10 @@ func (r *Ring) OldestRetained() (uint64, bool) {
 // (nil, false, nil) — the caller distinguishes "not yet applied" from
 // "evicted".
 func (r *Ring) At(seq uint64) (*Entry, bool, error) {
-	latest, ok := r.LatestSeq()
-	if !ok || seq > latest {
+	if seq > r.Latest().Seq {
 		return nil, false, nil
 	}
-	oldest, _ := r.OldestRetained()
+	oldest := r.OldestRetained()
 	if seq < oldest {
 		return nil, false, &qerr.VersionEvictedError{Version: seq, Oldest: oldest}
 	}
@@ -248,16 +200,12 @@ func (r *Ring) At(seq uint64) (*Entry, bool, error) {
 }
 
 // AsOf resolves a wall-clock instant to the newest version whose Time
-// is not after t. An instant before the first known version yields a
-// *qerr.VersionEvictedError (version 0 named); an instant at or after
-// the newest version resolves to the newest.
+// is not after t. An instant before the oldest kept version yields a
+// *qerr.VersionEvictedError naming that version; an instant at or
+// after the newest version resolves to the newest.
 func (r *Ring) AsOf(t time.Time) (uint64, error) {
-	if len(r.metas) == 0 || t.Before(r.metas[0].Time) {
-		oldest := uint64(0)
-		if len(r.metas) > 0 {
-			oldest = r.metas[0].Seq
-		}
-		return 0, &qerr.VersionEvictedError{Version: oldest, Oldest: oldest}
+	if oldest := r.metas[0]; t.Before(oldest.Time) {
+		return 0, &qerr.VersionEvictedError{Version: oldest.Seq, Oldest: oldest.Seq}
 	}
 	seq := r.metas[0].Seq
 	for _, m := range r.metas[1:] {
@@ -269,7 +217,7 @@ func (r *Ring) AsOf(t time.Time) (uint64, error) {
 	return seq, nil
 }
 
-// Versions returns a copy of every known version's metadata, ascending.
+// Versions returns a copy of the kept versions' metadata, ascending.
 func (r *Ring) Versions() []Version {
 	return append([]Version(nil), r.metas...)
 }

@@ -2,11 +2,9 @@ package history
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/datalog"
 	"repro/internal/qerr"
 	"repro/internal/storage"
 )
@@ -22,9 +20,9 @@ func entry(seq uint64, at time.Time) *Entry {
 func t0() time.Time { return time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC) }
 
 func TestRingRecordAndEvict(t *testing.T) {
-	r := New(2, 0)
 	base := t0()
-	for seq := uint64(0); seq <= 4; seq++ {
+	r := New(2, nil, entry(0, base))
+	for seq := uint64(1); seq <= 4; seq++ {
 		if got := r.NextSeq(); got != seq {
 			t.Fatalf("NextSeq = %d, want %d", got, seq)
 		}
@@ -35,10 +33,10 @@ func TestRingRecordAndEvict(t *testing.T) {
 	if n := len(r.Versions()); n != 5 {
 		t.Fatalf("want 5 version metas, got %d", n)
 	}
-	if oldest, _ := r.OldestRetained(); oldest != 3 {
+	if oldest := r.OldestRetained(); oldest != 3 {
 		t.Fatalf("oldest retained = %d, want 3", oldest)
 	}
-	if latest, _ := r.LatestSeq(); latest != 4 {
+	if latest := r.Latest().Seq; latest != 4 {
 		t.Fatalf("latest = %d, want 4", latest)
 	}
 	// Retained versions resolve; evicted ones carry the typed error
@@ -59,25 +57,10 @@ func TestRingRecordAndEvict(t *testing.T) {
 	}
 }
 
-func TestRingByteBudget(t *testing.T) {
-	// A 1-byte budget forces eviction down to the single newest entry
-	// (the latest always survives).
-	r := New(8, 1)
-	for seq := uint64(0); seq <= 3; seq++ {
-		r.Record(entry(seq, t0().Add(time.Duration(seq)*time.Minute)))
-	}
-	if oldest, _ := r.OldestRetained(); oldest != 3 {
-		t.Fatalf("byte budget must evict to the newest entry, oldest = %d", oldest)
-	}
-	if latest := r.Latest(); latest == nil || latest.Seq != 3 {
-		t.Fatalf("latest entry must survive the budget: %+v", latest)
-	}
-}
-
 func TestRingAsOf(t *testing.T) {
-	r := New(4, 0)
 	base := t0()
-	for seq := uint64(0); seq <= 3; seq++ {
+	r := New(4, nil, entry(0, base))
+	for seq := uint64(1); seq <= 3; seq++ {
 		r.Record(entry(seq, base.Add(time.Duration(seq)*time.Hour)))
 	}
 	cases := []struct {
@@ -102,10 +85,8 @@ func TestRingAsOf(t *testing.T) {
 }
 
 func TestRingAttribute(t *testing.T) {
-	r := New(4, 0)
 	v := qerr.Violation{Kind: qerr.NCViolation, ID: "nc1", Detail: "d"}
-	e0 := entry(0, t0())
-	r.Record(e0)
+	r := New(4, nil, entry(0, t0()))
 	e1 := entry(1, t0().Add(time.Minute))
 	e1.Introduced = []qerr.Violation{v}
 	e1.Violations = 1
@@ -127,9 +108,8 @@ func TestRingSeed(t *testing.T) {
 		{Seq: 1, Time: t0().Add(time.Minute), Batch: 2},
 		{Seq: 2, Time: t0().Add(2 * time.Minute), Batch: 1},
 	}
-	r := New(4, 0)
 	e := entry(2, t0().Add(time.Hour)) // restored state carries replay time
-	r.Seed(metas, e)
+	r := New(4, metas, e)
 	if got := r.Versions(); len(got) != 3 || !got[1].Time.Equal(metas[1].Time) {
 		t.Fatalf("seeded metas = %+v", got)
 	}
@@ -140,55 +120,47 @@ func TestRingSeed(t *testing.T) {
 		t.Fatalf("NextSeq after seed = %d, want 3", got)
 	}
 	// Seeding without metadata synthesizes the entry's own record.
-	r2 := New(4, 0)
-	r2.Seed(nil, entry(5, t0()))
+	r2 := New(4, nil, entry(5, t0()))
 	if got := r2.NextSeq(); got != 6 {
 		t.Fatalf("NextSeq after bare seed = %d, want 6", got)
 	}
 }
 
-// growingRing records versions of a live instance holding one
-// 2000-row relation, inserting write rows into it before each
-// snapshot after the first, under an 8-deep ring with the given byte
-// budget.
-func growingRing(t *testing.T, budget int64, versions, write int) *Ring {
-	t.Helper()
-	live := storage.NewInstance()
-	for i := 0; i < 2000; i++ {
-		live.MustInsert("G", datalog.C(fmt.Sprintf("g%d", i%50)), datalog.C(fmt.Sprintf("h%d", i/50)))
+func TestRingKeepsNewestMetadata(t *testing.T) {
+	// Past the cap, recording drops the oldest metadata. A depth above
+	// the cap is clamped to it, so retained snapshots never outrun the
+	// kept metadata.
+	const n = MaxVersions + 100
+	r := New(2*MaxVersions, nil, entry(0, t0()))
+	for seq := uint64(1); seq < n; seq++ {
+		r.Record(entry(seq, t0().Add(time.Duration(seq)*time.Second)))
 	}
-	r := New(8, budget)
-	for seq := 0; seq < versions; seq++ {
-		for i := 0; seq > 0 && i < write; i++ {
-			live.MustInsert("G", datalog.C(fmt.Sprintf("new%d-%d", seq, i)), datalog.C("h0"))
-		}
-		r.Record(&Entry{
-			Version: Version{Seq: uint64(seq), Time: t0(), Rows: live.TotalTuples()},
-			Inst:    live.Snapshot(),
-		})
+	vs := r.Versions()
+	if len(vs) != MaxVersions || vs[0].Seq != n-MaxVersions || vs[len(vs)-1].Seq != n-1 {
+		t.Fatalf("kept %d versions %d..%d, want the newest %d", len(vs), vs[0].Seq, vs[len(vs)-1].Seq, MaxVersions)
 	}
-	return r
-}
+	if oldest := r.OldestRetained(); oldest != vs[0].Seq {
+		t.Fatalf("oldest retained = %d, want the oldest kept version %d", oldest, vs[0].Seq)
+	}
+	_, err := r.AsOf(t0().Add(time.Second))
+	var ve *qerr.VersionEvictedError
+	if !errors.As(err, &ve) || ve.Oldest != vs[0].Seq {
+		t.Fatalf("AsOf before the kept versions = %v, want eviction naming %d", err, vs[0].Seq)
+	}
+	if got, err := r.AsOf(vs[0].Time); err != nil || got != vs[0].Seq {
+		t.Fatalf("AsOf(oldest kept) = %d, %v", got, err)
+	}
 
-func TestRingBudgetCountsCopiedRelations(t *testing.T) {
-	// Each write after a snapshot copies the 2000-row relation's slot
-	// table and key maps (about 19 KB; rows and posting lists stay
-	// shared), and the older snapshot is left the only holder of the
-	// old copy. A 36 KiB budget holds one such copy beside the newest
-	// version, never two.
-	r := growingRing(t, 36<<10, 8, 1)
-	oldest, _ := r.OldestRetained()
-	latest, _ := r.LatestSeq()
-	if retained := latest - oldest + 1; retained != 2 {
-		t.Fatalf("retained %d versions (%d..%d) under a budget below two relation copies, want 2", retained, oldest, latest)
+	// A decoded header longer than the cap shrinks the same way, and
+	// its record of the restored version still wins.
+	long := make([]Version, 3*MaxVersions)
+	for i := range long {
+		long[i] = Version{Seq: uint64(i), Time: t0().Add(time.Duration(i) * time.Second), Batch: 1}
 	}
-}
-
-func TestRingBudgetSkipsSharedStorage(t *testing.T) {
-	// Versions with no write in between share the relation's storage,
-	// so the same budget retains all of them.
-	r := growingRing(t, 256<<10, 8, 0)
-	if oldest, _ := r.OldestRetained(); oldest != 0 {
-		t.Fatalf("oldest retained = %d, want 0: unchanged versions must not be charged a copy each", oldest)
+	last := uint64(len(long) - 1)
+	r2 := New(4, long, entry(last, t0().Add(time.Hour)))
+	vs = r2.Versions()
+	if len(vs) != MaxVersions || vs[0].Seq != last-MaxVersions+1 || r2.Latest().Batch != 1 {
+		t.Fatalf("restored %d versions from %d, latest %+v", len(vs), vs[0].Seq, r2.Latest().Version)
 	}
 }

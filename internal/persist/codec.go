@@ -79,7 +79,8 @@ type Meta struct {
 	// covers; WAL batches with Seq beyond it are replayed on recovery.
 	Seq     uint64 `json:"seq"`
 	Created string `json:"created,omitempty"`
-	// Applies is the session's cumulative acknowledged batch count.
+	// Applies is the session's cumulative count of acknowledged WAL
+	// batches: apply batches, refresh deltas and rebuild markers.
 	Applies int       `json:"applies"`
 	Chase   ChaseMeta `json:"chase"`
 	// Instances lists the section names, in file order.
@@ -89,7 +90,8 @@ type Meta struct {
 	// session has live sources.
 	SourceVersions map[string]string `json:"source_versions,omitempty"`
 	// History is the session's version metadata (trajectory, wall
-	// times, delta attribution) up to Seq. Metadata only — as-of reads
+	// times, delta attribution) for its newest history.MaxVersions
+	// versions up to Seq. Metadata only — as-of reads
 	// behind the in-memory ring reconstruct instances by WAL replay
 	// from an earlier snapshot file. Absent from pre-history snapshots.
 	History []history.Version `json:"history,omitempty"`

@@ -17,12 +17,11 @@ import (
 
 // hospitalSession opens a session over the Example 7 context with
 // constraints (so random ward stays raise violations) at the given
-// parallelism and history depth.
-func hospitalSession(t *testing.T, parallelism, depth int) *quality.Session {
+// parallelism.
+func hospitalSession(t *testing.T, parallelism int) *quality.Session {
 	t.Helper()
 	cfg := hospital.QualityConfig()
 	cfg.Parallelism = parallelism
-	cfg.HistoryDepth = depth
 	qc, err := quality.NewContext(hospital.NewOntology(hospital.Options{WithConstraints: true}), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,55 +90,52 @@ func oracleVersion(snap *storage.Instance, pred string) [][]dl.Term {
 	return tuples
 }
 
-// TestAssessmentMatchesOracle checks Session.Assessment after every
-// apply of random batches, at parallelism 1 and 2, with version
-// history on (the assessment comes from the newest recorded version)
-// and off (it comes from a fresh engine snapshot). The oracle is
-// independent of both: the version relation's sorted tuples read from
-// an engine snapshot, measures counted from the test's own record of
-// the applied measurements, and the session's violation list.
+// TestAssessmentMatchesOracle checks Session.Assessment, which comes
+// from the newest recorded version, after every apply of random
+// batches, at parallelism 1 and 2. The oracle is independent of it:
+// the version relation's sorted tuples read from an engine snapshot,
+// measures counted from the test's own record of the applied
+// measurements, and the session's violation list.
 func TestAssessmentMatchesOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, p := range []int{1, 2} {
-		for _, depth := range []int{0, -1} {
-			t.Run(fmt.Sprintf("p=%d/history=%v", p, depth >= 0), func(t *testing.T) {
-				for seed := int64(1); seed <= 4; seed++ {
-					rng := rand.New(rand.NewSource(seed))
-					sess := hospitalSession(t, p, depth)
-					orig := map[string]bool{}
-					for _, tup := range hospital.MeasurementsInstance().Relation("Measurements").Tuples() {
-						orig[tupleKey(tup)] = true
-					}
-					for step := 0; step <= 8; step++ {
-						if step > 0 {
-							batch := randomHospitalBatch(rng)
-							if _, err := sess.Apply(ctx, batch); err != nil {
-								t.Fatalf("seed %d step %d: apply: %v", seed, step, err)
-							}
-							for _, a := range batch {
-								if a.Pred == "Measurements" {
-									orig[tupleKey(a.Args)] = true
-								}
+		t.Run(fmt.Sprintf("p=%d/history=true", p), func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				sess := hospitalSession(t, p)
+				orig := map[string]bool{}
+				for _, tup := range hospital.MeasurementsInstance().Relation("Measurements").Tuples() {
+					orig[tupleKey(tup)] = true
+				}
+				for step := 0; step <= 8; step++ {
+					if step > 0 {
+						batch := randomHospitalBatch(rng)
+						if _, err := sess.Apply(ctx, batch); err != nil {
+							t.Fatalf("seed %d step %d: apply: %v", seed, step, err)
+						}
+						for _, a := range batch {
+							if a.Pred == "Measurements" {
+								orig[tupleKey(a.Args)] = true
 							}
 						}
-						checkAssessment(t, sess, orig, depth >= 0, uint64(step))
 					}
+					checkAssessment(t, sess, orig, uint64(step))
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-func checkAssessment(t *testing.T, sess *quality.Session, orig map[string]bool, history bool, wantSeq uint64) {
+func checkAssessment(t *testing.T, sess *quality.Session, orig map[string]bool, wantSeq uint64) {
 	t.Helper()
-	a, v, ok, err := sess.Assessment()
+	a, v, err := sess.Assessment()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok != history || (ok && v.Seq != wantSeq) {
-		t.Fatalf("assessment version %d (ok=%v), want %d (ok=%v)", v.Seq, ok, wantSeq, history)
+	if v.Seq != wantSeq {
+		t.Fatalf("assessment version %d, want %d", v.Seq, wantSeq)
 	}
-	snap, _, _ := sess.View()
+	snap, _ := sess.View()
 	want := oracleVersion(snap, quality.VersionName("Measurements"))
 	got := a.Versions["Measurements"]
 	if got.Schema().String() != "Measurements_q(Time, Patient, Value)" {
@@ -164,11 +160,9 @@ func checkAssessment(t *testing.T, sess *quality.Session, orig map[string]bool, 
 	if m := a.Measures["Measurements"]; m != wantM {
 		t.Fatalf("measure %+v, oracle %+v", m, wantM)
 	}
-	if ok {
-		sc := v.Scores["Measurements"]
-		if sc.Original != wantM.Original || sc.Quality != wantM.Quality || sc.Intersection != wantM.Intersection {
-			t.Fatalf("version %d scores %+v, oracle %+v", v.Seq, sc, wantM)
-		}
+	sc := v.Scores["Measurements"]
+	if sc.Original != wantM.Original || sc.Quality != wantM.Quality || sc.Intersection != wantM.Intersection {
+		t.Fatalf("version %d scores %+v, oracle %+v", v.Seq, sc, wantM)
 	}
 	if vs := sess.Violations(); !reflect.DeepEqual(a.Violations, vs) && (len(vs) > 0 || len(a.Violations) > 0) {
 		t.Fatalf("violations %v, session %v", a.Violations, vs)
@@ -178,21 +172,20 @@ func checkAssessment(t *testing.T, sess *quality.Session, orig map[string]bool, 
 	}
 }
 
-// TestLatestAssessmentSharesView: with history on, the latest
-// assessment is assembled from the newest recorded version, so its
-// contextual instance is the very snapshot View returns — no second
-// snapshot is taken.
+// TestLatestAssessmentSharesView: the latest assessment is assembled
+// from the newest recorded version, so its contextual instance is the
+// very snapshot View returns — no second snapshot is taken.
 func TestLatestAssessmentSharesView(t *testing.T) {
-	sess := hospitalSession(t, 1, 0)
+	sess := hospitalSession(t, 1)
 	if _, err := sess.Apply(context.Background(), randomHospitalBatch(rand.New(rand.NewSource(3)))); err != nil {
 		t.Fatal(err)
 	}
-	a, v, ok, err := sess.Assessment()
+	a, v, err := sess.Assessment()
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, vv, _ := sess.View()
-	if !ok || a.Contextual != inst || v.Seq != vv.Seq {
-		t.Fatalf("latest assessment (version %d, ok=%v) does not share the view of version %d", v.Seq, ok, vv.Seq)
+	inst, vv := sess.View()
+	if a.Contextual != inst || v.Seq != vv.Seq {
+		t.Fatalf("latest assessment (version %d) does not share the view of version %d", v.Seq, vv.Seq)
 	}
 }

@@ -100,7 +100,7 @@ func TestParallelWarmMatchesSequentialWarm(t *testing.T) {
 	a := make([]*quality.Assessment, 2)
 	for i, s := range sessions {
 		var err error
-		if a[i], _, _, err = s.Assessment(); err != nil {
+		if a[i], _, err = s.Assessment(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestParallelSessionConcurrentSnapshotReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				snap, _, _ := sess.View()
+				snap, _ := sess.View()
 				as, err := eval.EvalQuery(q, snap)
 				if err != nil {
 					errs <- err
@@ -190,7 +190,7 @@ func TestParallelSessionConcurrentSnapshotReaders(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	warm, _, _, err := sess.Assessment()
+	warm, _, err := sess.Assessment()
 	if err != nil {
 		t.Fatal(err)
 	}

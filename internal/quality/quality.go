@@ -85,13 +85,10 @@ type Config struct {
 	StrictConsistency bool
 	// HistoryDepth bounds how many version snapshots each session
 	// retains in memory for as-of reads: 0 selects
-	// history.DefaultDepth, a negative value disables version history
-	// entirely (Session.At and friends then fail).
+	// history.DefaultDepth, a value above history.MaxVersions retains
+	// that many, and a negative value fails NewContext. Every session
+	// keeps the metadata of its newest history.MaxVersions versions.
 	HistoryDepth int
-	// HistoryBytes caps the estimated memory of the retained version
-	// snapshots per session (0 = no byte bound). The newest version is
-	// always retained.
-	HistoryBytes int64
 	// Parallelism bounds the worker pool assessments fan chase and
 	// eval rounds out across: 0 resolves to runtime.GOMAXPROCS(0)
 	// (the default), n >= 1 bounds workers at n; 1 starts no worker
@@ -136,6 +133,9 @@ func NewContext(o *core.Ontology, cfg Config) (*Context, error) {
 	if o == nil {
 		return nil, fmt.Errorf("quality: nil ontology")
 	}
+	if cfg.HistoryDepth < 0 {
+		return nil, fmt.Errorf("quality: negative history depth %d", cfg.HistoryDepth)
+	}
 	c := &Context{
 		ontology: o,
 		versions: map[string]*versionDef{},
@@ -148,7 +148,6 @@ func NewContext(o *core.Ontology, cfg Config) (*Context, error) {
 		Sources:           append([]source.Binding(nil), cfg.Sources...),
 		StrictConsistency: cfg.StrictConsistency,
 		HistoryDepth:      cfg.HistoryDepth,
-		HistoryBytes:      cfg.HistoryBytes,
 		Parallelism:       cfg.Parallelism,
 	}
 	// Externals are deep-copied, not just re-sliced: a caller mutating
@@ -384,10 +383,9 @@ type Prepared struct {
 	// srcRels is the set of relations owned by live sources; Apply
 	// keeps them out of the measure base (see Session.Apply).
 	srcRels map[string]bool
-	// histDepth and histBytes carry the context's history bounds into
-	// every session's version ring (see Config.HistoryDepth).
+	// histDepth carries the context's history depth into every
+	// session's version ring (see Config.HistoryDepth).
 	histDepth int
-	histBytes int64
 }
 
 // Prepare compiles the context once, caching the result for the
@@ -450,7 +448,6 @@ func (c *Context) compile() (*Prepared, error) {
 		resolver:  c.resolver,
 		srcRels:   make(map[string]bool, len(c.cfg.Sources)),
 		histDepth: c.cfg.HistoryDepth,
-		histBytes: c.cfg.HistoryBytes,
 	}
 	for _, b := range p.bindings {
 		p.srcRels[b.Src.Schema().Relation] = true
@@ -554,12 +551,9 @@ func (p *Prepared) NewSession(ctx context.Context, d *storage.Instance) (*Sessio
 		// context, not the data whose quality is measured.
 		s.orig = d.CloneDetached()
 	}
-	if p.histDepth >= 0 {
-		// Version 0 is the session's initial saturated state; every
-		// Apply and changed Refresh then stamps the next version.
-		s.hist = history.New(p.histDepth, p.histBytes)
-		s.recordVersionLocked(0)
-	}
+	// Version 0 is the session's initial saturated state; every Apply
+	// and changed Refresh then stamps the next version.
+	s.hist = history.New(p.histDepth, nil, s.entryLocked(0, 0))
 	return s, nil
 }
 
@@ -605,8 +599,8 @@ type Session struct {
 	// priorRounds accumulates chase rounds from engine sessions
 	// discarded by rebuild-on-removal, keeping ChaseRounds monotonic.
 	priorRounds int
-	// hist is the bounded version history behind the as-of read path
-	// (nil when Config.HistoryDepth is negative). Guarded by mu.
+	// hist is the bounded version history behind the as-of read path.
+	// Guarded by mu.
 	hist *history.Ring
 }
 
@@ -646,34 +640,41 @@ func (s *Session) Apply(ctx context.Context, delta []datalog.Atom) (*engine.Appl
 	return res, nil
 }
 
-// recordVersionLocked stamps the session's next version: a frozen
-// engine snapshot paired with the violation list it corresponds to,
-// scored per versioned relation. Callers hold s.mu (or own the session
-// exclusively, as NewSession does). batch counts the new facts the
-// producing apply inserted.
+// recordVersionLocked stamps the session's next version. Callers hold
+// s.mu. batch counts the new facts the producing apply inserted.
 func (s *Session) recordVersionLocked(batch int) {
-	if s.hist == nil {
-		return
-	}
-	inst, viols := s.eng.State()
-	seq := s.hist.NextSeq()
-	v := history.Version{
-		Seq:        seq,
-		WALSeq:     seq, // one WAL record per version under the durable serving layer
-		Time:       time.Now().UTC(),
-		Batch:      batch,
-		Violations: len(viols),
-		Rows:       inst.TotalTuples(),
-		Scores:     s.scoresLocked(inst),
-	}
+	last := s.hist.Latest()
+	e := s.entryLocked(s.hist.NextSeq(), batch)
 	// Delta attribution: the violations beyond the previous version's
 	// cumulative count are the ones this version introduced. A refresh
 	// rebuild resets the engine's accounting (the list can shrink), in
 	// which case attribution restarts from this version.
-	if last, ok := s.hist.Last(); ok && len(viols) >= last.Violations {
-		v.Introduced = append([]chase.Violation(nil), viols[last.Violations:]...)
+	if len(e.Viol) >= last.Violations {
+		e.Introduced = append([]chase.Violation(nil), e.Viol[last.Violations:]...)
 	}
-	s.hist.Record(&history.Entry{Version: v, Inst: inst, Viol: viols})
+	s.hist.Record(e)
+}
+
+// entryLocked captures the engine's current state as the ring entry of
+// version seq: a frozen snapshot paired with the violation list it
+// corresponds to, scored per versioned relation. It builds the first
+// entry of a new or restored session and every recorded version after.
+// Callers hold s.mu, or own the session exclusively while opening it.
+func (s *Session) entryLocked(seq uint64, batch int) *history.Entry {
+	inst, viols := s.eng.State()
+	return &history.Entry{
+		Version: history.Version{
+			Seq:        seq,
+			WALSeq:     seq, // one WAL record per version under the durable serving layer
+			Time:       time.Now().UTC(),
+			Batch:      batch,
+			Violations: len(viols),
+			Rows:       inst.TotalTuples(),
+			Scores:     s.scoresLocked(inst),
+		},
+		Inst: inst,
+		Viol: viols,
+	}
 }
 
 // scoresLocked computes the departure measure of every versioned
@@ -703,42 +704,28 @@ func (s *Session) scoresLocked(inst *storage.Instance) map[string]Measure {
 	return scores
 }
 
-// History returns the metadata of every version the session knows
-// about, ascending; nil when history is disabled.
+// History returns the metadata of the session's newest
+// history.MaxVersions versions, ascending.
 func (s *Session) History() []history.Version {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hist == nil {
-		return nil
-	}
 	return s.hist.Versions()
 }
 
-// LatestVersion returns the newest version's metadata (false when
-// history is disabled).
-func (s *Session) LatestVersion() (history.Version, bool) {
+// LatestVersion returns the newest version's metadata.
+func (s *Session) LatestVersion() history.Version {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hist == nil {
-		return history.Version{}, false
-	}
-	return s.hist.Last()
+	return s.hist.Latest().Version
 }
 
 // OldestRetained returns the oldest version whose snapshot the session
-// still holds in memory (false when history is disabled).
-func (s *Session) OldestRetained() (uint64, bool) {
+// still holds in memory.
+func (s *Session) OldestRetained() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hist == nil {
-		return 0, false
-	}
 	return s.hist.OldestRetained()
 }
-
-// ErrHistoryDisabled marks versioned reads on a session whose context
-// disabled history retention (Config.HistoryDepth < 0).
-var ErrHistoryDisabled = fmt.Errorf("quality: version history disabled")
 
 // At returns the frozen contextual snapshot and metadata of version
 // seq. Versions older than the retained ring fail with
@@ -756,14 +743,11 @@ func (s *Session) At(seq uint64) (*storage.Instance, history.Version, error) {
 }
 
 // AsOfTime resolves a wall-clock instant to the newest version at or
-// before it (qerr.ErrVersionEvicted when t predates the first known
-// version).
+// before it (qerr.ErrVersionEvicted when t predates the oldest version
+// whose metadata the session keeps).
 func (s *Session) AsOfTime(t time.Time) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hist == nil {
-		return 0, ErrHistoryDisabled
-	}
 	return s.hist.AsOf(t)
 }
 
@@ -773,41 +757,29 @@ func (s *Session) AsOfTime(t time.Time) (uint64, error) {
 func (s *Session) Attribute(v chase.Violation) (history.Version, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hist == nil {
-		return history.Version{}, false
-	}
 	return s.hist.Attribute(v)
 }
 
 // entryAtLocked resolves one retained version entry under s.mu.
 func (s *Session) entryAtLocked(seq uint64) (*history.Entry, error) {
-	if s.hist == nil {
-		return nil, ErrHistoryDisabled
-	}
 	e, ok, err := s.hist.At(seq)
 	if err != nil {
 		return nil, fmt.Errorf("quality: %w", err)
 	}
 	if !ok {
-		latest, _ := s.hist.LatestSeq()
-		return nil, fmt.Errorf("quality: version %d not yet applied (latest %d)", seq, latest)
+		return nil, fmt.Errorf("quality: version %d not yet applied (latest %d)", seq, s.hist.Latest().Seq)
 	}
 	return e, nil
 }
 
 // View returns the latest frozen contextual snapshot paired with its
 // version metadata, under one lock acquisition (so the pairing cannot
-// straddle a concurrent Apply). ok is false when history is disabled —
-// the snapshot is still valid, only the metadata is absent.
-func (s *Session) View() (*storage.Instance, history.Version, bool) {
+// straddle a concurrent Apply).
+func (s *Session) View() (*storage.Instance, history.Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hist != nil {
-		if e := s.hist.Latest(); e != nil {
-			return e.Inst, e.Version, true
-		}
-	}
-	return s.eng.Snapshot(), history.Version{}, false
+	e := s.hist.Latest()
+	return e.Inst, e.Version
 }
 
 // Violations returns the session's cumulative constraint violations.
@@ -833,31 +805,16 @@ func (s *Session) ChaseRounds() int {
 // Config.StrictConsistency it fails with qerr.ErrInconsistent when
 // the chase found violations.
 //
-// With version history on, the current state is the newest recorded
-// version, assembled exactly as AssessmentAt assembles older ones: its
-// frozen snapshot, its violations and its recorded scores (which equal
-// the live measures, since every version is recorded after the measure
-// base is updated). That version's metadata comes back with it, read
-// under the same lock, and ok is true. With history off, ok is false
-// and the assessment comes from a fresh engine snapshot with measures
-// computed live.
-func (s *Session) Assessment() (a *Assessment, v history.Version, ok bool, err error) {
-	// The lock pairs the snapshot with the measure bookkeeping and the
-	// version metadata atomically against Apply.
+// The current state is the newest recorded version, assembled exactly
+// as AssessmentAt assembles older ones: its frozen snapshot, its
+// violations and its recorded scores (which equal the live measures,
+// since every version is recorded after the measure base is updated).
+// That version's metadata comes back with it, read under the same
+// lock.
+func (s *Session) Assessment() (*Assessment, history.Version, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hist != nil {
-		if e := s.hist.Latest(); e != nil {
-			a, err = s.assembleLocked(e.Inst, e.Viol, e.Scores)
-			if err != nil {
-				return nil, history.Version{}, false, err
-			}
-			return a, e.Version, true, nil
-		}
-	}
-	final, violations := s.eng.State()
-	a, err = s.assembleLocked(final, violations, nil)
-	return a, history.Version{}, false, err
+	return s.assessmentLocked(s.hist.Latest())
 }
 
 // AssessmentAt materializes the assessment outcome as of version seq:
@@ -872,27 +829,23 @@ func (s *Session) AssessmentAt(seq uint64) (*Assessment, history.Version, error)
 	if err != nil {
 		return nil, history.Version{}, err
 	}
-	a, err := s.assembleLocked(e.Inst, e.Viol, e.Scores)
-	if err != nil {
-		return nil, history.Version{}, err
-	}
-	return a, e.Version, nil
+	return s.assessmentLocked(e)
 }
 
-// assembleLocked builds the Assessment over one frozen contextual
-// snapshot: each version relation is a frozen, sorted view of the
-// snapshot's rows under the original attribute names, and measures are
-// either computed live against the current measure base (scores ==
-// nil, the history-off path) or taken from a version's recorded scores.
-func (s *Session) assembleLocked(final *storage.Instance, violations []chase.Violation, scores map[string]Measure) (*Assessment, error) {
-	if s.prep.strict && len(violations) > 0 {
-		return nil, fmt.Errorf("quality: %w", &qerr.InconsistentError{Violations: violations})
+// assessmentLocked builds the Assessment of one version entry over its
+// frozen contextual snapshot: each version relation is a frozen, sorted
+// view of the snapshot's rows under the original attribute names, and
+// measures are the version's recorded scores.
+func (s *Session) assessmentLocked(e *history.Entry) (*Assessment, history.Version, error) {
+	final := e.Inst
+	if s.prep.strict && len(e.Viol) > 0 {
+		return nil, history.Version{}, fmt.Errorf("quality: %w", &qerr.InconsistentError{Violations: e.Viol})
 	}
 	out := &Assessment{
 		Contextual:  final,
 		Versions:    map[string]*storage.Relation{},
 		Measures:    map[string]Measure{},
-		Violations:  violations,
+		Violations:  e.Viol,
 		versionPred: map[string]string{},
 	}
 	for _, rel := range s.prep.vorder {
@@ -918,20 +871,15 @@ func (s *Session) assembleLocked(final *storage.Instance, violations []chase.Vio
 			// output — they must not differ across machines.
 			var err error
 			if renamed, err = vrel.SortedView(schema); err != nil {
-				return nil, err
+				return nil, history.Version{}, err
 			}
 		}
 		out.Versions[rel] = renamed
-		switch {
-		case scores != nil:
-			if sc, ok := scores[rel]; ok {
-				out.Measures[rel] = sc
-			}
-		case orig != nil:
-			out.Measures[rel] = measure(orig, renamed)
+		if sc, ok := e.Scores[rel]; ok {
+			out.Measures[rel] = sc
 		}
 	}
-	return out, nil
+	return out, e.Version, nil
 }
 
 // Assess runs the full Figure 2 pipeline on the instance under
@@ -958,7 +906,7 @@ func (c *Context) Assess(ctx context.Context, d *storage.Instance) (*Assessment,
 	if err != nil {
 		return nil, err
 	}
-	a, _, _, err := s.Assessment()
+	a, _, err := s.Assessment()
 	return a, err
 }
 

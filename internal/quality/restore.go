@@ -26,16 +26,12 @@ func (s *Session) Export() persist.SessionState {
 		Chased: chased,
 		Orig:   s.orig.Snapshot(),
 		Chase:  r,
-	}
-	if s.hist != nil {
 		// The version metadata rides along in the snapshot header
 		// (metadata only, no instances), so a restored session keeps its
 		// trajectory, wall times and attribution records, and resumes
 		// at the version the state was exported at.
-		st.History = s.hist.Versions()
-		if last, ok := s.hist.Last(); ok {
-			st.Seq = last.Seq
-		}
+		History: s.hist.Versions(),
+		Seq:     s.hist.Latest().Seq,
 	}
 	if len(s.src) > 0 {
 		// The last-applied source tuples ride along (one instance,
@@ -86,26 +82,11 @@ func (p *Prepared) RestoreSession(ctx context.Context, st persist.SessionState) 
 		orig = orig.Clone()
 	}
 	s := &Session{prep: p, eng: eng, orig: orig}
-	if p.histDepth >= 0 {
-		// Re-seed the version ring at the snapshot's sequence: decoded
-		// metadata restores the trajectory up to st.Seq, the restored
-		// state becomes the one retained snapshot, and the serving
-		// layer's WAL-tail replay re-records every later version.
-		s.hist = history.New(p.histDepth, p.histBytes)
-		inst, viols := eng.State()
-		e := &history.Entry{
-			Version: history.Version{
-				Seq:        st.Seq,
-				WALSeq:     st.Seq,
-				Violations: len(viols),
-				Rows:       inst.TotalTuples(),
-				Scores:     s.scoresLocked(inst),
-			},
-			Inst: inst,
-			Viol: viols,
-		}
-		s.hist.Seed(st.History, e)
-	}
+	// Re-seed the version ring at the snapshot's sequence: decoded
+	// metadata restores the trajectory up to st.Seq, the restored state
+	// becomes the one retained snapshot, and the serving layer's
+	// WAL-tail replay re-records every later version.
+	s.hist = history.New(p.histDepth, st.History, s.entryLocked(st.Seq, 0))
 	if len(p.bindings) > 0 {
 		s.src = make(map[string]*source.Snapshot, len(p.bindings))
 		for _, b := range p.bindings {

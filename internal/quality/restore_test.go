@@ -92,8 +92,8 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 						t.Fatalf("%s: apply tick %d: %v", name, i, err)
 					}
 				}
-				got, _, _ := restored.View()
-				want, _, _ := ref.View()
+				got, _ := restored.View()
+				want, _ := ref.View()
 				if !got.Equal(want) {
 					t.Fatalf("%s: contextual instance differs from uninterrupted run", name)
 				}
@@ -109,11 +109,11 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 						t.Fatalf("%s: violation %d = %v, want %v", name, i, gotV[i], wantV[i])
 					}
 				}
-				ra, _, _, err := restored.Assessment()
+				ra, _, err := restored.Assessment()
 				if err != nil {
 					t.Fatal(err)
 				}
-				wa, _, _, err := ref.Assessment()
+				wa, _, err := ref.Assessment()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,7 +8,6 @@ import (
 	dl "repro/internal/datalog"
 	"repro/internal/eval"
 	"repro/internal/gen"
-	"repro/internal/quality"
 	"repro/internal/storage"
 )
 
@@ -55,7 +54,7 @@ func TestSessionApplyMatchesColdAssess(t *testing.T) {
 		}
 	}
 
-	warm, _, _, err := sess.Assessment()
+	warm, _, err := sess.Assessment()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestSessionConcurrentSnapshotReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				snap, _, _ := sess.View()
+				snap, _ := sess.View()
 				as, err := eval.EvalQuery(q, snap)
 				if err != nil {
 					errs <- err
@@ -210,7 +209,7 @@ func TestSessionConcurrentSnapshotReaders(t *testing.T) {
 	default:
 	}
 
-	warm, _, _, err := sess.Assessment()
+	warm, _, err := sess.Assessment()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,42 +251,5 @@ func TestAssessCancellation(t *testing.T) {
 	// The context stays usable after a cancelled attempt.
 	if _, err := wl.Base.Context.Assess(context.Background(), wl.Base.Instance); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestHistoryBudgetKeepsSharedVersions pins the history byte budget to
-// what each retained version holds alone: on the n = 800 stream a
-// one-tick apply copies only the written relations' slot tables and
-// key maps, since rows and posting lists stay shared with the older
-// versions, so a 16 MiB budget must keep most of an 8-deep ring.
-func TestHistoryBudgetKeepsSharedVersions(t *testing.T) {
-	wl := streamWorkload(t, gen.StreamSpec{
-		Base:         gen.QualitySpec{Patients: 200, Days: 4, Wards: 3, DirtyRatio: 0.5, Seed: 1},
-		TickPatients: 1,
-	})
-	cfg := wl.Base.Config
-	cfg.HistoryDepth, cfg.HistoryBytes = 8, 16<<20
-	qc, err := quality.NewContext(wl.Base.Ontology, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := qc.Prepare(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := p.NewSession(context.Background(), wl.Base.Instance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		delta, _ := wl.Tick(i)
-		if _, err := sess.Apply(context.Background(), delta); err != nil {
-			t.Fatalf("apply tick %d: %v", i, err)
-		}
-	}
-	oldest, _ := sess.OldestRetained()
-	latest, _ := sess.LatestVersion()
-	if retained := latest.Seq - oldest + 1; retained < 5 {
-		t.Fatalf("retained %d versions (%d..%d) under a 16 MiB budget, want at least 5", retained, oldest, latest.Seq)
 	}
 }

@@ -59,7 +59,7 @@ func resolveVersion(ms *mdqa.Session, ao *asOfParam) (uint64, error) {
 	if !ao.hasVersion {
 		return ms.ResolveAsOf(ao.t)
 	}
-	if latest, ok := ms.LatestVersion(); ok && ao.version > latest.Seq {
+	if latest := ms.LatestVersion(); ao.version > latest.Seq {
 		return 0, &invalidAsOfError{msg: fmt.Sprintf("version %d not yet applied (latest %d)", ao.version, latest.Seq)}
 	}
 	return ao.version, nil
@@ -73,9 +73,7 @@ func resolveVersion(ms *mdqa.Session, ao *asOfParam) (uint64, error) {
 // regardless, so historical plans stay faithful to historical
 // statistics).
 func (s *Server) sessionAt(ctx context.Context, sess *session, ms *mdqa.Session, version uint64) (*mdqa.Session, bool, error) {
-	if oldest, ok := ms.OldestRetained(); !ok || version >= oldest {
-		// History disabled (!ok) also lands here: the live session's own
-		// View(At(...)) produces the ErrHistoryDisabled the client gets.
+	if version >= ms.OldestRetained() {
 		return ms, true, nil
 	}
 	if s.store == nil {
@@ -101,7 +99,7 @@ func (s *Server) reconstructAt(ctx context.Context, sess *session, version uint6
 	if err != nil {
 		return nil, err
 	}
-	if v, ok := ms.LatestVersion(); !ok || v.Seq != version {
+	if v := ms.LatestVersion(); v.Seq != version {
 		return nil, fmt.Errorf("server: as-of reconstruction reached version %d, wanted %d", v.Seq, version)
 	}
 	s.met.with(lc.name, func(cm *contextMetrics) { cm.asofReconstructs++ })
@@ -119,8 +117,11 @@ func (s *Server) viewAt(ctx context.Context, sess *session, ms *mdqa.Session, ve
 }
 
 // handleVersions serves GET .../sessions/{id}/versions: the session's
-// full version timeline — every version ever produced keeps its
-// metadata; the retained marker tells which are in-memory snapshots.
+// version timeline. It lists the newest mdqa.MaxHistoryVersions
+// versions; a longer session no longer lists its older ones, and an
+// ?as_of=<RFC3339> instant before the oldest listed version answers
+// 410 version_evicted. The retained marker tells which versions are
+// in-memory snapshots.
 func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.lookup(r)
 	if err != nil {
@@ -132,11 +133,7 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, sess.lc.name, err)
 		return
 	}
-	oldest, ok := ms.OldestRetained()
-	if !ok {
-		s.fail(w, sess.lc.name, mdqa.ErrHistoryDisabled)
-		return
-	}
+	oldest := ms.OldestRetained()
 	hist := ms.History()
 	resp := VersionsResponse{
 		ID:             sess.id,
@@ -153,7 +150,10 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 
 // handleTrajectory serves GET .../sessions/{id}/trajectory?rel=: the
 // departure-score series of one versioned relation, one point per
-// version, truncated by ?as_of= like every other read.
+// version /versions lists, truncated by ?as_of= like every other read.
+// A session past mdqa.MaxHistoryVersions versions no longer lists its
+// oldest points, and an ?as_of=<RFC3339> instant before the oldest
+// listed version answers 410 version_evicted.
 func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.lookup(r)
 	if err != nil {
@@ -178,10 +178,6 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 	ms, err := s.resident(r.Context(), sess)
 	if err != nil {
 		s.fail(w, lc.name, err)
-		return
-	}
-	if _, ok := ms.LatestVersion(); !ok {
-		s.fail(w, lc.name, mdqa.ErrHistoryDisabled)
 		return
 	}
 	limit := ^uint64(0)

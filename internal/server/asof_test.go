@@ -292,29 +292,6 @@ func TestAsOfDiskReconstruction(t *testing.T) {
 	}
 }
 
-// TestAsOfHistoryDisabled pins the fail-closed contract when history
-// is off: every versioned read is a 400 invalid_as_of, while plain
-// reads keep working.
-func TestAsOfHistoryDisabled(t *testing.T) {
-	ts := newHistoryServer(t, Config{HistoryDepth: -1})
-	base := openSessionHTTP(t, ts)
-	applyOne(t, base, 0)
-	for _, path := range []string{
-		asofQuery + "&as_of=0",
-		"/assessment?as_of=0",
-		"/versions",
-		"/trajectory?rel=Measurements",
-	} {
-		status, body := do(t, "GET", base+path, "")
-		if status != http.StatusBadRequest || errCode(t, body) != "invalid_as_of" {
-			t.Errorf("GET %s with history off = %d %s", path, status, body)
-		}
-	}
-	if status, _ := do(t, "GET", base+asofQuery, ""); status != http.StatusOK {
-		t.Fatalf("plain answers must still work: %d", status)
-	}
-}
-
 // TestAsOfOneShotAssess pins the symmetric surface on the one-shot
 // endpoint: as_of=0 names the fresh session's initial version, higher
 // versions are client errors.

@@ -240,9 +240,10 @@ func TestFailedRebuildRotationFailsTheRefresh(t *testing.T) {
 // end serving what a restart recovers.
 func TestConcurrentFailedCommits(t *testing.T) {
 	dir := t.TempDir()
-	// No history: every snapshot then deletes every segment but its
-	// log's live one, the harshest compaction for a revival to race.
-	cfg := Config{SnapshotEvery: 1, HistoryDepth: -1}
+	// The shallowest history: every snapshot then deletes all but the
+	// previous snapshot and the segments after it, the harshest
+	// compaction for a revival to race.
+	cfg := Config{SnapshotEvery: 1, HistoryDepth: 1}
 	srv := newDurableServer(t, dir, cfg, mdqa.WithAtomBound(80))
 	ts := httptest.NewServer(srv)
 	sid := openSession(t, ts.URL)

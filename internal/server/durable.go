@@ -25,9 +25,9 @@ func (s *Server) openStore(ctx context.Context) error {
 			OnSync:   s.met.fsynced,
 		},
 		SnapshotEvery: s.cfg.SnapshotEvery,
-		// Keep enough on-disk replay bases to reconstruct every version
-		// the in-memory rings promise metadata for — as-of reads behind
-		// the ring fall through to persist.ReadSessionAt.
+		// Keep enough on-disk replay bases that the last depth versions
+		// stay reconstructable — as-of reads behind the in-memory ring
+		// fall through to persist.ReadSessionAt.
 		RetainHistory: s.historyRetain(),
 	})
 	if err != nil {
@@ -59,18 +59,12 @@ func (s *Server) openStore(ctx context.Context) error {
 }
 
 // historyRetain resolves Config.HistoryDepth to the durable store's
-// snapshot-retention window: 0 means the facade default, negative
-// means history is disabled and compaction keeps only the newest
-// snapshot (the pre-history behavior).
+// snapshot-retention window: 0 means the facade default.
 func (s *Server) historyRetain() int {
-	switch {
-	case s.cfg.HistoryDepth < 0:
-		return 0
-	case s.cfg.HistoryDepth == 0:
+	if s.cfg.HistoryDepth == 0 {
 		return mdqa.DefaultHistoryDepth
-	default:
-		return s.cfg.HistoryDepth
 	}
+	return s.cfg.HistoryDepth
 }
 
 // wholeLog is the upper sequence under which loadSession reads a
@@ -250,16 +244,19 @@ func (s *Server) evict(victim *session) bool {
 	return true
 }
 
-// commit logs one change the live session took, under sess.mu: an
-// apply batch, a refresh delta, or the empty marker of a refresh
-// rebuild (rebuild set; removals have no WAL form, and the marker keeps
-// the WAL sequence equal to the version number). It appends and counts
-// the change, then rotates the segment and captures a snapshot job
-// when compaction is due, or for a rebuild, which only a snapshot
-// carries — unless a snapshot is already in flight. A failed append or
-// rotation drops the live state (the failure rule; see the package
-// comment). Ephemeral sessions have nothing to log.
+// commit counts and logs one change the live session took, under
+// sess.mu: an apply batch, a refresh delta, or the empty marker of a
+// refresh rebuild (rebuild set; removals have no WAL form, and the
+// marker keeps the WAL sequence equal to the version number). Every
+// change counts, so the live apply count is the one loadSession
+// rebuilds from the log. It appends the change, then rotates the
+// segment and captures a snapshot job when compaction is due, or for a
+// rebuild, which only a snapshot carries — unless a snapshot is
+// already in flight. A failed append or rotation drops the live state
+// (the failure rule; see the package comment). Ephemeral sessions have
+// nothing to log.
 func (s *Server) commit(sess *session, change []mdqa.Atom, rebuild bool) (*snapJob, error) {
+	sess.applies++
 	if sess.log == nil {
 		return nil, nil
 	}

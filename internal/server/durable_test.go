@@ -8,10 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/persist"
 	"repro/internal/wal"
 	"repro/mdqa"
 )
@@ -263,6 +266,109 @@ func TestMaxResidentRequiresDataDir(t *testing.T) {
 	}})
 	if err == nil || !strings.Contains(err.Error(), "DataDir") {
 		t.Fatalf("MaxResident without DataDir must fail startup, got %v", err)
+	}
+}
+
+// TestNegativeHistoryDepthFailsStartup: every session keeps a version
+// history, so New rejects a negative depth, for a prebuilt context
+// (whose durable retention still comes from Config.HistoryDepth) as for
+// one New builds from .mdq source.
+func TestNegativeHistoryDepthFailsStartup(t *testing.T) {
+	f, err := mdqa.ParseSource(mdqa.HospitalQualityExampleSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	qc, err := mdqa.NewContextFromFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []ContextSource{
+		{Name: "hospital", Source: mdqa.HospitalQualityExampleSource()},
+		{Name: "hospital", Context: qc},
+	} {
+		_, err := New(context.Background(), Config{Parallelism: 1, HistoryDepth: -1}, []ContextSource{src})
+		if err == nil || !strings.Contains(err.Error(), "history depth") {
+			t.Fatalf("HistoryDepth -1 must fail startup, got %v", err)
+		}
+	}
+}
+
+// TestLongHistoryStaysBounded: a durable session keeps the metadata of
+// its newest mdqa.MaxHistoryVersions versions. A snapshot header that
+// carries a longer past, as one written before the cap does, shrinks on
+// its first restore: /versions lists only the newest versions, an
+// instant before them answers 410, and the next snapshot header stays
+// under a fixed size.
+func TestLongHistoryStaysBounded(t *testing.T) {
+	// The cap covers every version a default durable server can
+	// reconstruct: compaction keeps the last depth versions plus up to
+	// one snapshot interval behind the replay base, and up to one more
+	// interval is logged before the next compaction.
+	if reach := mdqa.DefaultHistoryDepth + 2*persist.DefaultSnapshotEvery; mdqa.MaxHistoryVersions < reach {
+		t.Fatalf("MaxHistoryVersions %d lists fewer than the %d versions a default durable server can reach", mdqa.MaxHistoryVersions, reach)
+	}
+	dir := t.TempDir()
+	srv1 := newDurableServer(t, dir, Config{SnapshotEvery: 1})
+	ts1 := httptest.NewServer(srv1)
+	sid := openSession(t, ts1.URL)
+	const latest = 9_999
+	t0 := time.Now().Add(-time.Hour).Truncate(time.Second)
+	sess := sessionOf(srv1, sid)
+	sess.mu.Lock()
+	st := sess.s.ExportState()
+	st.History = make([]mdqa.Version, latest+1)
+	for i := range st.History {
+		st.History[i] = mdqa.Version{
+			Seq: uint64(i), WALSeq: uint64(i), Time: t0.Add(time.Duration(i) * time.Millisecond), Batch: 1, Rows: 40,
+			Scores: map[string]mdqa.Score{"Measurements": {Original: 6, Quality: 2, Intersection: 2}},
+		}
+	}
+	err := sess.log.WriteSnapshot(sess.meta(latest, latest), st)
+	sess.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close() // crash
+
+	srv2 := newDurableServer(t, dir, Config{SnapshotEvery: 1})
+	defer srv2.Close()
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	base := ts2.URL + "/v1/contexts/hospital/sessions/" + sid
+	status, body := do(t, http.MethodGet, base+"/versions", "")
+	if status != http.StatusOK {
+		t.Fatalf("versions: %d %s", status, body)
+	}
+	var vr VersionsResponse
+	if err := json.Unmarshal([]byte(body), &vr); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(vr.Versions); n != mdqa.MaxHistoryVersions || vr.Latest != latest || vr.Versions[0].Seq != latest-mdqa.MaxHistoryVersions+1 {
+		t.Fatalf("restored session lists %d versions up to %d, want the newest %d up to %d", n, vr.Latest, mdqa.MaxHistoryVersions, latest)
+	}
+	status, body = do(t, http.MethodGet, base+"/trajectory?rel=Measurements&as_of="+t0.Format(time.RFC3339), "")
+	if status != http.StatusGone || errCode(t, body) != "version_evicted" {
+		t.Fatalf("as_of before the listed versions = %d %s", status, body)
+	}
+
+	mustAck(t, applyLines(t, ts2.URL, sid, oneMeasurement))
+	snaps, err := filepath.Glob(filepath.Join(dir, "hospital", sid, "snap-*.snap"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("snapshots: %v %v", snaps, err)
+	}
+	sort.Strings(snaps)
+	data, err := os.ReadFile(snaps[len(snaps)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, header, err := persist.ReadMeta(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxHeader = 256 * mdqa.MaxHistoryVersions
+	if meta.Seq != latest+1 || len(meta.History) != mdqa.MaxHistoryVersions || header > maxHeader {
+		t.Fatalf("snapshot at %d carries %d versions in a %d-byte header, want %d versions within %d bytes",
+			meta.Seq, len(meta.History), header, mdqa.MaxHistoryVersions, maxHeader)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http"
 
 	"repro/internal/qerr"
-	"repro/mdqa"
 )
 
 // StatusClientClosedRequest is the non-standard status (nginx's 499)
@@ -67,8 +66,8 @@ type conflictError struct{ msg string }
 func (e *conflictError) Error() string { return e.msg }
 
 // invalidAsOfError marks an unusable ?as_of= parameter (400): not a
-// version number or RFC3339 instant, a version beyond the session's
-// latest, or an as-of read against a history-disabled context. Distinct
+// version number or RFC3339 instant, or a version beyond the session's
+// latest. Distinct
 // from version_evicted (410) — that version existed and is gone;
 // this one never will resolve as asked.
 type invalidAsOfError struct{ msg string }
@@ -118,8 +117,6 @@ func MapError(err error) (int, ErrorBody) {
 		if errors.As(err, &ve) {
 			we.Version, we.Oldest = ve.Version, ve.Oldest
 		}
-	case errors.Is(err, mdqa.ErrHistoryDisabled):
-		status, we.Code = http.StatusBadRequest, "invalid_as_of"
 	case errors.As(err, &br):
 		status, we.Code = http.StatusBadRequest, "bad_request"
 	case errors.As(err, &tl):

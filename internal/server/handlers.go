@@ -55,7 +55,8 @@ func (s *Server) fail(w http.ResponseWriter, contextName string, err error) {
 }
 
 // maxBodyBytes bounds the request bodies decodeBody reads: one-shot
-// assess and session-create payloads. It is the limit mdrouter already
+// assess and session-create payloads, and the rest of a failed apply
+// stream that failApply drains. It is the limit mdrouter already
 // applies to the bodies it buffers. Apply streams are not bounded;
 // they are long-lived by design.
 const maxBodyBytes = 32 << 20
@@ -394,20 +395,20 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, io.EOF) {
 				break
 			}
-			s.streamError(w, enc, lc.name, &badRequestError{msg: fmt.Sprintf("decode batch: %v", err)})
+			s.failApply(w, r, enc, lc.name, &badRequestError{msg: fmt.Sprintf("decode batch: %v", err)})
 			return
 		}
 		atoms := make([]mdqa.Atom, len(req.Atoms))
 		for i, a := range req.Atoms {
 			if err := checkFact(lc.declared, a.Pred, len(a.Args)); err != nil {
-				s.streamError(w, enc, lc.name, err)
+				s.failApply(w, r, enc, lc.name, err)
 				return
 			}
 			atoms[i] = a.Atom()
 		}
 		res, rounds, job, err := s.applyBatch(r.Context(), sess, atoms)
 		if err != nil {
-			s.streamError(w, enc, lc.name, err)
+			s.failApply(w, r, enc, lc.name, err)
 			return
 		}
 		s.met.with(lc.name, func(cm *contextMetrics) {
@@ -458,12 +459,27 @@ func (s *Server) applyBatch(ctx context.Context, sess *session, atoms []mdqa.Ato
 	if err != nil {
 		return nil, 0, nil, s.stepFailed(sess, err)
 	}
-	sess.applies++
 	job, err := s.commit(sess, atoms, false)
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	return res, sess.newRounds(), job, nil
+}
+
+// failApply ends an apply stream at its first failed batch: it writes
+// the error line, then reads what is left of the body, up to
+// maxBodyBytes, and closes it, so the client's keep-alive connection
+// carries its next request. Under full duplex, net/http discards an
+// unread body only after the handler returns, and a discard that
+// reaches the body's end there starts a connection read that collides
+// with the next request's: the connection goroutine panics and drops
+// the connection. A longer body is closed here: net/http reads a little
+// further or closes the connection once the response ends. Drain and
+// close errors are dropped: the stream has failed already.
+func (s *Server) failApply(w http.ResponseWriter, r *http.Request, enc *json.Encoder, contextName string, err error) {
+	s.streamError(w, enc, contextName, err)
+	_, _ = io.CopyN(io.Discard, r.Body, maxBodyBytes)
+	_ = r.Body.Close()
 }
 
 // streamError emits a structured error as an NDJSON line: the status

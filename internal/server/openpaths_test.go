@@ -119,7 +119,7 @@ func TestOpenPathsAgree(t *testing.T) {
 			if _, err := ref.Apply(ctx, delta); err != nil {
 				t.Fatal(err)
 			}
-			if v, ok := ref.LatestVersion(); !ok || v.Seq != uint64(i+1) {
+			if v := ref.LatestVersion(); v.Seq != uint64(i+1) {
 				t.Fatalf("reference at version %d after tick %d", v.Seq, i)
 			}
 			want = append(want, servedAt(t, ref, uint64(i+1)))
@@ -184,9 +184,9 @@ func servedAt(t *testing.T, ms *mdqa.Session, v uint64) string {
 		}
 		b.WriteByte('\n')
 	}
-	ver, ok := snap.Version()
+	ver := snap.Version()
 	ver.Time = time.Time{}
-	fmt.Fprintf(&b, "version %+v (%v)\n", ver, ok)
+	fmt.Fprintf(&b, "version %+v\n", ver)
 	a, err := ms.Assess(context.Background(), mdqa.At(v))
 	if err != nil {
 		return fmt.Sprintf("assess at %d: %v", v, err)

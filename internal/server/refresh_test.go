@@ -295,6 +295,43 @@ func TestDurableRefreshRecovery(t *testing.T) {
 	}
 }
 
+// TestAppliesCountRefreshesAcrossRestart: a changed refresh counts as
+// one apply live, as it does when recovery replays its WAL batch, so a
+// durable session reports the same count before and after a crash.
+func TestAppliesCountRefreshesAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	f := newSourcedFixture()
+	srv1 := newDurableServer(t, dir, Config{}, f.options()...)
+	ts1 := httptest.NewServer(srv1)
+	sid := openSession(t, ts1.URL)
+	f.wards.Add("W1", "Sep/9", "Tom Waits")
+	if status, rr, body := refresh(t, ts1.URL, sid); status != http.StatusOK || !rr.Changed || rr.Rebuilt {
+		t.Fatalf("incremental refresh: %d %s", status, body)
+	}
+	applies := func(base string) int64 {
+		t.Helper()
+		status, body := do(t, http.MethodGet, base+"/v1/contexts/hospital/sessions/"+sid, "")
+		if status != http.StatusOK {
+			t.Fatalf("session info: %d %s", status, body)
+		}
+		var si SessionInfo
+		if err := json.Unmarshal([]byte(body), &si); err != nil {
+			t.Fatal(err)
+		}
+		return si.Applies
+	}
+	live := applies(ts1.URL)
+	ts1.Close() // crash
+
+	srv2 := newDurableServer(t, dir, Config{}, f.options()...)
+	defer srv2.Close()
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	if got := applies(ts2.URL); live != 1 || got != live {
+		t.Fatalf("applies: %d live, %d after restart, want 1 both", live, got)
+	}
+}
+
 // TestRefreshLoop pins the background poller: a changed source is
 // folded in without any client call.
 func TestRefreshLoop(t *testing.T) {

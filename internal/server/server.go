@@ -101,15 +101,13 @@ type Config struct {
 	MaxResident int
 	// HistoryDepth bounds how many version snapshots each session
 	// retains in memory for as-of reads (0 = mdqa.DefaultHistoryDepth;
-	// negative disables history — as-of reads then fail with 400).
-	// With DataDir it also sets the durable store's snapshot retention,
-	// so versions behind the in-memory ring stay reconstructable from
-	// disk. Applies to Path/Source contexts; a prebuilt
-	// ContextSource.Context keeps the history options it was built with.
+	// negative fails New). With DataDir it also sets the durable
+	// store's snapshot retention, so versions behind the in-memory ring
+	// stay reconstructable from disk. Applies to Path/Source contexts;
+	// a prebuilt ContextSource.Context keeps the history depth it was
+	// built with. Every session lists the metadata of its newest
+	// mdqa.MaxHistoryVersions versions.
 	HistoryDepth int
-	// HistoryBytes caps the estimated memory of each session's retained
-	// version snapshots (0 = bounded by HistoryDepth alone).
-	HistoryBytes int64
 }
 
 // DefaultMaxSessions bounds the session registry when
@@ -262,6 +260,9 @@ func New(ctx context.Context, cfg Config, sources []ContextSource) (*Server, err
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("server: no contexts to load")
 	}
+	if cfg.HistoryDepth < 0 {
+		return nil, fmt.Errorf("server: negative history depth %d", cfg.HistoryDepth)
+	}
 	if cfg.MaxSessions == 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
@@ -329,7 +330,6 @@ func loadContext(ctx context.Context, cfg Config, src ContextSource) (*loadedCon
 		opts := append([]mdqa.Option{
 			mdqa.WithParallelism(cfg.Parallelism),
 			mdqa.WithHistoryDepth(cfg.HistoryDepth),
-			mdqa.WithHistoryBytes(cfg.HistoryBytes),
 		}, src.Options...)
 		lc.qc, err = mdqa.NewContextFromFile(f, opts...)
 		if err != nil {

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/qerr"
@@ -557,5 +560,62 @@ func TestOversizedBody413(t *testing.T) {
 	}
 	if status, body := do(t, "GET", ts.URL+"/healthz", ""); status != http.StatusOK {
 		t.Fatalf("healthz after an oversized body: %d %s", status, body)
+	}
+}
+
+// TestFailedApplyKeepsConnection: an apply stream that fails at its
+// first batch still reads the rest of its body, so the client's
+// keep-alive connection carries the next request. Fifty posts over one
+// client, each a wrong-arity batch followed by 2,000 valid ones, all
+// complete on one connection, and net/http logs no panic.
+func TestFailedApplyKeepsConnection(t *testing.T) {
+	srv, err := New(context.Background(), Config{Parallelism: 1}, []ContextSource{{
+		Name: "hospital", Source: mdqa.HospitalQualityExampleSource(),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Read only after ts.Close, which waits for every connection
+	// goroutine that could log.
+	var logged strings.Builder
+	var conns atomic.Int32
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Config.ErrorLog = log.New(&logged, "", 0)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	sid := openSession(t, ts.URL)
+
+	var body strings.Builder
+	body.WriteString(`{"atoms":[{"pred":"Measurements","args":["Sep/6-13:00","Tom Waits"]}]}` + "\n")
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&body, `{"atoms":[{"pred":"Measurements","args":["Sep/6-13:%02d","Tom Waits","37.%d"]}]}`+"\n", i%60, i%10)
+	}
+	client := ts.Client()
+	before := conns.Load()
+	for i := 0; i < 50; i++ {
+		resp, err := client.Post(ts.URL+"/v1/contexts/hospital/sessions/"+sid+"/apply", "application/x-ndjson", strings.NewReader(body.String()))
+		if err != nil {
+			t.Fatalf("post %d: %v", i, err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("post %d: read: %v", i, err)
+		}
+		if code := errCode(t, string(data)); code != "bad_request" {
+			t.Fatalf("post %d: %s, want one bad_request line", i, data)
+		}
+	}
+	if n := conns.Load() - before; n != 1 {
+		t.Errorf("50 posts opened %d connections, want 1", n)
+	}
+	ts.Close()
+	if msg := logged.String(); msg != "" {
+		t.Fatalf("net/http logged:\n%s", msg)
 	}
 }

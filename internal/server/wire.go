@@ -145,7 +145,8 @@ type SessionResponse struct {
 	Closed  bool   `json:"closed,omitempty"`
 }
 
-// SessionInfo describes one live session.
+// SessionInfo describes one live session. Applies counts every change
+// the session took: apply batches and refreshes that changed it.
 type SessionInfo struct {
 	ID          string `json:"id"`
 	Context     string `json:"context"`
@@ -243,7 +244,7 @@ type WireVersion struct {
 }
 
 // VersionsResponse is the body of GET .../sessions/{id}/versions: the
-// session's full version timeline, ascending.
+// session's newest mdqa.MaxHistoryVersions versions, ascending.
 type VersionsResponse struct {
 	ID             string        `json:"id"`
 	Context        string        `json:"context"`

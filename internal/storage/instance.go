@@ -223,28 +223,6 @@ func (db *Instance) Snapshot() *Instance {
 // Frozen reports whether the instance is an immutable snapshot.
 func (db *Instance) Frozen() bool { return db.frozen }
 
-// ExclusiveBytes estimates the memory snapshot db holds that the newer
-// snapshot next does not: db's own structures and forked interner,
-// plus, per relation, the slot table and key maps a write between the
-// two copied, and the rows and posting lists next no longer shares as
-// a prefix (after a rebuild, or an append that reallocated the
-// row-header array). A nil next prices db's own structures alone — the
-// newest snapshot shares all its relations with the live instance
-// until the next write.
-func (db *Instance) ExclusiveBytes(next *Instance) int64 {
-	const instCost = 256 // instance header, relation map and name list
-	const relCost = 192  // relation header, map slot and stats copy
-	const termCost = 64  // one forked interned term: table slot + map entry
-	b := instCost + int64(len(db.order))*relCost + int64(db.in.Len())*termCost
-	if next == nil {
-		return b
-	}
-	for _, name := range db.order {
-		b += db.relations[name].exclusiveBytes(next.relations[name])
-	}
-	return b
-}
-
 // CloneDetached returns a deep copy with its own forked interner: the
 // clone can intern new symbols (invented nulls, derived constants)
 // without touching the parent's interner. The chase and eval engines

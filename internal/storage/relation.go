@@ -123,49 +123,6 @@ func (r *Relation) ensureOwned() {
 // Frozen reports whether the relation is an immutable snapshot.
 func (r *Relation) Frozen() bool { return r.frozen }
 
-// keyBytes estimates the structures the first write after a snapshot
-// copies: the slot table and one entry per distinct key of every
-// position's index map. It is O(arity).
-func (r *Relation) keyBytes() int64 {
-	const sliceHdr = 24
-	b := 4 * int64(len(r.slots))
-	for _, idx := range r.indexes {
-		b += int64(len(idx)) * (4 + sliceHdr)
-	}
-	return b
-}
-
-// rowBytes estimates the storage snapshots share as a prefix: each
-// row's slice header and cells, and one 4-byte posting entry per row
-// in every position index.
-func (r *Relation) rowBytes() int64 {
-	const sliceHdr = 24
-	n, arity := int64(len(r.rows)), int64(r.schema.Arity())
-	return n * (sliceHdr + 4*arity + 4*arity)
-}
-
-// exclusiveBytes estimates the memory snapshot r holds that next, a
-// later snapshot of the same relation, does not (nil: r is the only
-// holder). next shares r's rows and posting lists while r's row
-// headers are a prefix of next's: appends keep that true until one
-// reallocates the row-header array, and a rebuild ends it. next shares
-// r's slot table and key maps until a write between the two copies
-// them.
-func (r *Relation) exclusiveBytes(next *Relation) int64 {
-	if next == nil || !isPrefix(r.rows, next.rows) {
-		return r.keyBytes() + r.rowBytes()
-	}
-	if len(r.slots) != len(next.slots) || !isPrefix(r.slots, next.slots) {
-		return r.keyBytes()
-	}
-	return 0
-}
-
-// isPrefix reports whether a is a prefix view of b's backing array.
-func isPrefix[T any](a, b []T) bool {
-	return len(a) <= len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
 // snapshot returns a frozen view sharing all of this relation's
 // storage, and flips the live relation into copy-on-write mode: its
 // next write copies the slot table and key maps, and its appends land

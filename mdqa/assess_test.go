@@ -36,10 +36,9 @@ func TestLatestAssessSharesView(t *testing.T) {
 	if a.Contextual() != view.Instance() || a.Snapshot().Instance() != view.Instance() {
 		t.Fatal("latest assessment does not share the latest view's snapshot")
 	}
-	av, aok := a.Snapshot().Version()
-	vv, vok := view.Version()
-	if !aok || !vok || av.Seq != 1 || vv.Seq != 1 {
-		t.Fatalf("assessment version %d (%v), view version %d (%v), want 1", av.Seq, aok, vv.Seq, vok)
+	av, vv := a.Snapshot().Version(), view.Version()
+	if av.Seq != 1 || vv.Seq != 1 {
+		t.Fatalf("assessment version %d, view version %d, want 1", av.Seq, vv.Seq)
 	}
 	v, err := a.Version("CitySales")
 	if err != nil {
@@ -98,10 +97,10 @@ func TestAssessMetadataMatchesMeasures(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						v, ok := a.Snapshot().Version()
+						v := a.Snapshot().Version()
 						m := a.Measures()["CitySales"]
 						sc := v.Scores["CitySales"]
-						if !ok || sc.Original != m.Original || sc.Quality != m.Quality || sc.Intersection != m.Intersection {
+						if sc.Original != m.Original || sc.Quality != m.Quality || sc.Intersection != m.Intersection {
 							t.Errorf("version %d scores %+v, assessment measures %+v", v.Seq, sc, m)
 							return
 						}

@@ -264,14 +264,16 @@ func (a *Assessment) RewriteClean(q *Query) *Query { return a.a.RewriteClean(q) 
 // streams instead of materializing.
 func (a *Assessment) CleanAnswer(q *Query) (*AnswerSet, error) { return a.a.CleanAnswer(q) }
 
-// newAssessment pairs a quality assessment with its streaming view.
-func newAssessment(a *quality.Assessment, versionPred map[string]string, vorder []string) *Assessment {
+// newAssessment pairs a quality assessment of version v with its
+// streaming view.
+func newAssessment(a *quality.Assessment, v Version, versionPred map[string]string, vorder []string) *Assessment {
 	return &Assessment{
 		a: a,
 		snap: &Snapshot{
 			inst:        a.Contextual,
 			versionPred: versionPred,
 			vorder:      vorder,
+			ver:         v,
 		},
 	}
 }

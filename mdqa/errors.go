@@ -1,9 +1,6 @@
 package mdqa
 
-import (
-	"repro/internal/qerr"
-	"repro/internal/quality"
-)
+import "repro/internal/qerr"
 
 // The facade's error vocabulary. Every failure class pairs a sentinel
 // (errors.Is) with a typed error (errors.As): the sentinel names the
@@ -39,9 +36,6 @@ var (
 	// in-memory ring and, for durable sessions, the on-disk replay
 	// base compaction has kept.
 	ErrVersionEvicted = qerr.ErrVersionEvicted
-	// ErrHistoryDisabled marks versioned reads on a session whose
-	// context disabled history retention (WithHistoryDepth(-1)).
-	ErrHistoryDisabled = quality.ErrHistoryDisabled
 )
 
 // InconsistentError carries the constraint violations behind an

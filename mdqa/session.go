@@ -105,23 +105,18 @@ func (s *Session) Assess(ctx context.Context, opts ...ViewOption) (*Assessment, 
 	if err != nil {
 		return nil, err
 	}
-	if !o.hasAt {
+	var a *quality.Assessment
+	var v Version
+	if o.hasAt {
+		a, v, err = s.s.AssessmentAt(o.at)
+	} else {
 		// The version metadata comes from the same lock acquisition as
 		// the assessment, so an Apply in between cannot pair them up
 		// across versions.
-		a, v, ok, err := s.s.Assessment()
-		if err != nil {
-			return nil, err
-		}
-		aa := newAssessment(a, s.versionPred, s.vorder)
-		aa.snap.ver, aa.snap.hasVer = v, ok
-		return aa, nil
+		a, v, err = s.s.Assessment()
 	}
-	a, v, err := s.s.AssessmentAt(o.at)
 	if err != nil {
 		return nil, err
 	}
-	aa := newAssessment(a, s.versionPred, s.vorder)
-	aa.snap.ver, aa.snap.hasVer = v, true
-	return aa, nil
+	return newAssessment(a, v, s.versionPred, s.vorder), nil
 }

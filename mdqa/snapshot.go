@@ -21,14 +21,11 @@ type Snapshot struct {
 	versionPred map[string]string
 	vorder      []string
 	ver         Version // metadata of the version this view reads
-	hasVer      bool    // false when the session's history is disabled
 }
 
 // Version returns the metadata of the session version this snapshot
-// reads — sequence number, wall time, violation state, scores. ok is
-// false when the owning session has history disabled (the snapshot's
-// data accessors still work).
-func (s *Snapshot) Version() (Version, bool) { return s.ver, s.hasVer }
+// reads — sequence number, wall time, violation state, scores.
+func (s *Snapshot) Version() Version { return s.ver }
 
 // Instance returns the underlying frozen instance, for interop with
 // formatting helpers (FormatRelation) and direct relation access.

@@ -96,16 +96,13 @@ func TestTimeTravelAnswersMatchLive(t *testing.T) {
 			liveClean := map[uint64]string{}
 			liveMeasure := map[uint64]mdqa.Measure{}
 			recordLive := func() uint64 {
-				v, ok := sess.LatestVersion()
-				if !ok {
-					t.Fatal("history must be on")
-				}
+				v := sess.LatestVersion()
 				snap, err := sess.View()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sv, ok := snap.Version(); !ok || sv.Seq != v.Seq {
-					t.Fatalf("latest view reports version %d/%v, want %d", sv.Seq, ok, v.Seq)
+				if sv := snap.Version(); sv.Seq != v.Seq {
+					t.Fatalf("latest view reports version %d, want %d", sv.Seq, v.Seq)
 				}
 				liveRaw[v.Seq] = collectAnswers(t, snap, q, false)
 				liveClean[v.Seq] = collectAnswers(t, snap, q, true)
@@ -156,7 +153,7 @@ func TestTimeTravelAnswersMatchLive(t *testing.T) {
 				if err != nil {
 					t.Fatalf("View(At(%d)): %v", v, err)
 				}
-				if sv, ok := snap.Version(); !ok || sv.Seq != v {
+				if sv := snap.Version(); sv.Seq != v {
 					t.Fatalf("View(At(%d)) reports version %d", v, sv.Seq)
 				}
 				if got := collectAnswers(t, snap, q, false); got != liveRaw[v] {
@@ -201,7 +198,7 @@ func TestTimeTravelBoundsAndErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if oldest, _ := sess.OldestRetained(); oldest != 3 {
+	if oldest := sess.OldestRetained(); oldest != 3 {
 		t.Fatalf("depth 2 after 4 applies: oldest retained = %d, want 3", oldest)
 	}
 	_, err = sess.View(mdqa.At(0))
@@ -219,27 +216,10 @@ func TestTimeTravelBoundsAndErrors(t *testing.T) {
 		t.Fatal("At+AsOf must be mutually exclusive")
 	}
 
-	// Disabled history: versioned reads fail closed, latest reads work.
-	off, err := timeTravelContext(t, 1, -1).Prepare(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := off.NewSession(ctx, salesInstance(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hist := plain.History(); hist != nil {
-		t.Fatalf("disabled history must report nil, got %v", hist)
-	}
-	if _, err := plain.View(mdqa.At(0)); !errors.Is(err, mdqa.ErrHistoryDisabled) {
-		t.Fatalf("At on disabled history = %v, want ErrHistoryDisabled", err)
-	}
-	snap, err := plain.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := snap.Version(); ok {
-		t.Fatal("latest view on disabled history must report no version")
+	// Every session keeps a history: a negative depth is rejected when
+	// the context is built.
+	if _, err := mdqa.NewContext(buildSalesOntology(t), mdqa.WithHistoryDepth(-1)); err == nil {
+		t.Fatal("NewContext accepted a negative history depth")
 	}
 }
 

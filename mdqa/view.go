@@ -12,6 +12,11 @@ import (
 // in memory when WithHistoryDepth is not used.
 const DefaultHistoryDepth = history.DefaultDepth
 
+// MaxHistoryVersions is how many of a session's newest versions keep
+// their metadata (History, AsOf, Attribute and the snapshot headers of
+// durable sessions), and the largest history depth a session takes.
+const MaxHistoryVersions = history.MaxVersions
+
 // Version is the metadata of one session version: its sequence number
 // (0 for the initial saturated state, +1 per applied batch or changed
 // refresh), WAL sequence, wall time, batch size, cumulative violation
@@ -81,31 +86,34 @@ func (s *Session) View(opts ...ViewOption) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !o.hasAt {
-		inst, ver, ok := s.s.View()
-		return &Snapshot{inst: inst, versionPred: s.versionPred, vorder: s.vorder, ver: ver, hasVer: ok}, nil
+	var inst *Instance
+	var ver Version
+	if o.hasAt {
+		if inst, ver, err = s.s.At(o.at); err != nil {
+			return nil, err
+		}
+	} else {
+		inst, ver = s.s.View()
 	}
-	inst, ver, err := s.s.At(o.at)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{inst: inst, versionPred: s.versionPred, vorder: s.vorder, ver: ver, hasVer: true}, nil
+	return &Snapshot{inst: inst, versionPred: s.versionPred, vorder: s.vorder, ver: ver}, nil
 }
 
-// History returns the metadata of every version the session knows
-// about, ascending by sequence; nil when history is disabled. Metadata
-// is kept for every version ever produced — only the snapshot
-// instances behind old versions are evicted.
+// History returns the metadata of the session's newest
+// MaxHistoryVersions versions, ascending by sequence. A longer session
+// no longer lists its older versions: their scores drop out of the
+// trajectory, Attribute no longer finds the violations they
+// introduced, and an AsOf instant before the oldest listed version
+// fails with ErrVersionEvicted. Only the newest few versions also keep
+// their snapshot instances in memory (WithHistoryDepth).
 func (s *Session) History() []Version { return s.s.History() }
 
-// LatestVersion returns the newest version's metadata (false when
-// history is disabled).
-func (s *Session) LatestVersion() (Version, bool) { return s.s.LatestVersion() }
+// LatestVersion returns the newest version's metadata.
+func (s *Session) LatestVersion() Version { return s.s.LatestVersion() }
 
 // OldestRetained returns the oldest version whose snapshot is still
 // held in memory — the boundary below which At fails with
-// ErrVersionEvicted (false when history is disabled).
-func (s *Session) OldestRetained() (uint64, bool) { return s.s.OldestRetained() }
+// ErrVersionEvicted.
+func (s *Session) OldestRetained() uint64 { return s.s.OldestRetained() }
 
 // ResolveAsOf resolves a wall-clock instant to the version number an
 // AsOf view of it would read, without building the view.
@@ -114,22 +122,16 @@ func (s *Session) ResolveAsOf(t time.Time) (uint64, error) { return s.s.AsOfTime
 // Attribute reports which version — and therefore which applied
 // batch — introduced the given violation, by consulting the
 // per-version delta-attribution records. false when the violation is
-// not attributed (history disabled, or the record predates a source
-// rebuild that reset violation accounting).
+// not attributed (the record predates a source rebuild that reset
+// violation accounting, or the oldest version History lists).
 func (s *Session) Attribute(v Violation) (Version, bool) { return s.s.Attribute(v) }
 
 // WithHistoryDepth bounds how many version snapshots each session
-// retains in memory for time travel (0 = the default, currently 8;
-// negative disables history entirely — View(At(...)) then fails with
-// ErrHistoryDisabled). Older versions keep their metadata; a durable
+// retains in memory for time travel (0 = DefaultHistoryDepth; a depth
+// above MaxHistoryVersions retains that many). The latest version is
+// always retained, and a negative depth fails NewContext. Older
+// versions keep their metadata up to MaxHistoryVersions; a durable
 // serving layer can still reconstruct them from disk.
 func WithHistoryDepth(depth int) Option {
 	return func(cfg *quality.Config) { cfg.HistoryDepth = depth }
-}
-
-// WithHistoryBytes caps the estimated memory of each session's
-// retained version snapshots; the oldest are evicted first and the
-// latest always survives. 0 leaves retention bounded by depth alone.
-func WithHistoryBytes(n int64) Option {
-	return func(cfg *quality.Config) { cfg.HistoryBytes = n }
 }
